@@ -7,6 +7,7 @@ Exit codes: 0 all verdicts pass (or pass-within-noise / not-applicable),
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
@@ -15,32 +16,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import analytic, bootstrap, kernels, measures, mc
-from .errors import SdlabError
+from .errors import ConfigError, SdlabError
 from .events import AllAbove, BoxCrossing, event_from_dict, event_to_dict
 from .sampler import Grid, draw, plan_circulant, plan_dense, write_snapshot
-
-THEOREM_IDS = (
-    "thm1.1", "prop2.2", "hoeffding", "pa", "interp",
-    "prop1.8", "thm1.7", "thm1.10", "cor2.6", "cor2.7",
-)
-
-# human-readable anchors so report consumers can map ids to the inequalities
-THEOREM_TITLES = {
-    "thm1.1": "sprinkled decoupling inequality",
-    "prop2.2": "threshold covariance bounds",
-    "hoeffding": "Hoeffding covariance formula",
-    "pa": "local positive association",
-    "interp": "interpolation covariance identity",
-    "prop1.8": "finite-range sprinkled decoupling",
-    "thm1.7": "maximum-correlation sprinkled decoupling",
-    "thm1.10": "errorless sprinkled decoupling",
-    "cor2.6": "Gaussian isoperimetric enlargement",
-    "cor2.7": "Gaussian noise stability",
-}
 
 ENV_OUT = "SDLAB_OUT"
 
@@ -68,7 +51,17 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        if not isinstance(d, dict) or "theorem" not in d or set(d) - set(keys):
+            unknown = sorted(set(d) - set(keys)) if isinstance(d, dict) else []
+            raise ConfigError(f"config must be a JSON object with a theorem and no unknown keys "
+                              f"(unknown: {unknown}); valid keys: {', '.join(keys)}")
+        if not all(isinstance(d.get(k, []), list) for k in ("events", "eps")):
+            raise ConfigError("config events and eps must be JSON lists")
         d["events"] = tuple(d.get("events", ()))
         d["eps"] = tuple(d.get("eps", (0.5,)))
         return ExperimentConfig(**d)
@@ -83,8 +76,15 @@ class ExperimentConfig:
 
 
 def build_model(spec: dict) -> kernels.CovarianceModel:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"model must be a JSON object, got {spec!r}")
     fam = spec.get("family", "iid")
-    d = int(spec.get("d", 2))
+    try:
+        d = int(spec.get("d", 2))
+        params = {k: float(spec[k]) for k in ("alpha", "c", "gamma") if k in spec}
+        matrix = np.asarray(spec.get("matrix", []), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model parameters must be numbers: {exc}") from None
     if fam in ("iid", "iid_standard"):
         return kernels.iid_standard(d)
     if fam in ("bf", "bargmann_fock"):
@@ -92,135 +92,148 @@ def build_model(spec: dict) -> kernels.CovarianceModel:
     if fam == "gff":
         return kernels.gff(d)
     if fam == "cauchy":
-        return kernels.cauchy(float(spec.get("alpha", 2.0)), d)
+        return kernels.cauchy(params.get("alpha", 2.0), d)
     if fam in ("wave", "monochromatic_wave"):
         return kernels.monochromatic_wave(d)
     if fam in ("polylog", "polylog_decay"):
-        return kernels.polylog_decay(float(spec.get("c", 1.0)), float(spec.get("gamma", 3.5)), d)
+        return kernels.polylog_decay(params.get("c", 1.0), params.get("gamma", 3.5), d)
     if fam == "explicit":
-        return kernels.explicit(np.asarray(spec["matrix"], dtype=float))
-    raise SdlabError(f"unknown model family {fam!r}; valid: iid, bf, gff, cauchy, wave, polylog, explicit")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+            raise ConfigError("explicit model needs a nonempty square matrix")
+        return kernels.explicit(matrix)
+    raise ConfigError(f"unknown model family {fam!r}; valid: iid, bf, gff, cauchy, wave, polylog, explicit")
+
+
+def _grid(config: ExperimentConfig) -> Grid:
+    g = config.grid
+    if not isinstance(g, dict) or "shape" not in g:
+        raise ConfigError(f"{config.theorem} needs a grid with a shape")
+    return Grid(tuple(g["shape"]), float(g.get("spacing", 1.0)),
+                tuple(g["origin"]) if g.get("origin") else None)
 
 
 def build_plan(config: ExperimentConfig, events):
+    """Circulant plan on the config's grid, else a dense plan: over every index
+    of an explicit matrix, or over the union of the event supports."""
     model = build_model(config.model)
     if config.grid is not None:
-        g = config.grid
-        grid = Grid(tuple(g["shape"]), float(g.get("spacing", 1.0)),
-                    tuple(g["origin"]) if g.get("origin") else None)
-        return plan_circulant(model, grid, config.seed)
-    pts = sorted({p for ev in events for p in ev.support})
+        return plan_circulant(model, _grid(config), config.seed)
+    if model.family == "explicit":
+        pts = [(i,) for i in range(model.matrix.shape[0])]
+    else:
+        pts = sorted({p for ev in events for p in ev.support})
     cov = kernels.build_cov_matrix(model, pts)
     return plan_dense(cov, config.seed, pts)
 
 
-def _parse_events(config: ExperimentConfig):
-    return tuple(event_from_dict(d) for d in config.events)
+# ---------------------------------------------------------------------------
+# theorem registry: one entry per theorem id
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """A theorem id's title, built-in desk instance and verifier.
+
+    ``defaults`` are the ExperimentConfig fields of the desk instance.
+    ``run(config, events)`` calls the theorem's ``mc.verify_*`` function, which
+    reads the first ``n_events`` events.
+    """
+
+    title: str
+    defaults: dict
+    run: Callable[[ExperimentConfig, tuple], mc.InequalityReport]
+    n_events: int = 2
+
+
+def _above(sites, level: float = 0.0) -> dict:
+    return event_to_dict(AllAbove(tuple((i,) for i in sites), level))
+
+
+_IID8 = {"model": {"family": "iid", "d": 1}, "events": (_above(range(4)), _above(range(4, 8)))}
+_PAIR = {"model": {"family": "explicit", "matrix": [[1.0, 1.0], [1.0, 1.0]]},
+         "events": (_above([0]), _above([1]))}
+_BF_BLOCKS = {
+    "model": {"family": "bf", "d": 2},
+    "grid": {"shape": [24, 24], "spacing": 0.5},
+    "events": (event_to_dict(BoxCrossing((0, 0), (4, 4), 0)),
+               event_to_dict(BoxCrossing((19, 19), (23, 23), 0))),
+}
+
+# runners look mc.verify_* up when called, so a wrapped (traced) verifier is reached
+THEOREMS: dict[str, TheoremSpec] = {
+    # eps = (e1, e2); a single value sprinkles both events
+    "thm1.1": TheoremSpec(
+        "sprinkled decoupling inequality", dict(_IID8, eps=(0.5, 0.5)),
+        lambda c, ev: mc.verify_sprinkled(build_plan(c, ev), ev[0], ev[1], c.eps[0], c.eps[:2][-1],
+                                          c.n, c.constant_mode, c.workers)),
+    "prop2.2": TheoremSpec(
+        "threshold covariance bounds", _PAIR,
+        lambda c, ev: mc.verify_threshold_cov(build_plan(c, ev), ev[0], ev[1], c.n, c.workers)),
+    "hoeffding": TheoremSpec(
+        "Hoeffding covariance formula", _PAIR,
+        lambda c, ev: mc.verify_hoeffding(build_plan(c, ev), ev[0], ev[1], c.n,
+                                          mc.HoeffdingBox(-8.0, 8.0, -8.0, 8.0), c.workers)),
+    "pa": TheoremSpec(
+        "local positive association", dict(_PAIR, events=(_above([0], 1.0), _above([1], 1.0))),
+        lambda c, ev: mc.verify_positive_association(build_plan(c, ev), ev[0], ev[1], c.n, c.workers)),
+    # interp reads no event; its events place the points of a non-explicit model
+    "interp": TheoremSpec(
+        "interpolation covariance identity",
+        {"model": {"family": "explicit", "matrix": [[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]]},
+         "events": (_above([0]), _above([1]))},
+        lambda c, ev: mc.verify_interp_formula(build_plan(c, ev), c.n, workers=c.workers), n_events=0),
+    "prop1.8": TheoremSpec(
+        "finite-range sprinkled decoupling", dict(_BF_BLOCKS, eps=(1.0,), radius=1.5),
+        lambda c, ev: mc.verify_finite_range(build_model(c.model), _grid(c), c.radius, ev[0], ev[1],
+                                             c.eps[0], c.n, c.seed, c.workers)),
+    "thm1.7": TheoremSpec(
+        "maximum-correlation sprinkled decoupling", dict(_IID8, eps=(0.5,)),
+        lambda c, ev: mc.verify_sdi2(build_plan(c, ev), ev[0], ev[1], c.eps[0], c.n, c.workers)),
+    "thm1.10": TheoremSpec(
+        "errorless sprinkled decoupling", dict(_BF_BLOCKS, delta1=0.5, delta2=0.25),
+        lambda c, ev: mc.verify_sdi3(build_plan(c, ev), ev[0], ev[1], c.delta1, c.delta2, c.n, c.workers)),
+    "cor2.6": TheoremSpec(
+        "Gaussian isoperimetric enlargement",
+        {"model": {"family": "explicit", "matrix": [[1.0]]}, "events": (_above([0]),), "eps": (0.3,)},
+        lambda c, ev: mc.verify_isoperimetric(build_plan(c, ev), ev[0], c.eps[0], c.n, c.workers),
+        n_events=1),
+    "cor2.7": TheoremSpec(
+        "Gaussian noise stability", _IID8,
+        lambda c, ev: mc.verify_noise_stability(build_plan(c, ev), ev[0], ev[1], c.n, c.workers)),
+}
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def _theorem(theorem) -> TheoremSpec:
+    spec = THEOREMS.get(theorem) if isinstance(theorem, str) else None
+    if spec is None:
+        raise ConfigError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREMS)}")
+    return spec
 
 
 def default_config(theorem: str, n: int, seed: int, workers: int) -> ExperimentConfig:
     """Built-in desk instance per theorem id (used by verify defaults and suites)."""
-    iid8 = {
-        "model": {"family": "iid", "d": 1},
-        "events": (
-            event_to_dict(AllAbove(tuple((i,) for i in range(4)), 0.0)),
-            event_to_dict(AllAbove(tuple((i,) for i in range(4, 8)), 0.0)),
-        ),
-    }
-    pair = {
-        "model": {"family": "explicit", "matrix": [[1.0, 1.0], [1.0, 1.0]]},
-        "events": (
-            event_to_dict(AllAbove(((0,),), 0.0)),
-            event_to_dict(AllAbove(((1,),), 0.0)),
-        ),
-    }
-    bf_blocks = {
-        "model": {"family": "bf", "d": 2},
-        "grid": {"shape": [24, 24], "spacing": 0.5},
-        "events": (
-            event_to_dict(BoxCrossing((0, 0), (4, 4), 0)),
-            event_to_dict(BoxCrossing((19, 19), (23, 23), 0)),
-        ),
-    }
-    base = {"theorem": theorem, "n": n, "seed": seed, "workers": workers}
-    if theorem == "thm1.1":
-        return ExperimentConfig(**base, **iid8, eps=(0.5, 0.5))
-    if theorem == "prop2.2":
-        return ExperimentConfig(**base, **pair)
-    if theorem == "hoeffding":
-        return ExperimentConfig(**base, **pair)
-    if theorem == "pa":
-        cfg = dict(pair)
-        cfg["events"] = (
-            event_to_dict(AllAbove(((0,),), 1.0)),
-            event_to_dict(AllAbove(((1,),), 1.0)),
-        )
-        return ExperimentConfig(**base, **cfg)
-    if theorem == "interp":
-        return ExperimentConfig(
-            **base,
-            model={"family": "explicit",
-                   "matrix": [[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]]},
-            events=(event_to_dict(AllAbove(((0,),), 0.0)), event_to_dict(AllAbove(((1,),), 0.0))),
-        )
-    if theorem == "prop1.8":
-        return ExperimentConfig(**base, **bf_blocks, eps=(1.0,), radius=1.5)
-    if theorem == "thm1.7":
-        return ExperimentConfig(**base, **iid8, eps=(0.5,))
-    if theorem == "thm1.10":
-        return ExperimentConfig(**base, **bf_blocks, delta1=0.5, delta2=0.25)
-    if theorem == "cor2.6":
-        return ExperimentConfig(
-            **base,
-            model={"family": "explicit", "matrix": [[1.0]]},
-            events=(event_to_dict(AllAbove(((0,),), 0.0)),),
-            eps=(0.3,),
-        )
-    if theorem == "cor2.7":
-        return ExperimentConfig(**base, **iid8)
-    raise SdlabError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
+    defaults = copy.deepcopy(_theorem(theorem).defaults)
+    return ExperimentConfig(theorem=theorem, n=n, seed=seed, workers=workers, **defaults)
 
 
 def run_config(config: ExperimentConfig) -> mc.InequalityReport:
-    events = _parse_events(config)
-    theorem = config.theorem
-    if theorem == "prop1.8":
-        model = build_model(config.model)
-        g = config.grid
-        grid = Grid(tuple(g["shape"]), float(g.get("spacing", 1.0)),
-                    tuple(g["origin"]) if g.get("origin") else None)
-        return mc.verify_finite_range(model, grid, config.radius, events[0], events[1],
-                                      config.eps[0], config.n, config.seed, config.workers)
-    plan = build_plan(config, events)
-    if theorem == "thm1.1":
-        e1 = config.eps[0]
-        e2 = config.eps[1] if len(config.eps) > 1 else e1
-        return mc.verify_sprinkled(plan, events[0], events[1], e1, e2, config.n,
-                                   config.constant_mode, config.workers)
-    if theorem == "prop2.2":
-        return mc.verify_threshold_cov(plan, events[0], events[1], config.n, config.workers)
-    if theorem == "hoeffding":
-        box = mc.HoeffdingBox(-8.0, 8.0, -8.0, 8.0)
-        return mc.verify_hoeffding(plan, events[0], events[1], config.n, box, config.workers)
-    if theorem == "pa":
-        return mc.verify_positive_association(plan, events[0], events[1], config.n, config.workers)
-    if theorem == "interp":
-        return mc.verify_interp_formula(plan, config.n, workers=config.workers)
-    if theorem == "thm1.7":
-        return mc.verify_sdi2(plan, events[0], events[1], config.eps[0], config.n, config.workers)
-    if theorem == "thm1.10":
-        return mc.verify_sdi3(plan, events[0], events[1], config.delta1, config.delta2,
-                              config.n, config.workers)
-    if theorem == "cor2.6":
-        return mc.verify_isoperimetric(plan, events[0], config.eps[0], config.n, config.workers)
-    if theorem == "cor2.7":
-        return mc.verify_noise_stability(plan, events[0], events[1], config.n, config.workers)
-    raise SdlabError(f"unknown theorem id {theorem!r}; valid ids: {', '.join(THEOREM_IDS)}")
+    """Validate the config against its theorem's registry entry, then verify."""
+    spec = _theorem(config.theorem)
+    if isinstance(config.n, bool) or not isinstance(config.n, int) or config.n < 2:
+        raise ConfigError(f"n must be an integer >= 2, got {config.n!r}")
+    if not config.eps:
+        raise ConfigError("eps must hold at least one sprinkle value")
+    events = tuple(event_from_dict(d) for d in config.events)
+    if len(events) < spec.n_events:
+        raise ConfigError(f"{config.theorem} reads {spec.n_events} events; the config has {len(events)}")
+    return spec.run(config, events)
 
 
 def _report_json(report: mc.InequalityReport, config: ExperimentConfig) -> str:
     d = report.to_dict()
-    d["title"] = THEOREM_TITLES.get(report.theorem_id, report.theorem_id)
+    spec = THEOREMS.get(report.theorem_id)
+    d["title"] = spec.title if spec else report.theorem_id
     d["config_hash"] = config.hash
     d["meta"]["timestamp"] = time.time()
     return json.dumps(d, sort_keys=True, indent=1)
@@ -341,14 +354,20 @@ def _exit_code(verdicts) -> int:
 
 def cmd_verify(args) -> int:
     if args.config:
-        with open(args.config) as fh:
-            config = ExperimentConfig.from_json(fh.read())
+        try:
+            with open(args.config) as fh:
+                config = ExperimentConfig.from_json(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
         if args.theorem and args.theorem != config.theorem:
-            raise SdlabError("theorem id on the command line conflicts with the config file")
+            raise ConfigError("theorem id on the command line conflicts with the config file")
     else:
         config = default_config(args.theorem, args.n, args.seed, args.workers)
         if args.eps is not None:
-            config = dataclasses.replace(config, eps=tuple(float(e) for e in args.eps.split(",")))
+            try:
+                config = dataclasses.replace(config, eps=tuple(float(e) for e in args.eps.split(",")))
+            except ValueError:
+                raise ConfigError(f"--eps must be comma-separated numbers, got {args.eps!r}") from None
         if args.model:
             config = dataclasses.replace(config, model={"family": args.model, "d": args.d})
     report = run_config(config)
@@ -359,40 +378,31 @@ def cmd_verify(args) -> int:
     return _exit_code([report.verdict])
 
 
-def cmd_verify_all(args) -> int:
+def _run_suite(args, n: int, csv_name: str) -> int:
+    """Run every theorem's desk instance once; one report per id plus a CSV summary."""
     rows, verdicts = [], []
     out_dir = _out_dir(args)
-    for tid in THEOREM_IDS:
-        config = default_config(tid, args.n, args.seed, args.workers)
-        report = run_config(config)
-        with open(os.path.join(out_dir, f"{tid.replace('.', '_')}.json"), "w") as fh:
-            fh.write(_report_json(report, config))
-        rows.append(f"{tid},{report.slack:.10g},{report.se:.10g},{report.verdict}")
-        verdicts.append(report.verdict)
-        print(rows[-1])
-    path = os.path.join(out_dir, "summary.csv")
-    with open(path, "w") as fh:
-        fh.write("theorem_id,slack,se,verdict\n" + "\n".join(rows) + "\n")
-    print(f"wrote {path}")
-    return _exit_code(verdicts)
-
-
-def cmd_suite(args) -> int:
-    n = 10_000 if args.set == "smoke" else 100_000
-    rows, verdicts = [], []
-    out_dir = _out_dir(args)
-    for tid in THEOREM_IDS:
+    for tid in THEOREMS:
         config = default_config(tid, n, args.seed, args.workers)
         report = run_config(config)
         with open(os.path.join(out_dir, f"{tid.replace('.', '_')}.json"), "w") as fh:
             fh.write(_report_json(report, config))
         rows.append(f"{tid},{report.slack:.10g},{report.se:.10g},{report.verdict}")
         verdicts.append(report.verdict)
-    path = os.path.join(out_dir, f"suite_{args.set}.csv")
+        print(rows[-1])
+    path = os.path.join(out_dir, csv_name)
     with open(path, "w") as fh:
         fh.write("theorem_id,slack,se,verdict\n" + "\n".join(rows) + "\n")
-    print(f"wrote {path}: {sum(v == 'fail' for v in verdicts)} fail verdicts")
+    print(f"wrote {path}: {verdicts.count(mc.VERDICT_FAIL)} fail verdicts")
     return _exit_code(verdicts)
+
+
+def cmd_verify_all(args) -> int:
+    return _run_suite(args, args.n, "summary.csv")
+
+
+def cmd_suite(args) -> int:
+    return _run_suite(args, 10_000 if args.set == "smoke" else 100_000, f"suite_{args.set}.csv")
 
 
 def cmd_bootstrap(args) -> int:

@@ -8,7 +8,7 @@ with ties broken by site index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -122,35 +122,38 @@ EventSpec = AllAbove | AnyAbove | BoxCrossing | AnnulusCrossing
 _KINDS = {"all_above": AllAbove, "any_above": AnyAbove, "box_crossing": BoxCrossing, "annulus_crossing": AnnulusCrossing}
 
 
+def _plain(v):
+    return [_plain(x) for x in v] if isinstance(v, tuple) else v
+
+
+def _tupled(v):
+    return tuple(_tupled(x) for x in v) if isinstance(v, list) else v
+
+
 def event_to_dict(spec: EventSpec) -> dict:
-    if isinstance(spec, AllAbove):
-        return {"kind": "all_above", "sites": [list(s) for s in spec.sites], "level": spec.level}
-    if isinstance(spec, AnyAbove):
-        return {"kind": "any_above", "sites": [list(s) for s in spec.sites], "level": spec.level}
-    if isinstance(spec, BoxCrossing):
-        return {"kind": "box_crossing", "lo": list(spec.lo), "hi": list(spec.hi), "axis": spec.axis, "level": spec.level}
-    if isinstance(spec, AnnulusCrossing):
-        return {
-            "kind": "annulus_crossing",
-            "center": list(spec.center),
-            "r_inner": spec.r_inner,
-            "r_outer": spec.r_outer,
-            "level": spec.level,
-        }
-    raise InputError(f"unknown event type {type(spec)!r}")
+    kind = next((k for k, cls in _KINDS.items() if type(spec) is cls), None)
+    if kind is None:
+        raise InputError(f"unknown event type {type(spec)!r}")
+    return {"kind": kind, **{f.name: _plain(getattr(spec, f.name)) for f in fields(spec)}}
 
 
 def event_from_dict(d: dict) -> EventSpec:
+    if not isinstance(d, dict):
+        raise InputError(f"event must be a JSON object, got {d!r}")
     kind = d.get("kind")
-    if kind == "all_above":
-        return AllAbove(tuple(tuple(s) for s in d["sites"]), d.get("level", 0.0))
-    if kind == "any_above":
-        return AnyAbove(tuple(tuple(s) for s in d["sites"]), d.get("level", 0.0))
-    if kind == "box_crossing":
-        return BoxCrossing(tuple(d["lo"]), tuple(d["hi"]), d.get("axis", 0), d.get("level", 0.0))
-    if kind == "annulus_crossing":
-        return AnnulusCrossing(tuple(d["center"]), d["r_inner"], d["r_outer"], d.get("level", 0.0))
-    raise InputError(f"unknown event kind {kind!r}")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InputError(f"unknown event kind {kind!r}; valid: {', '.join(_KINDS)}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - set(names) - {"kind"})
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+    if unknown or missing:
+        raise InputError(f"{kind} event has unknown keys {unknown} or lacks keys {missing}; "
+                         f"valid keys: kind, {', '.join(names)}")
+    try:
+        return cls(**{k: _tupled(v) for k, v in d.items() if k != "kind"})
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed {kind} event: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -241,30 +244,7 @@ class CompiledEvent:
     # -- single-sample queries ------------------------------------------------
 
     def occurs(self, values: np.ndarray) -> bool:
-        vals = values[self.cols]
-        if self.kind == "AllAbove":
-            return bool(np.all(vals >= self.level))
-        if self.kind == "AnyAbove":
-            return bool(np.any(vals >= self.level))
-        return self._crossing_occurs(vals)
-
-    def _crossing_occurs(self, vals: np.ndarray) -> bool:
-        active = vals >= self.level
-        n = len(vals)
-        uf = _UnionFind(n + 2)
-        SRC, SNK = n, n + 1
-        for i in np.nonzero(active)[0]:
-            i = int(i)
-            for j in self.edges_by_site[i]:
-                if active[j]:
-                    uf.union(i, j)
-        for i in self.src:
-            if active[i]:
-                uf.union(int(i), SRC)
-        for i in self.snk:
-            if active[i]:
-                uf.union(int(i), SNK)
-        return uf.find(SRC) == uf.find(SNK)
+        return self.threshold(values) <= 0
 
     def threshold(self, values: np.ndarray) -> float:
         vals = values[self.cols]

@@ -35,7 +35,7 @@ def _rng(base_seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _fingerprint(*parts) -> str:
+def _digest(*parts) -> str:
     h = hashlib.sha256()
     for p in parts:
         if isinstance(p, np.ndarray):
@@ -86,6 +86,10 @@ class SamplerPlan:
     def sample(self, replicate: int) -> FieldSample:
         return FieldSample(self.draw_batch([int(replicate)])[0], self.index)
 
+    def _fingerprint(self, *draw_inputs) -> str:
+        """Cache key: the plan type, seed and index map plus what else fixes the draws."""
+        return _digest(type(self).__name__, self.base_seed, self.points, *draw_inputs)
+
 
 class DensePlan(SamplerPlan):
     mode = "dense-factor"
@@ -96,7 +100,7 @@ class DensePlan(SamplerPlan):
         self.base_seed = int(base_seed)
         self.points = tuple(points)
         self.index = {p: i for i, p in enumerate(self.points)}
-        self.fingerprint = _fingerprint("dense", factor, base_seed)
+        self.fingerprint = self._fingerprint(factor)
 
     def draw_batch(self, replicates) -> np.ndarray:
         reps = list(replicates)
@@ -173,7 +177,7 @@ class CirculantPlan(SamplerPlan):
         self.base_seed = int(base_seed)
         self.points = tuple(grid.sites())
         self.index = {p: i for i, p in enumerate(self.points)}
-        self.fingerprint = _fingerprint("circ", sqrt_spectrum, base_seed, grid.shape, grid.spacing)
+        self.fingerprint = self._fingerprint(sqrt_spectrum, self.torus_shape)
         self._box = tuple(slice(0, s) for s in grid.shape)
 
     _FFT_BLOCK = 512  # replicates per FFT batch, bounds the transient working set
@@ -280,7 +284,8 @@ class DecomposedPlan(SamplerPlan):
         self.sigma2 = float((self.q_far**2).sum())
         self._spec_near = np.fft.fftn(self.q_near)
         self._spec_far = np.fft.fftn(self.q_far)
-        self.fingerprint = _fingerprint("decomp", base.sqrt_spectrum, base.base_seed, radius)
+        self.fingerprint = self._fingerprint(base.sqrt_spectrum, self.torus_shape, self.grid.spacing,
+                                             self.radius)
 
     _FFT_BLOCK = CirculantPlan._FFT_BLOCK
 

@@ -1,13 +1,14 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the code paths they check: exhaustive path
-enumeration instead of union-find, mpmath special functions instead of
-scipy, grid search instead of Frank-Wolfe.
+enumeration and breadth-first search instead of union-find, mpmath special
+functions instead of scipy, grid search instead of Frank-Wolfe.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import mpmath as mp
 import numpy as np
@@ -57,6 +58,29 @@ def grid_maximin(field2d: np.ndarray, axis: int = 0) -> float:
     src = {k for idx, k in ids.items() if idx[axis] == 0}
     snk = {k for idx, k in ids.items() if idx[axis] == shape[axis] - 1}
     return enumerate_maximin(values, src, snk, edges)
+
+
+def box_crossing_occurs(values, points, lo, hi, axis: int, level: float = 0.0) -> bool:
+    """Breadth-first search through the sites with value >= level, from the
+    ``lo`` face to the ``hi`` face of the box along ``axis``.
+
+    ``values[k]`` is the field at ``points[k]``; neighbors differ by one in one
+    coordinate and both lie in the box.
+    """
+    active = {tuple(p) for p, v in zip(points, values) if v >= level}
+    frontier = deque(p for p in active if p[axis] == lo[axis])
+    seen = set(frontier)
+    while frontier:
+        p = frontier.popleft()
+        if p[axis] == hi[axis]:
+            return True
+        for ax in range(len(p)):
+            for step in (-1, 1):
+                q = p[:ax] + (p[ax] + step,) + p[ax + 1:]
+                if q in active and q not in seen and all(a <= c <= b for a, c, b in zip(lo, q, hi)):
+                    seen.add(q)
+                    frontier.append(q)
+    return False
 
 
 def bessel_j_mp(nu: float, x: float) -> float:

@@ -150,7 +150,8 @@ def test_criterion_4_threshold_correctness():
         shift_eq &= ce.threshold(v + h) == ce.threshold(v) - h
         mono &= ce.threshold(v + rng.uniform(0, 1, 16)) <= ce.threshold(v) + 1e-12
         u = float(rng.normal())
-        consist &= ce.occurs(v + u) == (ce.threshold(v) <= u)
+        consist &= oracles.box_crossing_occurs(v + u, spec.support, spec.lo, spec.hi, spec.axis) == (
+            ce.threshold(v) <= u)
         vl = rng.normal(size=4)
         wl = vl.copy()
         wl[2:] = rng.normal(size=2)

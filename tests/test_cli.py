@@ -70,6 +70,98 @@ def test_verify_all_summary(tmp_path):
     assert not any(",fail" in ln for ln in lines[1:])
 
 
+def _report_minus_meta(path):
+    doc = json.loads(path.read_text())
+    doc.pop("meta")
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_verify_all_and_suite_write_identical_reports(tmp_path, capsys):
+    clear_cache()
+    assert run(["verify-all", "-n", "10000", "--seed", "3", "--out", str(tmp_path / "all")]) == 0
+    clear_cache()
+    assert run(["suite", "smoke", "--seed", "3", "--out", str(tmp_path / "suite")]) == 0
+    out = capsys.readouterr().out
+    for tid in cli.THEOREM_IDS:
+        name = f"{tid.replace('.', '_')}.json"
+        assert _report_minus_meta(tmp_path / "all" / name) == _report_minus_meta(tmp_path / "suite" / name)
+    summary = (tmp_path / "all" / "summary.csv").read_bytes()
+    assert summary == (tmp_path / "suite" / "suite_smoke.csv").read_bytes()
+    assert out.count("\ninterp,") == 2
+
+
+def test_registry_covers_every_theorem():
+    assert cli.THEOREM_IDS == tuple(cli.THEOREMS)
+    for tid, spec in cli.THEOREMS.items():
+        assert spec.title and spec.title != tid
+        config = cli.default_config(tid, 200, 1, 1)
+        assert len(config.events) >= spec.n_events
+        rep = cli.run_config(config)
+        assert rep.theorem_id == tid
+        assert json.loads(cli._report_json(rep, config))["title"] == spec.title
+
+
+def test_interp_desk_instance_runs_the_max_case():
+    rep = cli.run_config(cli.default_config("interp", 2000, 0, 1))
+    assert [s.name for s in rep.sides] == ["case0:linear-linear", "case1:linear-linear", "case2:max-linear"]
+
+
+def _malformed(tid, **changes):
+    d = json.loads(cli.default_config(tid, 500, 0, 1).to_json())
+    d.update(changes)
+    return d
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_malformed("thm1.1", n=1), "n must be"),
+    (_malformed("thm1.1", n=2.5), "n must be"),
+    (_malformed("thm1.1", bogus=1), "valid keys: theorem, model, grid"),
+    (_malformed("thm1.1", events=[]), "reads 2 events"),
+    (_malformed("cor2.6", events=[]), "reads 1 events"),
+    (_malformed("thm1.1", eps=[]), "eps"),
+    (_malformed("thm1.1", eps=0.5), "lists"),
+    (_malformed("thm1.1", theorem="thm9.9"), "valid ids"),
+    (_malformed("prop1.8", grid=None), "needs a grid"),
+    (_malformed("thm1.10", grid={"spacing": 0.5}), "shape"),
+    (_malformed("pa", model={"family": "explicit"}), "square matrix"),
+    (_malformed("pa", model={"family": "explicit", "matrix": [[1.0], [1.0, 2.0]]}), "must be numbers"),
+    (_malformed("pa", model={"family": "nope"}), "unknown model family"),
+    (_malformed("thm1.1", model={"family": "iid", "d": "x"}), "must be numbers"),
+    (_malformed("thm1.1", model="iid"), "JSON object"),
+    (_malformed("thm1.1", events=[{"kind": "all_above"}]), "sites"),
+    (_malformed("thm1.1", events=[{"kind": "ring"}, {"kind": "ring"}]), "unknown event kind"),
+    ({"n": 100}, "valid keys"),
+    ([1, 2], "valid keys"),
+    ("not json", "not valid JSON"),
+])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_*.json"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "thm1.1", "--eps", "x", "-n", "100"], "--eps"),
+    (["verify", "--config", "missing.json"], "cannot read config"),
+])
+def test_bad_verify_arguments_are_config_errors(tmp_path, capsys, argv, message):
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_run_config_raises_config_error():
+    cfg = cli.default_config("thm1.7", 500, 0, 1)
+    with pytest.raises(cli.ConfigError, match="n must be"):
+        cli.run_config(cli.ExperimentConfig.from_json(cfg.to_json().replace('"n": 500', '"n": 1')))
+    with pytest.raises(cli.ConfigError, match="valid ids"):
+        cli.default_config("thm9.9", 10, 0, 1)
+
+
 def test_bvn_subcommand(capsys):
     assert run(["bvn", "0.5", "0", "0"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -99,6 +99,7 @@ def test_occurs_iff_threshold_below_shift():
         u = rng.normal()
         t = ce.threshold(vals)
         assert ce.occurs(vals + u) == (t <= u)
+        assert oracles.box_crossing_occurs(vals + u, spec.support, spec.lo, spec.hi, spec.axis) == (t <= u)
 
 
 def test_threshold_shift_equivariance_exact():
@@ -192,3 +193,23 @@ def test_event_serialization_roundtrip():
     ]
     for s in specs:
         assert events.event_from_dict(events.event_to_dict(s)) == s
+
+
+@pytest.mark.parametrize("d", [
+    {"kind": "all_above", "level": 0.0},  # missing sites
+    {"kind": "all_above", "sites": [[0]], "lvl": 0.0},  # unknown key
+    {"kind": "box", "lo": [0, 0], "hi": [1, 1]},  # unknown kind
+    {"sites": [[0]]},  # no kind
+    {"kind": ["all_above"], "sites": [[0]]},  # unhashable kind
+    {"kind": "box_crossing", "lo": [0, 0], "hi": [1, "x"]},  # malformed corner
+    {"kind": "annulus_crossing", "center": [0, 0], "r_inner": 2.0, "r_outer": 1.0},  # radii swapped
+    [["all_above"]],  # not an object
+])
+def test_event_from_dict_rejects_malformed_input(d):
+    with pytest.raises(InputError):
+        events.event_from_dict(d)
+
+
+def test_event_to_dict_rejects_unknown_type():
+    with pytest.raises(InputError):
+        events.event_to_dict(("all_above", ((0,),)))

@@ -47,6 +47,33 @@ def test_threshold_engine_deterministic_across_workers():
     assert np.array_equal(t1, t8)
 
 
+def _fresh_thresholds(plan, spec, n):
+    ce = events.compile_event(spec, plan.index)
+    return ce.thresholds_batch(plan.draw_batch(range(n)))
+
+
+@pytest.mark.parametrize("pair", ["origin", "box", "points"])
+def test_cached_thresholds_match_fresh_for_plans_differing_in_index_map(pair):
+    # each pair shares draws but not its index map, so a shared cache key
+    # would serve the second plan the first plan's thresholds
+    bf = kernels.bargmann_fock(2)
+    if pair == "origin":
+        plans = [sampler.plan_circulant(bf, sampler.Grid((8, 8), 1.0, origin), 7)
+                 for origin in ((0, 0), (-3, -3))]
+        spec = events.AllAbove(((0, 0), (1, 1)), 0.0)
+    elif pair == "box":
+        plans = [sampler.plan_decomposed(bf, sampler.Grid((s, s), 0.5), 1.5, 7) for s in (24, 20)]
+        spec = events.BoxCrossing((0, 0), (4, 4), 0)
+    else:
+        plans = [sampler.plan_dense(np.eye(2), 5, pts) for pts in ([(0,), (1,)], [(1,), (0,)])]
+        spec = events.AllAbove(((0,),), 0.0)
+    assert plans[0].fingerprint != plans[1].fingerprint
+    clear_cache()
+    for plan in plans:
+        cached = mc.event_thresholds(plan, (spec,), 64)[0]
+        assert np.array_equal(cached, _fresh_thresholds(plan, spec, 64))
+
+
 def test_sprinkling_indicator_monotone_per_replicate():
     plan = iid_plan()
     A1, _ = block_events()
