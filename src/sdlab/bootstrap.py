@@ -84,7 +84,10 @@ def stretched_exp(c: float, beta: float) -> DecayFunction:
 def decay_from_string(text: str) -> DecayFunction:
     """'polylog:3.5', 'power:2', 'stretched:0.04,0.3', 'loginv:0.5'."""
     name, _, args = text.partition(":")
-    vals = [float(v) for v in args.split(",")] if args else []
+    try:
+        vals = [float(v) for v in args.split(",")]
+    except ValueError:
+        raise ParameterError(f"decay {text!r} must be family:numbers, as in 'polylog:3.5'") from None
     if name == "polylog":
         return polylog(vals[0], *(vals[1:2]))
     if name == "loginv":

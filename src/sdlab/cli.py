@@ -108,8 +108,7 @@ def _grid(config: ExperimentConfig) -> Grid:
     g = config.grid
     if not isinstance(g, dict) or "shape" not in g:
         raise ConfigError(f"{config.theorem} needs a grid with a shape")
-    return Grid(tuple(g["shape"]), float(g.get("spacing", 1.0)),
-                tuple(g["origin"]) if g.get("origin") else None)
+    return Grid(g["shape"], g.get("spacing", 1.0), g.get("origin"))
 
 
 def build_plan(config: ExperimentConfig, events):
@@ -253,14 +252,25 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
+def _numbers(option: str, text: str | None, kind=float) -> list:
+    """A command-line option's comma-separated list of ``kind`` numbers."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except (AttributeError, ValueError):  # AttributeError: the option was not given
+        raise ConfigError(f"{option} must be comma-separated {kind.__name__} values, got {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_sample(args) -> int:
-    model = build_model(json.loads(args.model) if args.model.startswith("{") else {"family": args.model, "d": args.d})
-    shape = tuple(int(s) for s in args.shape.split(","))
-    grid = Grid(shape, args.spacing)
+    try:
+        spec = json.loads(args.model) if args.model.startswith("{") else {"family": args.model, "d": args.d}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--model must be a family name or a JSON object: {exc}") from None
+    model = build_model(spec)
+    grid = Grid(_numbers("--shape", args.shape, int), args.spacing)
     plan = plan_circulant(model, grid, args.seed)
     sample = draw(plan, args.replicate)
     out = os.path.join(_out_dir(args), args.file)
@@ -314,7 +324,7 @@ def _ball_points(R: float, d: int, center=None):
 def cmd_capacity(args) -> int:
     if args.matrix:
         K = np.loadtxt(args.matrix, delimiter=",", ndmin=2)
-        idx = [int(i) for i in args.set.split(",")] if args.set else None
+        idx = _numbers("--set", args.set, int) if args.set else None
     else:
         model = build_model({"family": args.model, "d": args.d})
         pts = _ball_points(args.ball, args.d)
@@ -332,8 +342,8 @@ def cmd_capacity(args) -> int:
 def cmd_maxcorr(args) -> int:
     if args.matrix:
         K = np.loadtxt(args.matrix, delimiter=",", ndmin=2)
-        i1 = [int(i) for i in args.i1.split(",")]
-        i2 = [int(i) for i in args.i2.split(",")]
+        i1 = _numbers("--i1", args.i1, int)
+        i2 = _numbers("--i2", args.i2, int)
     else:
         model = build_model({"family": args.model, "d": args.d})
         p1 = _ball_points(args.ball, args.d)
@@ -364,10 +374,7 @@ def cmd_verify(args) -> int:
     else:
         config = default_config(args.theorem, args.n, args.seed, args.workers)
         if args.eps is not None:
-            try:
-                config = dataclasses.replace(config, eps=tuple(float(e) for e in args.eps.split(",")))
-            except ValueError:
-                raise ConfigError(f"--eps must be comma-separated numbers, got {args.eps!r}") from None
+            config = dataclasses.replace(config, eps=tuple(_numbers("--eps", args.eps)))
         if args.model:
             config = dataclasses.replace(config, model={"family": args.model, "d": args.d})
     report = run_config(config)
@@ -455,7 +462,7 @@ def cmd_bootstrap(args) -> int:
     if args.boot_cmd == "decay-table":
         model = build_model({"family": args.model, "d": 2})
         hp = bootstrap.decay_from_string(args.h_prime) if args.h_prime else None
-        Rs = [float(r) for r in args.Rs.split(",")]
+        Rs = _numbers("--Rs", args.Rs)
         table = bootstrap.subcritical_decay_table(model, args.ell, Rs, args.n, args.seed,
                                                   h_prime=hp, spacing=args.spacing,
                                                   workers=args.workers)

@@ -394,13 +394,14 @@ def verify_positive_association(plan, A1, A2, n: int, workers: int = 1) -> Inequ
                             plan.base_seed, n, time.perf_counter() - t0).finalize()
 
 
-def _grad_index(desc, draws: np.ndarray) -> np.ndarray:
+def _grad_index(desc, column, n: int) -> np.ndarray:
+    """Per-replicate index of the gradient's nonzero coordinate; column(i) gives coordinate i."""
     kind = desc[0]
     if kind == "linear":
-        return np.full(draws.shape[0], desc[1], dtype=np.intp)
+        return np.full(n, desc[1], dtype=np.intp)
     if kind == "max":
         i, j = desc[1], desc[2]
-        return np.where(draws[:, i] >= draws[:, j], i, j).astype(np.intp)
+        return np.where(column(i) >= column(j), i, j).astype(np.intp)
     raise ParameterError(f"unknown functional {desc!r}")
 
 
@@ -441,13 +442,12 @@ def verify_interp_formula(plan: DensePlan, n: int, t_nodes: int = 24, cases=None
         fv, gv = _func_values(fd, X), _func_values(gd, X)
         w = (fv - fv.mean()) * (gv - gv.mean()) * (n / (n - 1))
         lhs = _mean_se(w)
-        fidx = _grad_index(fd, X)
+        fidx = _grad_index(fd, lambda i: X[:, i], n)
 
         def rhs_at(nodes, weights):
             acc = np.zeros(n)
             for s, wk in zip(nodes, weights):
-                Xt = s * X + np.sqrt(1.0 - s * s) * Xp
-                gidx = _grad_index(gd, Xt)
+                gidx = _grad_index(gd, lambda i: s * X[:, i] + np.sqrt(1.0 - s * s) * Xp[:, i], n)
                 acc += wk * K[fidx, gidx]
             return acc
 

@@ -1,16 +1,24 @@
 """Seeded Gaussian sampling: dense factorizations, circulant embedding, sprinkling.
 
-Reproducibility contract: every replicate draws from a counter-based Philox
-stream keyed by (base_seed, replicate), so draw(plan, r) is a pure function of
-the plan and the replicate index, independent of evaluation order and thread
-count.
+A dense plan multiplies white noise by a covariance factor.  A torus plan
+draws real white noise w on a torus around the box and returns the moving
+average irfftn(rfftn(w) * f) on the box: the circulant plan has one filter,
+the half-spectrum of sqrt_spectrum; the split X = X1 + X2 has two, the near
+and far parts of that moving average, applied to the same w.
+
+Reproducibility contract: every replicate's noise comes from a counter-based
+Philox stream keyed by (base_seed, replicate), so draw(plan, r) is a pure
+function of the plan and the replicate index, independent of evaluation order
+and thread count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -30,9 +38,10 @@ class FieldSample(NamedTuple):
     index: Mapping[Point, int]
 
 
-def _rng(base_seed: int, replicate: int) -> np.random.Generator:
+def _noise(base_seed: int, replicate: int, shape) -> np.ndarray:
+    """One replicate's standard normal noise of ``shape``, keyed by (base_seed, replicate)."""
     key = np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(replicate)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
 def _digest(*parts) -> str:
@@ -45,6 +54,11 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
+def _integers(xs) -> bool:
+    return isinstance(xs, (tuple, list)) and all(
+        isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in xs)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Rectangular box of lattice sites with a physical spacing."""
@@ -53,12 +67,20 @@ class Grid:
     spacing: float = 1.0
     origin: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if not (_integers(self.shape) and self.shape and min(self.shape) > 0):
+            raise InputError(f"grid shape must be a nonempty list of positive integers, got {self.shape!r}")
+        if not (isinstance(self.spacing, numbers.Real) and math.isfinite(self.spacing) and self.spacing > 0):
+            raise InputError(f"grid spacing must be a finite number > 0, got {self.spacing!r}")
+        if self.origin is not None and not (_integers(self.origin) and len(self.origin) == len(self.shape)):
+            raise InputError(f"grid origin must hold {len(self.shape)} integers, got {self.origin!r}")
+        object.__setattr__(self, "shape", tuple(map(int, self.shape)))
+        object.__setattr__(self, "spacing", float(self.spacing))
+        object.__setattr__(self, "origin", None if self.origin is None else tuple(map(int, self.origin)))
+
     def sites(self) -> list[Point]:
         lo = self.origin or (0,) * len(self.shape)
-        ranges = [range(o, o + s) for o, s in zip(lo, self.shape)]
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        coords = np.stack([m.ravel() for m in mesh], axis=1)
-        return [tuple(int(c) for c in row) for row in coords]
+        return list(itertools.product(*(range(o, o + s) for o, s in zip(lo, self.shape))))
 
 
 class SamplerPlan:
@@ -83,9 +105,6 @@ class SamplerPlan:
     def max_abs_cov(self) -> float:
         raise NotImplementedError
 
-    def sample(self, replicate: int) -> FieldSample:
-        return FieldSample(self.draw_batch([int(replicate)])[0], self.index)
-
     def _fingerprint(self, *draw_inputs) -> str:
         """Cache key: the plan type, seed and index map plus what else fixes the draws."""
         return _digest(type(self).__name__, self.base_seed, self.points, *draw_inputs)
@@ -107,8 +126,7 @@ class DensePlan(SamplerPlan):
         n = self.cov.shape[0]
         out = np.empty((len(reps), n))
         for k, r in enumerate(reps):
-            z = _rng(self.base_seed, int(r)).standard_normal(n)
-            out[k] = self.factor @ z
+            out[k] = self.factor @ _noise(self.base_seed, int(r), n)
         return out
 
     def draw_pair_batch(self, replicates) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +136,7 @@ class DensePlan(SamplerPlan):
         a = np.empty((len(reps), n))
         b = np.empty((len(reps), n))
         for k, r in enumerate(reps):
-            z = _rng(self.base_seed, int(r)).standard_normal((2, n))
+            z = _noise(self.base_seed, int(r), (2, n))
             a[k] = self.factor @ z[0]
             b[k] = self.factor @ z[1]
         return a, b
@@ -165,8 +183,18 @@ def plan_dense(cov: np.ndarray, base_seed: int, points=None) -> DensePlan:
     return DensePlan(rep, factor, base_seed, [tuple(p) if not np.isscalar(p) else (p,) for p in points])
 
 
+def _torus_offsets(grid: Grid, torus_shape) -> np.ndarray:
+    """Torus-metric displacement of every torus site from the origin, shape torus_shape + (d,)."""
+    axes = [np.minimum(np.arange(m), m - np.arange(m)) * grid.spacing for m in torus_shape]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 class CirculantPlan(SamplerPlan):
+    """Stationary field on a box, embedded in a torus: real white noise on the
+    torus filtered by the half-spectrum of ``sqrt_spectrum``."""
+
     mode = "circulant"
+    _FFT_BLOCK = 512  # replicates per FFT batch, bounds the transient working set
 
     def __init__(self, model, grid: Grid, torus_shape, sqrt_spectrum, clipped_fraction, base_seed):
         self.model = model
@@ -177,27 +205,33 @@ class CirculantPlan(SamplerPlan):
         self.base_seed = int(base_seed)
         self.points = tuple(grid.sites())
         self.index = {p: i for i, p in enumerate(self.points)}
-        self.fingerprint = self._fingerprint(sqrt_spectrum, self.torus_shape)
-        self._box = tuple(slice(0, s) for s in grid.shape)
+        self._set_filters(sqrt_spectrum[..., : self.torus_shape[-1] // 2 + 1])
 
-    _FFT_BLOCK = 512  # replicates per FFT batch, bounds the transient working set
+    def _set_filters(self, *filters) -> None:
+        """The draw loop's rfftn-domain filters; with seed, points and torus shape they fix the draws."""
+        self._filters = filters
+        self.fingerprint = self._fingerprint(self.torus_shape, *filters)
 
-    def draw_batch(self, replicates) -> np.ndarray:
+    def _filter_noise(self, replicates) -> list[np.ndarray]:
+        """Box values of irfftn(rfftn(w) * f) for each filter f, all from one noise w per replicate."""
         reps = list(replicates)
-        out = np.empty((len(reps), self.npoints))
         shape = self.torus_shape
-        ntot = int(np.prod(shape))
         axes = tuple(range(1, len(shape) + 1))
+        box = (slice(None),) + tuple(slice(0, s) for s in self.grid.shape)
+        outs = [np.empty((len(reps), self.npoints)) for _ in self._filters]
         for lo in range(0, len(reps), self._FFT_BLOCK):
             block = reps[lo : lo + self._FFT_BLOCK]
-            xi = np.empty((len(block),) + shape, dtype=complex)
+            w = np.empty((len(block),) + shape)
             for k, r in enumerate(block):
-                g = _rng(self.base_seed, int(r))
-                xi[k] = g.standard_normal(shape) + 1j * g.standard_normal(shape)
-            y = np.fft.ifftn(self.sqrt_spectrum[None] * xi, axes=axes) * math.sqrt(ntot)
-            for k in range(len(block)):
-                out[lo + k] = y[k].real[self._box].ravel()
-        return out
+                w[k] = _noise(self.base_seed, int(r), shape)
+            wf = np.fft.rfftn(w, axes=axes)
+            for out, f in zip(outs, self._filters):
+                x = np.fft.irfftn(wf * f, s=shape, axes=axes)
+                out[lo : lo + len(block)] = x[box].reshape(len(block), -1)
+        return outs
+
+    def draw_batch(self, replicates) -> np.ndarray:
+        return self._filter_noise(replicates)[0]
 
     def cov_block(self, pts1, pts2) -> np.ndarray:
         a = np.asarray(list(pts1), dtype=float)
@@ -211,13 +245,6 @@ class CirculantPlan(SamplerPlan):
         return float(cov_of_offsets(self.model, np.zeros((1, self.model.dim)))[0])
 
 
-def _wrapped_covariance(model, grid: Grid, torus_shape) -> np.ndarray:
-    axes_disp = [np.minimum(np.arange(m), m - np.arange(m)) * grid.spacing for m in torus_shape]
-    mesh = np.meshgrid(*axes_disp, indexing="ij")
-    disp = np.stack([m.ravel() for m in mesh], axis=1)
-    return cov_of_offsets(model, disp).reshape(torus_shape)
-
-
 def plan_circulant(model, grid: Grid, base_seed: int, padding: int = 2) -> CirculantPlan:
     """Embed a stationary model on a torus of ``padding`` times the box extent."""
     if not model.stationary:
@@ -227,7 +254,7 @@ def plan_circulant(model, grid: Grid, base_seed: int, padding: int = 2) -> Circu
     if padding < 2:
         raise ParameterError("padding factor must be >= 2")
     torus_shape = tuple(int(2 ** math.ceil(math.log2(max(2, s * padding)))) for s in grid.shape)
-    c = _wrapped_covariance(model, grid, torus_shape)
+    c = cov_of_offsets(model, _torus_offsets(grid, torus_shape).reshape(-1, model.dim)).reshape(torus_shape)
     lam = np.fft.fftn(c).real
     neg = float(-lam[lam < 0].sum())
     tot = float(np.abs(lam).sum())
@@ -244,7 +271,7 @@ def plan_circulant(model, grid: Grid, base_seed: int, padding: int = 2) -> Circu
 
 def draw(plan: SamplerPlan, replicate: int) -> FieldSample:
     """One seeded realization of the plan's Gaussian vector."""
-    return plan.sample(replicate)
+    return FieldSample(plan.draw_batch([int(replicate)])[0], plan.index)
 
 
 def shift(sample, eps: float):
@@ -254,7 +281,7 @@ def shift(sample, eps: float):
     return np.asarray(sample, dtype=float) + eps
 
 
-class DecomposedPlan(SamplerPlan):
+class DecomposedPlan(CirculantPlan):
     """Moving-average split X = X1 + X2 from a shared white noise.
 
     q is the inverse Fourier square root of the grid spectrum; q1 keeps the
@@ -263,64 +290,23 @@ class DecomposedPlan(SamplerPlan):
     independent across the sets; sigma2 = sum of q2^2 bounds Var[X2(i)].
     """
 
-    mode = "circulant"
-
     def __init__(self, base: CirculantPlan, radius: float):
-        self.model = base.model
-        self.grid = base.grid
-        self.torus_shape = base.torus_shape
-        self.base_seed = base.base_seed
-        self.points = base.points
-        self.index = base.index
-        self._box = base._box
+        super().__init__(base.model, base.grid, base.torus_shape, base.sqrt_spectrum,
+                         base.clipped_fraction, base.base_seed)
         self.radius = float(radius)
-        q = np.fft.ifftn(base.sqrt_spectrum).real
-        axes_disp = [np.minimum(np.arange(m), m - np.arange(m)) * base.grid.spacing for m in base.torus_shape]
-        mesh = np.meshgrid(*axes_disp, indexing="ij")
-        dist = np.sqrt(sum(m**2 for m in mesh))
-        near = dist <= self.radius
+        q = np.fft.ifftn(self.sqrt_spectrum).real
+        near = np.sqrt((_torus_offsets(self.grid, self.torus_shape) ** 2).sum(axis=-1)) <= self.radius
         self.q_near = np.where(near, q, 0.0)
         self.q_far = np.where(near, 0.0, q)
         self.sigma2 = float((self.q_far**2).sum())
-        self._spec_near = np.fft.fftn(self.q_near)
-        self._spec_far = np.fft.fftn(self.q_far)
-        self.fingerprint = self._fingerprint(base.sqrt_spectrum, self.torus_shape, self.grid.spacing,
-                                             self.radius)
-
-    _FFT_BLOCK = CirculantPlan._FFT_BLOCK
+        self._set_filters(np.fft.rfftn(self.q_near), np.fft.rfftn(self.q_far))
 
     def draw_split_batch(self, replicates) -> tuple[np.ndarray, np.ndarray]:
-        reps = list(replicates)
-        shape = self.torus_shape
-        axes = tuple(range(1, len(shape) + 1))
-        n = len(reps)
-        out1 = np.empty((n, self.npoints))
-        out2 = np.empty((n, self.npoints))
-        box = (slice(None),) + self._box
-        for lo in range(0, n, self._FFT_BLOCK):
-            block = reps[lo : lo + self._FFT_BLOCK]
-            w = np.empty((len(block),) + shape)
-            for k, r in enumerate(block):
-                w[k] = _rng(self.base_seed, int(r)).standard_normal(shape)
-            wf = np.fft.fftn(w, axes=axes)
-            x1 = np.fft.ifftn(wf * self._spec_near[None], axes=axes).real
-            x2 = np.fft.ifftn(wf * self._spec_far[None], axes=axes).real
-            out1[lo : lo + len(block)] = x1[box].reshape(len(block), -1)
-            out2[lo : lo + len(block)] = x2[box].reshape(len(block), -1)
-        return out1, out2
+        return tuple(self._filter_noise(replicates))
 
     def draw_batch(self, replicates) -> np.ndarray:
         x1, x2 = self.draw_split_batch(replicates)
         return x1 + x2
-
-    def cov_block(self, pts1, pts2) -> np.ndarray:
-        a = np.asarray(list(pts1), dtype=float)
-        b = np.asarray(list(pts2), dtype=float)
-        diffs = (a[:, None, :] - b[None, :, :]) * self.grid.spacing
-        return cov_of_offsets(self.model, diffs.reshape(-1, diffs.shape[-1])).reshape(len(a), len(b))
-
-    def max_abs_cov(self) -> float:
-        return float(cov_of_offsets(self.model, np.zeros((1, self.model.dim)))[0])
 
 
 def plan_decomposed(model, grid: Grid, radius: float, base_seed: int, padding: int = 2) -> DecomposedPlan:

@@ -25,6 +25,10 @@ def test_decay_from_string():
     assert bootstrap.decay_from_string("stretched:0.04,0.3").beta == 0.3
     with pytest.raises(ParameterError):
         bootstrap.decay_from_string("nosuch:1")
+    # a missing or non-numeric argument is a typed error, not an IndexError/ValueError
+    for text in ("polylog", "stretched", "polylog:x", "power:"):
+        with pytest.raises(ParameterError, match="as in 'polylog:3.5'"):
+            bootstrap.decay_from_string(text)
 
 
 def test_h_from_g_huge_scales_stay_finite():

@@ -133,6 +133,13 @@ def _malformed(tid, **changes):
     ({"n": 100}, "valid keys"),
     ([1, 2], "valid keys"),
     ("not json", "not valid JSON"),
+    (_malformed("thm1.10", grid={"shape": [24.5, 24], "spacing": 0.5}), "positive integers"),
+    (_malformed("thm1.10", grid={"shape": "24", "spacing": 0.5}), "positive integers"),
+    (_malformed("thm1.10", grid={"shape": [0, 24], "spacing": 0.5}), "positive integers"),
+    (_malformed("thm1.10", grid={"shape": [24, 24], "spacing": "x"}), "spacing"),
+    (_malformed("thm1.10", grid={"shape": [24, 24], "spacing": -0.5}), "spacing"),
+    (_malformed("prop1.8", grid={"shape": [24, 24], "spacing": -0.5}), "spacing"),
+    (_malformed("thm1.10", grid={"shape": [24, 24], "origin": [0]}), "origin"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
     path = tmp_path / "cfg.json"
@@ -152,6 +159,26 @@ def test_bad_verify_arguments_are_config_errors(tmp_path, capsys, argv, message)
     assert run(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--shape", "3,x"], "--shape must be comma-separated int"),
+    (["sample", "--shape", "0,4"], "positive integers"),
+    (["sample", "--model", "{bad"], "--model"),
+    (["capacity", "--matrix", "{m}", "--set", "0,x"], "--set"),
+    (["maxcorr", "--matrix", "{m}", "--i1", "0,x", "--i2", "1"], "--i1"),
+    (["bootstrap", "decay-table", "--Rs", "8,x"], "--Rs"),
+    (["bootstrap", "run-recursion", "--g", "polylog"], "polylog:3.5"),
+    (["bootstrap", "run-recursion", "--g", "stretched"], "polylog:3.5"),
+    (["bootstrap", "run-recursion", "--g", "polylog:x"], "polylog:3.5"),
+])
+def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):
+    m = tmp_path / "k.csv"
+    np.savetxt(m, np.eye(2), delimiter=",")
+    assert run([a.replace("{m}", str(m)) for a in argv] + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv"]
 
 
 def test_run_config_raises_config_error():

@@ -192,6 +192,42 @@ def test_decomposed_x1_independence_across_separated_sets():
     assert abs(prod.mean()) < 4 * se
     # exact check through the kernel: q_near supports separated by > 2*radius cannot overlap
     assert plan.cov_block([(0, 0)], [(20, 0)])[0, 0] < 1e-10
+    # exact check on the X1 law: the near filter's covariance irfftn(|f_near|^2)
+    # vanishes at every torus offset longer than 2*radius
+    c1 = np.fft.irfftn(np.abs(plan._filters[0]) ** 2, s=plan.torus_shape, axes=(0, 1))
+    mg = [np.minimum(np.arange(m), m - np.arange(m)) * 0.5 for m in plan.torus_shape]
+    dist = np.hypot(mg[0][:, None], mg[1][None, :])
+    assert np.abs(c1[dist > 2 * radius]).max() < 1e-12
+
+
+@pytest.mark.parametrize("model", [kernels.bargmann_fock(2), kernels.cauchy(2.0, 2)], ids=["bf", "cauchy2"])
+@pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
+def test_torus_filters_reproduce_cov_block_exactly(model, split):
+    # the draws are irfftn(rfftn(w) * f) summed over the plan's filters, so
+    # their covariance at offset h is irfftn(|sum f|^2)(h mod torus)
+    grid = sampler.Grid((16, 16), 0.5)
+    plan = sampler.plan_decomposed(model, grid, 1.5, 0) if split else sampler.plan_circulant(model, grid, 0)
+    c = np.fft.irfftn(np.abs(sum(plan._filters)) ** 2, s=plan.torus_shape, axes=(0, 1))
+    pts = np.array(plan.points)
+    off = (pts[:, None, :] - pts[None, :, :]) % np.array(plan.torus_shape)
+    implied = c[off[..., 0], off[..., 1]]
+    assert np.abs(implied - plan.cov_block(plan.points, plan.points)).max() < 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(shape=()), dict(shape=(24.5, 24)), dict(shape="24"), dict(shape=(0, 24)), dict(shape=(True, 2)),
+    dict(shape=(4, 4), spacing="x"), dict(shape=(4, 4), spacing=-0.5), dict(shape=(4, 4), spacing=float("inf")),
+    dict(shape=(4, 4), origin=(0,)), dict(shape=(4, 4), origin=(0, 0.5)),
+])
+def test_grid_rejects_malformed_fields(kwargs):
+    with pytest.raises(InputError):
+        sampler.Grid(**kwargs)
+
+
+def test_grid_normalises_json_lists():
+    g = sampler.Grid([3, 2], 1, [-1, 0])
+    assert g == sampler.Grid((3, 2), 1.0, (-1, 0))
+    assert isinstance(g.spacing, float) and len(g.sites()) == 6
 
 
 def test_snapshot_roundtrip(tmp_path):
