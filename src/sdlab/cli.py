@@ -321,9 +321,16 @@ def _ball_points(R: float, d: int, center=None):
     return [tuple(int(x) for x in row) for row in pts[keep]]
 
 
+def _read_matrix(path: str) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--matrix {path!r} is not a readable numeric CSV: {exc}") from None
+
+
 def cmd_capacity(args) -> int:
     if args.matrix:
-        K = np.loadtxt(args.matrix, delimiter=",", ndmin=2)
+        K = _read_matrix(args.matrix)
         idx = _numbers("--set", args.set, int) if args.set else None
     else:
         model = build_model({"family": args.model, "d": args.d})
@@ -341,7 +348,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_maxcorr(args) -> int:
     if args.matrix:
-        K = np.loadtxt(args.matrix, delimiter=",", ndmin=2)
+        K = _read_matrix(args.matrix)
         i1 = _numbers("--i1", args.i1, int)
         i2 = _numbers("--i2", args.i2, int)
     else:

@@ -17,6 +17,7 @@ count.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 import warnings
@@ -122,8 +123,15 @@ _CACHE_MAX = 8
 CHUNK = 256
 
 
+def _check_replicates(n) -> None:
+    """Every estimate carries a standard error, so it needs two replicates at least."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
+
+
 def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.ndarray:
     """Threshold matrix of shape (len(specs), n) over replicates 0..n-1."""
+    _check_replicates(n)
     specs = tuple(specs)
     key = (plan.fingerprint, specs, int(n))
     with _CACHE_LOCK:
@@ -167,66 +175,100 @@ def _paired_diff(joint: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> TermEstim
     return _mean_se(d)
 
 
-def _support_overlap(A1: EventSpec, A2: EventSpec) -> bool:
-    return bool(set(A1.support) & set(A2.support))
+# ---------------------------------------------------------------------------
+# verifier spine: a verifier is wrapped in @_timed, which stamps wall_time_s.
+# It builds classified sides with _upper or _lower (_side for any other slack),
+# pass-or-fail sides with _allowance, and returns _report(...).
 
 
-def _event_cov(plan: SamplerPlan, A1: EventSpec, A2: EventSpec) -> np.ndarray:
-    return plan.cov_block(A1.support, A2.support)
+def _timed(verify):
+    """Stamp the report's wall time over the whole verifier call."""
+    @functools.wraps(verify)
+    def run(*args, **kwargs):
+        t0 = time.perf_counter()
+        rep = verify(*args, **kwargs)
+        rep.wall_time_s = time.perf_counter() - t0
+        return rep
+    return run
 
 
-def _joint_cov(plan: SamplerPlan, A1: EventSpec, A2: EventSpec):
-    pts = tuple(A1.support) + tuple(A2.support)
-    K = plan.cov_block(pts, pts)
-    n1 = len(A1.support)
-    return K, np.arange(n1), np.arange(n1, n1 + len(A2.support))
+def _report(theorem_id, terms, sides, constants, seed, n, verdict=VERDICT_PASS, notes=()):
+    """The one place a report is built; not-applicable reports keep their verdict."""
+    return InequalityReport(theorem_id, terms, sides, constants, seed, n, 0.0,
+                            verdict=verdict, notes=tuple(notes)).finalize()
+
+
+def _side(name, est, se, bound, slack) -> SideCheck:
+    return SideCheck(name, est, se, bound, slack, classify(slack, se))
+
+
+def _upper(name, est: float, se: float, bound: float) -> SideCheck:
+    """est <= bound, with slack bound - est."""
+    return _side(name, est, se, bound, bound - est)
+
+
+def _lower(name, est: float, se: float, bound: float) -> SideCheck:
+    """est >= bound, with slack est - bound."""
+    return _side(name, est, se, bound, est - bound)
+
+
+def _allowance(name, diff: float, se: float, allowance: float) -> SideCheck:
+    """|difference| <= allowance: pass or fail only, the noise is already in the allowance."""
+    slack = allowance - diff
+    return SideCheck(name, diff, se, allowance, slack, VERDICT_PASS if slack >= 0 else VERDICT_FAIL)
+
+
+def _cross_range(plan, A1: EventSpec, A2: EventSpec) -> tuple[float, float, float]:
+    """Min, max and max-abs of the cross covariance between the two supports."""
+    block = plan.cov_block(A1.support, A2.support)
+    kmin, kmax = float(block.min()), float(block.max())
+    return kmin, kmax, max(abs(kmin), abs(kmax))
+
+
+def _mixed_sign(theorem_id, plan, n, kmin, kmax, note):
+    """A not-applicable report when the cross covariance takes both signs, else None."""
+    if kmin < -1e-12 and kmax > 1e-12:
+        return _report(theorem_id, {}, [], {"min_cross": kmin, "max_cross": kmax},
+                       plan.base_seed, n, VERDICT_NA, (note,))
+
+
+def _cov(a: np.ndarray, b: np.ndarray) -> TermEstimate:
+    """Unbiased sample covariance of paired replicates, with its SE."""
+    n = len(a)
+    return _mean_se((a - a.mean()) * (b - b.mean()) * (n / (n - 1)))
 
 
 # ---------------------------------------------------------------------------
 # verifiers
 
 
-def verify_sprinkled(
-    plan: SamplerPlan,
-    A1: EventSpec,
-    A2: EventSpec,
-    eps1: float,
-    eps2: float,
-    n: int,
-    constant_mode: str = "proof-36",
-    workers: int = 1,
-    theorem_id: str = "thm1.1",
-) -> InequalityReport:
+@_timed
+def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: float, eps2: float, n: int,
+                     constant_mode: str = "proof-36", workers: int = 1,
+                     theorem_id: str = "thm1.1") -> InequalityReport:
     """Two-sided sprinkled decoupling at error c * max|K_cross| / (eps1 eps2).
 
     constant_mode "proof-36" uses the explicit constant 36 on both sides;
     "positive-1" requires cross-covariances >= 0 and then uses c=1 for the
     upward side and c=0 for the downward side.
     """
-    t0 = time.perf_counter()
     if eps1 <= 0 or eps2 <= 0:
         raise ParameterError("sprinkling parameters must be positive")
-    block = _event_cov(plan, A1, A2)
-    kappa = float(np.abs(block).max())
-    kmin = float(block.min())
+    kmin, _, kappa = _cross_range(plan, A1, A2)
     notes = []
     if constant_mode == "proof-36":
         c_up, c_down = 36.0, 36.0
     elif constant_mode == "positive-1":
         if kmin < -1e-12:
-            rep = InequalityReport(theorem_id, {}, [], {"kappa": kappa, "min_cross": kmin},
-                                   plan.base_seed, n, time.perf_counter() - t0,
-                                   verdict=VERDICT_NA,
-                                   notes=("cross-covariance sign check failed; c=1 branch inapplicable",))
-            return rep.finalize()
+            return _report(theorem_id, {}, [], {"kappa": kappa, "min_cross": kmin}, plan.base_seed, n,
+                           VERDICT_NA, ("cross-covariance sign check failed; c=1 branch inapplicable",))
         c_up, c_down = 1.0, 0.0
     else:
         raise ParameterError(f"unknown constant_mode {constant_mode!r}")
-    if _support_overlap(A1, A2) and eps1 != eps2:
+    if set(A1.support) & set(A2.support) and eps1 != eps2:
         warnings.warn("supports overlap; inhomogeneous bound applies after restricting to disjoint blocks")
         notes.append("overlapping supports")
-    T = event_thresholds(plan, (A1, A2), n, workers)
-    t1, t2 = T[0], T[1]
+    t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
     up1, up2 = (t1 <= eps1).astype(float), (t2 <= eps2).astype(float)
     dn1, dn2 = (t1 <= -eps1).astype(float), (t2 <= -eps2).astype(float)
@@ -234,12 +276,9 @@ def verify_sprinkled(
     bound_dn = c_down * kappa / (eps1 * eps2)
     lhs_up = _paired_diff(joint, up1, up2)
     d_dn = _paired_diff(joint, dn1, dn2)  # estimates P12 - P[-e1]P[-e2]
-    lhs_dn = TermEstimate(-d_dn.value, d_dn.se, d_dn.n)
     sides = [
-        SideCheck("sprinkle-up", lhs_up.value, lhs_up.se, bound, bound - lhs_up.value,
-                  classify(bound - lhs_up.value, lhs_up.se)),
-        SideCheck("sprinkle-down", lhs_dn.value, lhs_dn.se, bound_dn, bound_dn - lhs_dn.value,
-                  classify(bound_dn - lhs_dn.value, lhs_dn.se)),
+        _upper("sprinkle-up", lhs_up.value, lhs_up.se, bound),
+        _upper("sprinkle-down", -d_dn.value, d_dn.se, bound_dn),
     ]
     terms = {
         "joint": _mean_se(joint),
@@ -250,32 +289,21 @@ def verify_sprinkled(
     }
     consts = {"kappa": kappa, "min_cross": kmin, "c_up": c_up, "c_down": c_down,
               "eps1": eps1, "eps2": eps2, "bound_up": bound, "bound_down": bound_dn}
-    return InequalityReport(theorem_id, terms, sides, consts, plan.base_seed, n,
-                            time.perf_counter() - t0, notes=tuple(notes)).finalize()
+    return _report(theorem_id, terms, sides, consts, plan.base_seed, n, notes=notes)
 
 
+@_timed
 def verify_threshold_cov(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """Cov[T_A1, T_A2] between min and max cross-covariance (sign-definite case)."""
-    t0 = time.perf_counter()
-    block = _event_cov(plan, A1, A2)
-    kmin, kmax = float(block.min()), float(block.max())
-    kabs = float(np.abs(block).max())
-    if kmin < -1e-12 and kmax > 1e-12:
-        return InequalityReport("prop2.2", {}, [], {"min_cross": kmin, "max_cross": kmax},
-                                plan.base_seed, n, time.perf_counter() - t0, verdict=VERDICT_NA,
-                                notes=("mixed-sign cross covariance: hypothesis unmet",)).finalize()
+    kmin, kmax, kabs = _cross_range(plan, A1, A2)
+    if na := _mixed_sign("prop2.2", plan, n, kmin, kmax, "mixed-sign cross covariance: hypothesis unmet"):
+        return na
     lo, hi = (kmin, kabs) if kmin >= -1e-12 else (-kabs, kmax)
-    T = event_thresholds(plan, (A1, A2), n, workers)
-    t1, t2 = T[0], T[1]
-    w = (t1 - t1.mean()) * (t2 - t2.mean()) * (n / (n - 1))
-    est = _mean_se(w)
-    sides = [
-        SideCheck("cov>=lower", est.value, est.se, lo, est.value - lo, classify(est.value - lo, est.se)),
-        SideCheck("cov<=upper", est.value, est.se, hi, hi - est.value, classify(hi - est.value, est.se)),
-    ]
-    return InequalityReport("prop2.2", {"cov": est}, sides,
-                            {"lower": lo, "upper": hi, "min_cross": kmin, "max_cross": kmax},
-                            plan.base_seed, n, time.perf_counter() - t0).finalize()
+    t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
+    est = _cov(t1, t2)
+    sides = [_lower("cov>=lower", est.value, est.se, lo), _upper("cov<=upper", est.value, est.se, hi)]
+    return _report("prop2.2", {"cov": est}, sides,
+                   {"lower": lo, "upper": hi, "min_cross": kmin, "max_cross": kmax}, plan.base_seed, n)
 
 
 @dataclass(frozen=True)
@@ -300,6 +328,7 @@ def _sqrt_integral(fn, lo: float, hi: float, npts: int = 2001) -> float:
     return float(np.trapezoid(np.sqrt(fn(grid)), grid))
 
 
+@_timed
 def verify_hoeffding(plan, A1, A2, n: int, box: HoeffdingBox, workers: int = 1) -> InequalityReport:
     """Cov[T1,T2] against the double integral of the joint-cdf defect.
 
@@ -307,31 +336,29 @@ def verify_hoeffding(plan, A1, A2, n: int, box: HoeffdingBox, workers: int = 1) 
     empirical cdfs; the outside contribution is bounded through the Gaussian
     tails of the 1-Lipschitz thresholds and reported as a truncation budget.
     """
-    t0 = time.perf_counter()
     sig1 = float(np.sqrt(np.diag(plan.cov_block(A1.support, A1.support)).max()))
     sig2 = float(np.sqrt(np.diag(plan.cov_block(A2.support, A2.support)).max()))
     m1 = _tail_bound_fn(A1.level, len(A1.support), sig1)
     m2 = _tail_bound_fn(A2.level, len(A2.support), sig2)
-    reach1, reach2 = A1.level + 42.0 * sig1, A2.level + 42.0 * sig2
-    full1 = _sqrt_integral(m1, A1.level - 42.0 * sig1, reach1)
-    full2 = _sqrt_integral(m2, A2.level - 42.0 * sig2, reach2)
-    budget = (
-        _sqrt_integral(m1, min(box.u_lo, A1.level - 42 * sig1), box.u_lo) * full2
-        + _sqrt_integral(m1, box.u_hi, max(box.u_hi, reach1)) * full2
-        + _sqrt_integral(m2, min(box.v_lo, A2.level - 42 * sig2), box.v_lo) * full1
-        + _sqrt_integral(m2, box.v_hi, max(box.v_hi, reach2)) * full1
-    )
+    lo1, hi1 = A1.level - 42.0 * sig1, A1.level + 42.0 * sig1
+    lo2, hi2 = A2.level - 42.0 * sig2, A2.level + 42.0 * sig2
+    full1, full2 = _sqrt_integral(m1, lo1, hi1), _sqrt_integral(m2, lo2, hi2)
+
+    def _budget(b: HoeffdingBox) -> float:
+        """Tail mass outside b, over the 42-sigma reach of each threshold."""
+        return (
+            _sqrt_integral(m1, min(b.u_lo, lo1), b.u_lo) * full2
+            + _sqrt_integral(m1, b.u_hi, max(b.u_hi, hi1)) * full2
+            + _sqrt_integral(m2, min(b.v_lo, lo2), b.v_lo) * full1
+            + _sqrt_integral(m2, b.v_hi, max(b.v_hi, hi2)) * full1
+        )
+
+    budget = _budget(box)
     if budget > box.budget_tol:
         for k in range(4, 80):
             cand = HoeffdingBox(A1.level - k * sig1, A1.level + k * sig1,
                                 A2.level - k * sig2, A2.level + k * sig2, box.bins, box.budget_tol)
-            b = (
-                _sqrt_integral(m1, cand.u_lo - 42 * sig1, cand.u_lo) * full2
-                + _sqrt_integral(m1, cand.u_hi, cand.u_hi + 42 * sig1) * full2
-                + _sqrt_integral(m2, cand.v_lo - 42 * sig2, cand.v_lo) * full1
-                + _sqrt_integral(m2, cand.v_hi, cand.v_hi + 42 * sig2) * full1
-            )
-            if b <= 0.5 * box.budget_tol:
+            if _budget(cand) <= 0.5 * box.budget_tol:
                 raise ParameterError(
                     f"integration box too small: truncation budget {budget:.3e} > "
                     f"{box.budget_tol:.1e}; suggest u in [{cand.u_lo:.2f},{cand.u_hi:.2f}], "
@@ -339,10 +366,8 @@ def verify_hoeffding(plan, A1, A2, n: int, box: HoeffdingBox, workers: int = 1) 
                 )
         raise ParameterError(f"integration box too small: truncation budget {budget:.3e}")
 
-    T = event_thresholds(plan, (A1, A2), n, workers)
-    t1, t2 = T[0], T[1]
-    w = (t1 - t1.mean()) * (t2 - t2.mean()) * (n / (n - 1))
-    cov_est = _mean_se(w)
+    t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
+    cov_est = _cov(t1, t2)
 
     def box_integral(bins: int) -> float:
         mu = box.u_lo + (np.arange(bins) + 0.5) * (box.u_hi - box.u_lo) / bins
@@ -360,38 +385,29 @@ def verify_hoeffding(plan, A1, A2, n: int, box: HoeffdingBox, workers: int = 1) 
 
     integral = box_integral(box.bins)
     resolution = abs(integral - box_integral(max(16, box.bins // 2)))
-    diff = abs(cov_est.value - integral)
-    allowance = 3.0 * cov_est.se + budget + resolution
-    sides = [SideCheck("cov=integral", diff, cov_est.se, allowance, allowance - diff,
-                       VERDICT_PASS if allowance - diff >= 0 else VERDICT_FAIL)]
+    side = _allowance("cov=integral", abs(cov_est.value - integral), cov_est.se,
+                      3.0 * cov_est.se + budget + resolution)
     terms = {"cov": cov_est, "integral": TermEstimate(integral, 0.0, n)}
     consts = {"budget": budget, "resolution": resolution, "bins": box.bins}
-    return InequalityReport("hoeffding", terms, sides, consts, plan.base_seed, n,
-                            time.perf_counter() - t0).finalize()
+    return _report("hoeffding", terms, [side], consts, plan.base_seed, n)
 
 
+@_timed
 def verify_positive_association(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """P[A1 and A2] - P[A1] P[A2] signed according to the cross-covariance sign."""
-    t0 = time.perf_counter()
-    block = _event_cov(plan, A1, A2)
-    kmin, kmax = float(block.min()), float(block.max())
-    if kmin < -1e-12 and kmax > 1e-12:
-        return InequalityReport("pa", {}, [], {"min_cross": kmin, "max_cross": kmax},
-                                plan.base_seed, n, time.perf_counter() - t0, verdict=VERDICT_NA,
-                                notes=("mixed-sign cross covariance",)).finalize()
-    positive = kmin >= -1e-12
-    T = event_thresholds(plan, (A1, A2), n, workers)
-    t1, t2 = T[0], T[1]
+    kmin, kmax, _ = _cross_range(plan, A1, A2)
+    if na := _mixed_sign("pa", plan, n, kmin, kmax, "mixed-sign cross covariance"):
+        return na
+    t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
     i1, i2 = (t1 <= 0).astype(float), (t2 <= 0).astype(float)
     gap = _paired_diff(joint, i1, i2)
-    if positive:
-        side = SideCheck("gap>=0", gap.value, gap.se, 0.0, gap.value, classify(gap.value, gap.se))
-    else:
-        side = SideCheck("gap<=0", gap.value, gap.se, 0.0, -gap.value, classify(-gap.value, gap.se))
+    if kmin >= -1e-12:
+        side = _lower("gap>=0", gap.value, gap.se, 0.0)
+    else:  # slack -gap, not 0.0 - gap, so a zero gap keeps its signed-zero slack
+        side = _side("gap<=0", gap.value, gap.se, 0.0, -gap.value)
     terms = {"gap": gap, "p1": _mean_se(i1), "p2": _mean_se(i2), "joint": _mean_se(joint)}
-    return InequalityReport("pa", terms, [side], {"min_cross": kmin, "max_cross": kmax},
-                            plan.base_seed, n, time.perf_counter() - t0).finalize()
+    return _report("pa", terms, [side], {"min_cross": kmin, "max_cross": kmax}, plan.base_seed, n)
 
 
 def _grad_index(desc, column, n: int) -> np.ndarray:
@@ -412,6 +428,7 @@ def _func_values(desc, draws: np.ndarray) -> np.ndarray:
     return np.maximum(draws[:, desc[1]], draws[:, desc[2]])
 
 
+@_timed
 def verify_interp_formula(plan: DensePlan, n: int, t_nodes: int = 24, cases=None,
                           workers: int = 1) -> InequalityReport:
     """Interpolation covariance identity for linear and max-of-two functionals.
@@ -421,9 +438,9 @@ def verify_interp_formula(plan: DensePlan, n: int, t_nodes: int = 24, cases=None
     interpolation X^t; the integral is mapped to (0,1) by s = e^{-t} and
     evaluated with Gauss-Legendre nodes sharing one replicate set.
     """
-    t0 = time.perf_counter()
     if not isinstance(plan, DensePlan):
         raise InputError("interpolation check needs a dense plan with explicit covariance")
+    _check_replicates(n)
     K = plan.cov
     dim = K.shape[0]
     if cases is None:
@@ -439,9 +456,7 @@ def verify_interp_formula(plan: DensePlan, n: int, t_nodes: int = 24, cases=None
     X, Xp = plan.draw_pair_batch(range(n))
     sides, terms = [], {}
     for ci, (fd, gd) in enumerate(cases):
-        fv, gv = _func_values(fd, X), _func_values(gd, X)
-        w = (fv - fv.mean()) * (gv - gv.mean()) * (n / (n - 1))
-        lhs = _mean_se(w)
+        lhs = _cov(_func_values(fd, X), _func_values(gd, X))
         fidx = _grad_index(fd, lambda i: X[:, i], n)
 
         def rhs_at(nodes, weights):
@@ -451,27 +466,22 @@ def verify_interp_formula(plan: DensePlan, n: int, t_nodes: int = 24, cases=None
                 acc += wk * K[fidx, gidx]
             return acc
 
-        R = rhs_at(s_nodes, s_w)
-        rhs = _mean_se(R)
+        rhs = _mean_se(rhs_at(s_nodes, s_w))
         half = np.polynomial.legendre.leggauss(max(4, t_nodes // 2))
         hn, hw = 0.5 * (half[0] + 1.0), 0.5 * half[1]
         quad_budget = abs(float(np.mean(rhs_at(hn, hw))) - rhs.value)
         se = float(np.hypot(lhs.se, rhs.se))
-        diff = abs(lhs.value - rhs.value)
-        allowance = 3.0 * se + quad_budget
-        name = f"case{ci}:{fd[0]}-{gd[0]}"
-        sides.append(SideCheck(name, diff, se, allowance, allowance - diff,
-                               VERDICT_PASS if allowance >= diff else VERDICT_FAIL))
+        sides.append(_allowance(f"case{ci}:{fd[0]}-{gd[0]}", abs(lhs.value - rhs.value), se,
+                                3.0 * se + quad_budget))
         terms[f"lhs{ci}"] = lhs
         terms[f"rhs{ci}"] = rhs
-    return InequalityReport("interp", terms, sides, {"t_nodes": t_nodes},
-                            plan.base_seed, n, time.perf_counter() - t0).finalize()
+    return _report("interp", terms, sides, {"t_nodes": t_nodes}, plan.base_seed, n)
 
 
+@_timed
 def verify_finite_range(model, grid: Grid, radius: float, A1, A2, eps: float, n: int,
                         base_seed: int = 0, workers: int = 1) -> InequalityReport:
     """Sprinkled decoupling with the moving-average error 3 max|I| exp(-eps^2/(8 sigma^2))."""
-    t0 = time.perf_counter()
     if eps <= 0:
         raise ParameterError("eps must be positive")
     plan = plan_decomposed(model, grid, radius, base_seed)
@@ -487,17 +497,14 @@ def verify_finite_range(model, grid: Grid, radius: float, A1, A2, eps: float, n:
     sigma2 = plan.sigma2
     size = max(len(A1.support), len(A2.support))
     bound = finite_range_bound(size, sigma2, eps)
-    T = event_thresholds(plan, (A1, A2), n, workers)
-    t1, t2 = T[0], T[1]
+    t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
     up1, up2 = (t1 <= eps).astype(float), (t2 <= eps).astype(float)
     lhs = _paired_diff(joint, up1, up2)
-    side = SideCheck("finite-range", lhs.value, lhs.se, bound, bound - lhs.value,
-                     classify(bound - lhs.value, lhs.se))
     consts = {"sigma2": sigma2, "radius": radius, "eps": eps, "max_support": size,
               "separation": separation, "bound": bound}
-    return InequalityReport("prop1.8", {"lhs": lhs}, [side], consts, base_seed, n,
-                            time.perf_counter() - t0).finalize()
+    return _report("prop1.8", {"lhs": lhs}, [_upper("finite-range", lhs.value, lhs.se, bound)],
+                   consts, base_seed, n)
 
 
 def finite_range_bound(max_support: int, sigma2: float, eps: float) -> float:
@@ -507,108 +514,94 @@ def finite_range_bound(max_support: int, sigma2: float, eps: float) -> float:
 
 
 def _rho_of(plan, A1, A2) -> float:
-    K, i1, i2 = _joint_cov(plan, A1, A2)
-    return measures.max_corr(K, i1, i2).rho
+    pts = tuple(A1.support) + tuple(A2.support)
+    n1 = len(A1.support)
+    return measures.max_corr(plan.cov_block(pts, pts), np.arange(n1), np.arange(n1, len(pts))).rho
 
 
+@_timed
 def verify_sdi2(plan, A1, A2, eps: float, n: int, workers: int = 1) -> InequalityReport:
     """One-sided sprinkling against exp(-eps^2 / (8 |K|_inf rho^2))."""
-    t0 = time.perf_counter()
     if eps <= 0:
         raise ParameterError("eps must be positive")
     rho = _rho_of(plan, A1, A2)
     kinf = plan.max_abs_cov()
     bound = float(np.exp(-(eps**2) / (8.0 * kinf * rho**2))) if rho > 0 else 0.0
-    T = event_thresholds(plan, (A1, A2), n, workers)
-    t1, t2 = T[0], T[1]
+    t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
     p1 = (t1 <= 0).astype(float)
     p2e = (t2 <= eps).astype(float)
     lhs = _paired_diff(joint, p1, p2e)
-    side = SideCheck("one-sided-sprinkle", lhs.value, lhs.se, bound, bound - lhs.value,
-                     classify(bound - lhs.value, lhs.se))
-    return InequalityReport("thm1.7", {"lhs": lhs, "p1": _mean_se(p1), "p2_eps": _mean_se(p2e)},
-                            [side], {"rho": rho, "k_inf": kinf, "eps": eps, "bound": bound},
-                            plan.base_seed, n, time.perf_counter() - t0).finalize()
+    return _report("thm1.7", {"lhs": lhs, "p1": _mean_se(p1), "p2_eps": _mean_se(p2e)},
+                   [_upper("one-sided-sprinkle", lhs.value, lhs.se, bound)],
+                   {"rho": rho, "k_inf": kinf, "eps": eps, "bound": bound}, plan.base_seed, n)
 
 
+@_timed
 def verify_sdi3(plan, A1, A2, delta1: float, delta2: float, n: int, workers: int = 1) -> InequalityReport:
     """Errorless sprinkled decoupling at eps = kappa rho sqrt(|K|_inf).
 
     Hypothesis failures (rho too large, marginals too small) yield a
     not-applicable verdict, never a fail.
     """
-    t0 = time.perf_counter()
     if not (0 < delta1 < 1 and 0 < delta2 < 1):
         raise ParameterError("delta1, delta2 must lie in (0,1)")
     rho = _rho_of(plan, A1, A2)
     kinf = plan.max_abs_cov()
     if rho > 1.0 - delta1:
-        return InequalityReport("thm1.10", {}, [], {"rho": rho, "delta1": delta1},
-                                plan.base_seed, n, time.perf_counter() - t0, verdict=VERDICT_NA,
-                                notes=(f"rho={rho:.4f} exceeds 1-delta1={1-delta1:.4f}",)).finalize()
-    T = event_thresholds(plan, (A1, A2), n, workers)
-    t1, t2 = T[0], T[1]
+        return _report("thm1.10", {}, [], {"rho": rho, "delta1": delta1}, plan.base_seed, n,
+                       VERDICT_NA, (f"rho={rho:.4f} exceeds 1-delta1={1-delta1:.4f}",))
+    t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     p1 = (t1 <= 0).astype(float)
     p2 = (t2 <= 0).astype(float)
-    pmax = max(float(p1.mean()), float(p2.mean()))
+    marginals = {"p1": _mean_se(p1), "p2": _mean_se(p2)}
+    pmax = max(marginals["p1"].value, marginals["p2"].value)
     if pmax < delta2:
-        return InequalityReport("thm1.10", {"p1": _mean_se(p1), "p2": _mean_se(p2)}, [],
-                                {"rho": rho, "delta2": delta2}, plan.base_seed, n,
-                                time.perf_counter() - t0, verdict=VERDICT_NA,
-                                notes=(f"max marginal {pmax:.4f} below delta2={delta2}",)).finalize()
+        return _report("thm1.10", marginals, [], {"rho": rho, "delta2": delta2}, plan.base_seed, n,
+                       VERDICT_NA, (f"max marginal {pmax:.4f} below delta2={delta2}",))
     kappa = 2.0 + max(0.0, -analytic.std_quantile(delta2)) / np.sqrt(delta1)
     eps = kappa * rho * float(np.sqrt(kinf))
     joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
     up1, up2 = (t1 <= eps).astype(float), (t2 <= eps).astype(float)
     lhs = _paired_diff(joint, up1, up2)
-    side = SideCheck("errorless", lhs.value, lhs.se, 0.0, -lhs.value, classify(-lhs.value, lhs.se))
+    # slack -lhs, not 0.0 - lhs, so a zero lhs keeps its signed-zero slack
+    side = _side("errorless", lhs.value, lhs.se, 0.0, -lhs.value)
     consts = {"rho": rho, "k_inf": kinf, "kappa": kappa, "eps": eps,
               "delta1": delta1, "delta2": delta2}
-    return InequalityReport("thm1.10", {"lhs": lhs, "p1": _mean_se(p1), "p2": _mean_se(p2)},
-                            [side], consts, plan.base_seed, n,
-                            time.perf_counter() - t0).finalize()
+    return _report("thm1.10", {"lhs": lhs, **marginals}, [side], consts, plan.base_seed, n)
 
 
+@_timed
 def verify_isoperimetric(plan, A, eps: float, n: int, workers: int = 1) -> InequalityReport:
     """P[X+eps in A] >= Phi(Phi^{-1}(P[X in A]) + eps / sqrt(|K|_inf))."""
-    t0 = time.perf_counter()
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
-    T = event_thresholds(plan, (A,), n, workers)[0]
-    base = (T <= 0).astype(float)
-    up = (T <= eps).astype(float)
-    p0, pe = _mean_se(base), _mean_se(up)
+    (t,) = event_thresholds(plan, (A,), n, workers)
+    p0, pe = _mean_se((t <= 0).astype(float)), _mean_se((t <= eps).astype(float))
     if p0.value <= 0.0 or p0.value >= 1.0:
-        return InequalityReport("cor2.6", {"p0": p0, "p_eps": pe}, [], {"eps": eps},
-                                plan.base_seed, n, time.perf_counter() - t0, verdict=VERDICT_NA,
-                                notes=("degenerate marginal estimate",)).finalize()
+        return _report("cor2.6", {"p0": p0, "p_eps": pe}, [], {"eps": eps}, plan.base_seed, n,
+                       VERDICT_NA, ("degenerate marginal estimate",))
     kinf = plan.max_abs_cov()
     t_shift = eps / float(np.sqrt(kinf))
     target = analytic.isoperimetric_profile(p0.value, t_shift)
     q = analytic.std_quantile(p0.value)
     dprof = float(analytic.std_pdf(q + t_shift) / analytic.std_pdf(q))
     se = float(np.hypot(pe.se, dprof * p0.se))
-    slack = pe.value - target
-    side = SideCheck("profile", pe.value, se, target, slack, classify(slack, se))
-    return InequalityReport("cor2.6", {"p0": p0, "p_eps": pe}, [side],
-                            {"eps": eps, "k_inf": kinf, "target": target},
-                            plan.base_seed, n, time.perf_counter() - t0).finalize()
+    return _report("cor2.6", {"p0": p0, "p_eps": pe}, [_lower("profile", pe.value, se, target)],
+                   {"eps": eps, "k_inf": kinf, "target": target}, plan.base_seed, n)
 
 
+@_timed
 def verify_noise_stability(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """P[A1 and A2] <= Phi_rho(Phi^{-1} P[A1], Phi^{-1} P[A2])."""
-    t0 = time.perf_counter()
     rho = _rho_of(plan, A1, A2)
-    T = event_thresholds(plan, (A1, A2), n, workers)
-    t1, t2 = T[0], T[1]
+    t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     i1, i2 = (t1 <= 0).astype(float), (t2 <= 0).astype(float)
     joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
     p1, p2, p12 = _mean_se(i1), _mean_se(i2), _mean_se(joint)
     if not (0 < p1.value < 1 and 0 < p2.value < 1):
-        return InequalityReport("cor2.7", {"p1": p1, "p2": p2}, [], {"rho": rho},
-                                plan.base_seed, n, time.perf_counter() - t0, verdict=VERDICT_NA,
-                                notes=("marginal estimate at 0 or 1: quantile undefined",)).finalize()
+        return _report("cor2.7", {"p1": p1, "p2": p2}, [], {"rho": rho}, plan.base_seed, n,
+                       VERDICT_NA, ("marginal estimate at 0 or 1: quantile undefined",))
     u, v = analytic.std_quantile(p1.value), analytic.std_quantile(p2.value)
     rhs = analytic.bivariate_cdf(rho, u, v)
     if rho < 1.0:
@@ -619,8 +612,6 @@ def verify_noise_stability(plan, A1, A2, n: int, workers: int = 1) -> Inequality
     else:
         r1 = r2 = 1.0
     se = float(np.sqrt(p12.se**2 + (r1 * p1.se) ** 2 + (r2 * p2.se) ** 2))
-    slack = rhs - p12.value
-    side = SideCheck("noise-stability", p12.value, se, rhs, slack, classify(slack, se))
-    return InequalityReport("cor2.7", {"p1": p1, "p2": p2, "joint": p12}, [side],
-                            {"rho": rho, "rhs": rhs}, plan.base_seed, n,
-                            time.perf_counter() - t0).finalize()
+    return _report("cor2.7", {"p1": p1, "p2": p2, "joint": p12},
+                   [_upper("noise-stability", p12.value, se, rhs)], {"rho": rho, "rhs": rhs},
+                   plan.base_seed, n)

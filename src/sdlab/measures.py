@@ -19,23 +19,26 @@ from .kernels import repair_psd
 CAP_INFINITE_ENERGY = 1e-14
 
 
-def _indices(index_set) -> np.ndarray:
-    idx = np.asarray(list(index_set), dtype=np.intp)
-    if idx.size == 0:
-        raise InputError("index set must be nonempty")
-    return idx
+def _checked(K, *index_sets):
+    """K as a finite square float matrix, then each index set as an index array into it."""
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.size == 0 or not np.isfinite(K).all():
+        raise InputError(f"covariance matrix must be finite, square and nonempty, got shape {K.shape}")
+    idx = [np.asarray(list(s), dtype=np.intp) for s in index_sets]
+    for i in idx:  # a negative index would silently wrap around
+        if i.size == 0 or i.min() < 0 or i.max() >= len(K):
+            raise InputError(f"index set must be nonempty and lie in [0, {len(K)}), got {i.tolist()}")
+    return (K, *idx)
 
 
 def sup_cross_cov(K: np.ndarray, I1, I2) -> float:
     """max over (i,j) in I1 x I2 of |K(i,j)|."""
-    K = np.asarray(K, dtype=float)
-    i, j = _indices(I1), _indices(I2)
+    K, i, j = _checked(K, I1, I2)
     return float(np.abs(K[np.ix_(i, j)]).max())
 
 
 def cross_cov_range(K: np.ndarray, I1, I2) -> tuple[float, float]:
-    K = np.asarray(K, dtype=float)
-    i, j = _indices(I1), _indices(I2)
+    K, i, j = _checked(K, I1, I2)
     block = K[np.ix_(i, j)]
     return float(block.min()), float(block.max())
 
@@ -59,10 +62,9 @@ def capacity(K: np.ndarray, I=None, tol: float = 1e-10, max_iter: int = 200_000)
     tol * max(energy, 1e-300); an energy below 1e-14 is reported as infinite
     capacity rather than an error.
     """
-    K = np.asarray(K, dtype=float)
     if tol <= 0:
         raise InputError("tol must be positive")
-    idx = _indices(I) if I is not None else np.arange(K.shape[0])
+    K, idx = _checked(K, range(len(K)) if I is None else I)
     A = K[np.ix_(idx, idx)].astype(float)
     A = 0.5 * (A + A.T)
     rep, clipped = repair_psd(A)
@@ -153,8 +155,7 @@ def max_corr(K: np.ndarray, I1, I2, ridge: float | None = None) -> MaxCorrResult
     ridge=None applies 1e-10 * trace only when a block is near singular;
     an explicit ridge=0.0 on a singular block raises instead.
     """
-    K = np.asarray(K, dtype=float)
-    i, j = _indices(I1), _indices(I2)
+    K, i, j = _checked(K, I1, I2)
     A = K[np.ix_(i, i)]
     B = K[np.ix_(j, j)]
     C = K[np.ix_(i, j)]
@@ -194,8 +195,7 @@ class ChainReport:
 
 def bound_chain_report(K: np.ndarray, I1, I2, gff_model: bool = False, tol: float = 1e-9) -> ChainReport:
     """Evaluate 1 >= rho >= max normalized |K| >= cross/global, plus capacity bounds."""
-    K = np.asarray(K, dtype=float)
-    i, j = _indices(I1), _indices(I2)
+    K, i, j = _checked(K, I1, I2)
     mc = max_corr(K, i, j)
     diag = np.diag(K)
     norm = np.sqrt(np.outer(diag[i], diag[j]))

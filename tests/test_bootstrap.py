@@ -255,6 +255,15 @@ def test_estimate_crossing_monotone_in_level():
         assert np.all((T <= a) <= (T <= b))
 
 
+@pytest.mark.parametrize("n", [0, 1, -3, 2.5, True])
+def test_crossing_drivers_need_two_replicates(n):
+    model = kernels.bargmann_fock(2)
+    with pytest.raises(ParameterError, match="n must be an integer >= 2"):
+        bootstrap.estimate_crossing(model, 1.0, 0.0, 6.0, "hcross", n, 3)
+    with pytest.raises(ParameterError, match="n must be an integer >= 2"):
+        bootstrap.subcritical_decay_table(model, -0.5, [4, 8], n, 7)
+
+
 def test_decay_table_monotone_and_envelope():
     model = kernels.bargmann_fock(2)
     table = bootstrap.subcritical_decay_table(model, -0.5, [4, 8], 400, 7,

@@ -171,14 +171,33 @@ def test_bad_verify_arguments_are_config_errors(tmp_path, capsys, argv, message)
     (["bootstrap", "run-recursion", "--g", "polylog"], "polylog:3.5"),
     (["bootstrap", "run-recursion", "--g", "stretched"], "polylog:3.5"),
     (["bootstrap", "run-recursion", "--g", "polylog:x"], "polylog:3.5"),
+    (["capacity", "--matrix", "{m}", "--set", "0,-1"], "lie in [0, 2)"),
+    (["capacity", "--matrix", "{m}", "--set", "0,2"], "lie in [0, 2)"),
+    (["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "-1"], "lie in [0, 2)"),
+    (["maxcorr", "--matrix", "{m}", "--i1", "5", "--i2", "1"], "lie in [0, 2)"),
+    (["capacity", "--matrix", "{wide}"], "got shape (2, 3)"),
+    (["maxcorr", "--matrix", "{wide}", "--i1", "0", "--i2", "1"], "got shape (2, 3)"),
+    (["capacity", "--matrix", "{nan}"], "finite, square and nonempty, got shape (2, 2)"),
+    (["capacity", "--matrix", "{missing}"], "--matrix"),
+    (["maxcorr", "--matrix", "{text}", "--i1", "0", "--i2", "1"], "--matrix"),
+    (["bootstrap", "crossing", "-n", "0", "--R", "8"], "n must be an integer >= 2"),
+    (["bootstrap", "crossing", "-n", "1", "--R", "8"], "n must be an integer >= 2"),
+    (["bootstrap", "crossing", "-n", "-3", "--R", "8"], "n must be an integer >= 2"),
+    (["bootstrap", "decay-table", "-n", "0"], "n must be an integer >= 2"),
+    (["bootstrap", "decay-table", "-n", "1"], "n must be an integer >= 2"),
 ])
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):
-    m = tmp_path / "k.csv"
-    np.savetxt(m, np.eye(2), delimiter=",")
-    assert run([a.replace("{m}", str(m)) for a in argv] + ["--out", str(tmp_path)]) == 1
+    files = {"m": "k.csv", "wide": "wide.csv", "nan": "nan.csv", "text": "text.csv"}
+    np.savetxt(tmp_path / "k.csv", np.eye(2), delimiter=",")
+    np.savetxt(tmp_path / "wide.csv", np.eye(2, 3), delimiter=",")
+    (tmp_path / "nan.csv").write_text("1,nan\nnan,1\n")
+    (tmp_path / "text.csv").write_text("1,a\n0,1\n")
+    paths = {f"{{{k}}}": str(tmp_path / v) for k, v in files.items()}
+    paths["{missing}"] = str(tmp_path / "missing.csv")
+    assert run([paths.get(a, a) for a in argv] + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files.values())
 
 
 def test_run_config_raises_config_error():

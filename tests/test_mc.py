@@ -409,3 +409,65 @@ def test_report_serialization():
     assert d["theorem_id"] == "thm1.1"
     assert set(d) >= {"terms", "sides", "constants", "verdict", "slack", "se", "seed", "n", "meta"}
     assert "wall_time_s" in d["meta"]
+
+
+# --- verifier spine ------------------------------------------------------------------
+
+
+def test_classify_edges():
+    se = 0.01
+    assert mc.classify(0.0, se) == mc.VERDICT_PASS
+    assert mc.classify(-3.0 * se, se) == mc.VERDICT_NOISE
+    assert mc.classify(np.nextafter(-3.0 * se, -1.0), se) == mc.VERDICT_FAIL
+    assert mc.classify(0.0, 0.0) == mc.VERDICT_PASS
+    assert mc.classify(-1e-300, 0.0) == mc.VERDICT_FAIL
+
+
+def test_side_helpers_slack_conventions():
+    up, lo = mc._upper("u", 0.25, 0.1, 0.5), mc._lower("l", 0.25, 0.1, 0.5)
+    assert (up.slack, up.verdict) == (0.25, mc.VERDICT_PASS)
+    assert (lo.slack, lo.verdict) == (-0.25, mc.VERDICT_NOISE)
+    assert (lo.estimate, lo.se, lo.bound) == (0.25, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("diff, verdict", [(1.0, mc.VERDICT_PASS), (1.0 + 1e-12, mc.VERDICT_FAIL),
+                                           (3.0, mc.VERDICT_FAIL)])
+def test_allowance_sides_are_pass_or_fail_only(diff, verdict):
+    # a slack of -1e-12 against se = 1 would be pass-within-noise under classify
+    side = mc._allowance("x", diff, 1.0, 1.0)
+    assert side.verdict == verdict
+    assert side.slack == 1.0 - diff
+
+
+def test_finalize_keeps_not_applicable_verdict():
+    side = mc._upper("s", 2.0, 0.1, 1.0)
+    rep = mc._report("t", {}, [side], {}, 0, 10, mc.VERDICT_NA, ("n/a",))
+    assert rep.verdict == mc.VERDICT_NA
+    assert (rep.slack, rep.se) == (side.slack, side.se)
+    assert rep.notes == ("n/a",)
+
+
+def test_not_applicable_reports_are_timed():
+    plan = sampler.plan_dense(np.array([[1.0, 0.5, -0.5], [0.5, 1.0, 0.0], [-0.5, 0.0, 1.0]]), 3)
+    A1, A2 = events.AllAbove(((0,),), 0.0), events.AllAbove(((1,), (2,)), 0.0)
+    for verify in (mc.verify_threshold_cov, mc.verify_positive_association):
+        rep = verify(plan, A1, A2, 100)
+        assert rep.verdict == mc.VERDICT_NA and rep.wall_time_s > 0
+        assert rep.constants == {"min_cross": -0.5, "max_cross": 0.5}
+
+
+def test_pa_zero_gap_keeps_negative_zero_slack():
+    # slack is -gap, as in earlier reports: a zero gap serialises as -0.0, not 0.0
+    plan = sampler.plan_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]), 21)
+    rep = mc.verify_positive_association(plan, *single_events(level=4.0), 100)
+    assert rep.terms["gap"].value == 0.0
+    assert math.copysign(1.0, rep.to_dict()["sides"][0]["slack"]) == -1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2.5])
+def test_replicate_count_below_two_is_a_parameter_error(n):
+    # interp draws its own replicates; n = 1 used to end in a ZeroDivisionError
+    with pytest.raises(ParameterError, match="n must be an integer >= 2"):
+        mc.verify_interp_formula(sampler.plan_dense(np.eye(3), 1), n)
+    with pytest.raises(ParameterError, match="n must be an integer >= 2"):
+        mc.event_thresholds(iid_plan(), block_events(), n)

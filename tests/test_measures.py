@@ -219,3 +219,25 @@ def test_chain_ordering_random_instances():
         rep = measures.bound_chain_report(K, [0, 1, 2], [3, 4, 5, 6])
         assert 1.0 + 1e-12 >= rep.rho >= rep.max_normalized_entry - 1e-9
         assert rep.max_normalized_entry >= rep.cross_over_global - 1e-12
+
+
+# --- input checks ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda K, I: measures.sup_cross_cov(K, [0], I),
+    lambda K, I: measures.cross_cov_range(K, I, [0]),
+    lambda K, I: measures.capacity(K, I),
+    lambda K, I: measures.max_corr(K, [0], I),
+    lambda K, I: measures.bound_chain_report(K, I, [0]),
+])
+@pytest.mark.parametrize("K, I, message", [
+    (np.eye(2), [1, -1], r"\[0, 2\)"),
+    (np.eye(2), [2], r"\[0, 2\)"),
+    (np.eye(2, 3), [1], r"square and nonempty, got shape \(2, 3\)"),
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), [1], r"finite, square and nonempty, got shape \(2, 2\)"),
+])
+def test_index_sets_and_matrices_are_checked(call, K, I, message):
+    # a negative index used to wrap around to the last row: a silent wrong answer
+    with pytest.raises(InputError, match=message):
+        call(K, I)
