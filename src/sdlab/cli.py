@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -323,8 +324,10 @@ def _ball_points(R: float, d: int, center=None):
 
 def _read_matrix(path: str) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns, not raises, on an empty file
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"--matrix {path!r} is not a readable numeric CSV: {exc}") from None
 
 

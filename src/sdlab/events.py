@@ -1,9 +1,11 @@
 """Increasing events on lattice boxes and their threshold random variables.
 
 Connectivity is nearest-neighbor (2d adjacency) on Z^d.  Thresholds follow the
-orientation {X + u in A} = {T_A(X) <= u}: crossing events store the negated
-maximin (bottleneck) value, computed by descending-order union-find insertion
-with ties broken by site index.
+orientation {X + u in A} = {T_A(X) <= u}: crossing events store the level minus
+the maximin (bottleneck) value, the largest site value u at which {X >= u}
+joins source and sink.  It is found by bisection on each replicate's sorted
+values, labelling a whole batch of replicates per step; being a site value, it
+does not depend on how ties are ordered.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import InputError, SpecError
 from .kernels import Point
@@ -157,36 +160,16 @@ def event_from_dict(d: dict) -> EventSpec:
 
 
 # ---------------------------------------------------------------------------
-# union-find (call-local scratch, no shared state)
-
-
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
+# compiled events: crossing thresholds by bisection over batched labelling
 
 
 class CompiledEvent:
-    """Event bound to a plan's index map for fast repeated evaluation."""
+    """Event bound to a plan's index map for fast repeated evaluation.
+
+    A crossing event lays its support out in its bounding box, with boolean
+    source and sink masks there, and a structuring element that links the box
+    axes only, so one ``ndimage.label`` call labels a whole stack of replicates.
+    """
 
     def __init__(self, spec: EventSpec, index):
         self.spec = spec
@@ -200,46 +183,30 @@ class CompiledEvent:
         self.level = spec.level
         self.kind = type(spec).__name__
         if isinstance(spec, (AllAbove, AnyAbove)):
-            self.crossing = False
             return
-        self.crossing = True
-        local = {p: i for i, p in enumerate(support)}
-        edges = []
-        dim = len(support[0])
-        for p, i in local.items():
-            for ax in range(dim):
-                q = p[:ax] + (p[ax] + 1,) + p[ax + 1 :]
-                j = local.get(q)
-                if j is not None:
-                    edges.append((i, j))
-        self.edges_by_site: list[list[int]] = [[] for _ in support]
-        for i, j in edges:
-            self.edges_by_site[i].append(j)
-            self.edges_by_site[j].append(i)
+        pts = np.asarray(support)
+        corner = pts.min(axis=0)
+        self.shape = tuple(int(s) for s in pts.max(axis=0) - corner + 1)
+        self.flat = np.ravel_multi_index(tuple((pts - corner).T), self.shape)
+
+        def mask(on):  # support sites -> boolean mask over the bounding box
+            out = np.zeros(self.shape, dtype=bool)
+            out.flat[self.flat[on]] = True
+            return out
+
+        cross = ndimage.generate_binary_structure(len(self.shape), 1)
         if isinstance(spec, BoxCrossing):
-            src = [i for p, i in local.items() if p[spec.axis] == spec.lo[spec.axis]]
-            snk = [i for p, i in local.items() if p[spec.axis] == spec.hi[spec.axis]]
+            self.src = mask(pts[:, spec.axis] == spec.lo[spec.axis])
+            self.snk = mask(pts[:, spec.axis] == spec.hi[spec.axis])
         else:
-            c = np.asarray(spec.center, dtype=float)
-            arr = np.asarray(support, dtype=float)
-            d2 = ((arr - c) ** 2).sum(axis=1)
-            src = list(np.nonzero(d2 <= spec.r_inner**2)[0])
+            self.src = mask(((pts - spec.center) ** 2).sum(axis=1) <= spec.r_inner**2)
             # sink: inner vertex boundary of the discretized outer ball
-            snk = []
-            for p, i in local.items():
-                for ax in range(dim):
-                    for step in (-1, 1):
-                        q = p[:ax] + (p[ax] + step,) + p[ax + 1 :]
-                        if q not in local:
-                            snk.append(i)
-                            break
-                    else:
-                        continue
-                    break
-        if not src or not snk:
+            inside = mask(slice(None))
+            self.snk = inside & ~ndimage.binary_erosion(inside, structure=cross, border_value=0)
+        if not self.src.any() or not self.snk.any():
             raise SpecError("crossing event has an empty source or sink face")
-        self.src = np.array(sorted(set(int(i) for i in src)), dtype=np.intp)
-        self.snk = np.array(sorted(set(int(i) for i in snk)), dtype=np.intp)
+        self.structure = np.zeros((3,) * (len(self.shape) + 1), dtype=bool)
+        self.structure[1] = cross
 
     # -- single-sample queries ------------------------------------------------
 
@@ -247,42 +214,7 @@ class CompiledEvent:
         return self.threshold(values) <= 0
 
     def threshold(self, values: np.ndarray) -> float:
-        vals = values[self.cols]
-        if self.kind == "AllAbove":
-            return float(self.level - vals.min())
-        if self.kind == "AnyAbove":
-            return float(self.level - vals.max())
-        return float(self.level - self._maximin(vals))
-
-    def _maximin(self, vals: np.ndarray) -> float:
-        """Largest u such that {vals >= u} contains a source-sink path."""
-        n = len(vals)
-        order = np.argsort(-vals, kind="stable")  # ties resolved by site index
-        uf = _UnionFind(n + 2)
-        SRC, SNK = n, n + 1
-        active = np.zeros(n, dtype=bool)
-        is_src = np.zeros(n, dtype=bool)
-        is_snk = np.zeros(n, dtype=bool)
-        is_src[self.src] = True
-        is_snk[self.snk] = True
-        edges = self.edges_by_site
-        find, union = uf.find, uf.union
-        for pos in range(n):
-            i = int(order[pos])
-            active[i] = True
-            for j in edges[i]:
-                if active[j]:
-                    union(i, j)
-            if is_src[i]:
-                union(i, SRC)
-            if is_snk[i]:
-                union(i, SNK)
-            # ties: insert the whole equal-value block before testing
-            if pos + 1 < n and vals[order[pos + 1]] == vals[i]:
-                continue
-            if find(SRC) == find(SNK):
-                return float(vals[i])
-        raise SpecError("no crossing exists even with every site active")
+        return float(self.thresholds_batch(values[None])[0])
 
     def thresholds_batch(self, values_matrix: np.ndarray) -> np.ndarray:
         vals = values_matrix[:, self.cols]
@@ -290,10 +222,29 @@ class CompiledEvent:
             return self.level - vals.min(axis=1)
         if self.kind == "AnyAbove":
             return self.level - vals.max(axis=1)
-        out = np.empty(vals.shape[0])
-        for r in range(vals.shape[0]):
-            out[r] = self.level - self._maximin(vals[r])
-        return out
+        # The maximin value is the largest site value u at which {vals >= u}
+        # joins source and sink.  The smallest site value always does (a box
+        # and a lattice ball are connected), so bisect every replicate at once
+        # on the index into its sorted values.
+        reps = vals.shape[0]
+        box = np.full((reps,) + self.shape, -np.inf)
+        box.reshape(reps, -1)[:, self.flat] = vals
+        ordered = np.sort(vals, axis=1)
+        rows = np.arange(reps)
+        lo = np.zeros(reps, dtype=np.intp)  # crossing at ordered[lo]
+        hi = np.full(reps, vals.shape[1], dtype=np.intp)  # none at ordered[hi]
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            u = ordered[rows, mid].reshape((reps,) + (1,) * len(self.shape))
+            labels, count = ndimage.label(box >= u, self.structure)
+            # labels never link two replicates, so one source table serves all
+            on_src = np.zeros(count + 1, dtype=bool)
+            on_src[labels[:, self.src]] = True
+            on_src[0] = False
+            crossed = on_src[labels[:, self.snk]].any(axis=1)
+            lo = np.where(crossed, mid, lo)
+            hi = np.where(crossed, hi, mid)
+        return self.level - ordered[rows, lo]
 
 
 def compile_event(spec: EventSpec, index) -> CompiledEvent:

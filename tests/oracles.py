@@ -1,8 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the code paths they check: exhaustive path
-enumeration and breadth-first search instead of union-find, mpmath special
-functions instead of scipy, grid search instead of Frank-Wolfe.
+enumeration and breadth-first search instead of batched labelling, mpmath
+special functions instead of scipy, grid search instead of Frank-Wolfe.
 """
 
 from __future__ import annotations
@@ -43,21 +43,40 @@ def enumerate_maximin(values: np.ndarray, src: set, snk: set, edges: dict) -> fl
 def grid_maximin(field2d: np.ndarray, axis: int = 0) -> float:
     """Brute-force bottleneck value for a full-box crossing along ``axis``."""
     shape = field2d.shape
-    ids = {idx: k for k, idx in enumerate(itertools.product(*(range(s) for s in shape)))}
-    values = np.empty(len(ids))
-    edges = {k: [] for k in range(len(ids))}
-    for idx, k in ids.items():
-        values[k] = field2d[idx]
-        for ax in range(len(shape)):
+    points = list(itertools.product(*(range(s) for s in shape)))
+    src = [p for p in points if p[axis] == 0]
+    snk = [p for p in points if p[axis] == shape[axis] - 1]
+    return support_maximin([field2d[p] for p in points], points, src, snk)
+
+
+def support_maximin(values, points, src, snk) -> float:
+    """Bottleneck value between the sites ``src`` and ``snk`` on the graph
+    whose vertices are ``points`` and whose edges join points one unit apart
+    in one coordinate.  ``values[k]`` is the field at ``points[k]``.
+    """
+    ids = {tuple(p): k for k, p in enumerate(points)}
+    edges = {k: [] for k in ids.values()}
+    for p, k in ids.items():
+        for ax in range(len(p)):
             for step in (-1, 1):
-                q = list(idx)
-                q[ax] += step
-                q = tuple(q)
+                q = p[:ax] + (p[ax] + step,) + p[ax + 1:]
                 if q in ids:
                     edges[k].append(ids[q])
-    src = {k for idx, k in ids.items() if idx[axis] == 0}
-    snk = {k for idx, k in ids.items() if idx[axis] == shape[axis] - 1}
-    return enumerate_maximin(values, src, snk, edges)
+    return enumerate_maximin(np.asarray(values, dtype=float), {ids[tuple(p)] for p in src},
+                             {ids[tuple(p)] for p in snk}, edges)
+
+
+def annulus_ends(points, center, r_inner: float) -> tuple[list, list]:
+    """Sources and sinks of an annulus crossing on the lattice ball ``points``:
+    the sites within ``r_inner`` of ``center``, and the sites with a nearest
+    neighbor outside the ball.
+    """
+    ball = {tuple(p) for p in points}
+    src = [p for p in ball if sum((a - c) ** 2 for a, c in zip(p, center)) <= r_inner**2]
+    snk = [p for p in ball
+           if any(p[:ax] + (p[ax] + step,) + p[ax + 1:] not in ball
+                  for ax in range(len(p)) for step in (-1, 1))]
+    return src, snk
 
 
 def box_crossing_occurs(values, points, lo, hi, axis: int, level: float = 0.0) -> bool:

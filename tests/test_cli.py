@@ -185,18 +185,21 @@ def test_bad_verify_arguments_are_config_errors(tmp_path, capsys, argv, message)
     (["bootstrap", "crossing", "-n", "-3", "--R", "8"], "n must be an integer >= 2"),
     (["bootstrap", "decay-table", "-n", "0"], "n must be an integer >= 2"),
     (["bootstrap", "decay-table", "-n", "1"], "n must be an integer >= 2"),
+    (["capacity", "--matrix", "{empty}"], "--matrix"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):
-    files = {"m": "k.csv", "wide": "wide.csv", "nan": "nan.csv", "text": "text.csv"}
+    files = {"m": "k.csv", "wide": "wide.csv", "nan": "nan.csv", "text": "text.csv", "empty": "empty.csv"}
     np.savetxt(tmp_path / "k.csv", np.eye(2), delimiter=",")
     np.savetxt(tmp_path / "wide.csv", np.eye(2, 3), delimiter=",")
     (tmp_path / "nan.csv").write_text("1,nan\nnan,1\n")
     (tmp_path / "text.csv").write_text("1,a\n0,1\n")
+    (tmp_path / "empty.csv").write_text("")
     paths = {f"{{{k}}}": str(tmp_path / v) for k, v in files.items()}
     paths["{missing}"] = str(tmp_path / "missing.csv")
     assert run([paths.get(a, a) for a in argv] + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and "Warning" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files.values())
 
 

@@ -89,6 +89,28 @@ def test_union_find_matches_enumeration_all_small_grids():
                 assert ce.threshold(vals) == -oracles.grid_maximin(field.T, axis=0)
 
 
+@pytest.mark.parametrize("spec", [
+    events.AnnulusCrossing((0, 0), 0.0, 2.0), events.AnnulusCrossing((0, 0), 0.0, 3.0),
+    events.AnnulusCrossing((1, -2), 1.0, 2.5), events.AnnulusCrossing((0, 0), 1.0, 3.0),
+    events.BoxCrossing((0, 0, 0), (1, 2, 2), 0), events.BoxCrossing((0, 0, 0), (1, 2, 2), 1),
+    events.BoxCrossing((0, 0, 0), (1, 2, 2), 2), events.BoxCrossing((-3,), (4,), 0),
+])
+def test_threshold_matches_enumeration_beyond_2d_boxes(spec):
+    if isinstance(spec, events.BoxCrossing):
+        src = [p for p in spec.support if p[spec.axis] == spec.lo[spec.axis]]
+        snk = [p for p in spec.support if p[spec.axis] == spec.hi[spec.axis]]
+    else:
+        src, snk = oracles.annulus_ends(spec.support, spec.center, spec.r_inner)
+    idx = {p: k for k, p in enumerate(spec.support)}
+    ce = events.compile_event(spec, idx)
+    rng = np.random.default_rng(17)
+    fields = rng.integers(-3, 4, size=(100, len(idx))).astype(float)  # ties
+    got = ce.thresholds_batch(fields)
+    for vals, t in zip(fields, got):
+        assert t == -oracles.support_maximin(vals, spec.support, src, snk)
+        assert ce.threshold(vals) == t
+
+
 def test_occurs_iff_threshold_below_shift():
     rng = np.random.default_rng(3)
     spec = hcross_spec(4, 3)
