@@ -381,6 +381,8 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"cannot read config: {exc}") from None
         if args.theorem and args.theorem != config.theorem:
             raise ConfigError("theorem id on the command line conflicts with the config file")
+    elif args.theorem is None:
+        raise ConfigError("verify needs a theorem id or --config")
     else:
         config = default_config(args.theorem, args.n, args.seed, args.workers)
         if args.eps is not None:
@@ -543,7 +545,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run one theorem verification")
     add_common(sp)
-    sp.add_argument("theorem", nargs="?", default=None, choices=(None,) + THEOREM_IDS)
+    sp.add_argument("theorem", nargs="?", default=None, choices=THEOREM_IDS)
     sp.add_argument("--config", default=None, help="JSON experiment config file")
     sp.add_argument("--model", default=None)
     sp.add_argument("--d", type=int, default=1)

@@ -9,7 +9,10 @@ and far parts of that moving average, applied to the same w.
 Reproducibility contract: every replicate's noise comes from a counter-based
 Philox stream keyed by (base_seed, replicate), so draw(plan, r) is a pure
 function of the plan and the replicate index, independent of evaluation order
-and thread count.
+and thread count.  A batch builds one Philox generator and re-keys it for each
+replicate (key (base_seed, replicate), counter 0, empty buffer); being
+counter-based, the re-keyed generator gives exactly the stream of a fresh
+generator with that key.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -29,6 +33,7 @@ from .kernels import Point, cov_of_offsets, repair_psd
 
 DENSE_FACTOR_TOL = 1e-8
 SPECTRUM_CLIP_LIMIT = 1e-6
+_UINT64 = 0xFFFFFFFFFFFFFFFF
 
 
 class FieldSample(NamedTuple):
@@ -38,10 +43,26 @@ class FieldSample(NamedTuple):
     index: Mapping[Point, int]
 
 
-def _noise(base_seed: int, replicate: int, shape) -> np.ndarray:
-    """One replicate's standard normal noise of ``shape``, keyed by (base_seed, replicate)."""
-    key = np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(replicate)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normal noise of ``shape`` per replicate, stacked; row k keyed by (base_seed, replicates[k])."""
+    try:
+        reps = [operator.index(r) for r in replicates]
+    except TypeError:
+        raise ParameterError("replicate indices must be integers") from None
+    if reps and (min(reps) < 0 or max(reps) > _UINT64):
+        raise ParameterError(f"replicate indices must lie in [0, 2**64), got {min(reps)}..{max(reps)}")
+    out = np.empty((len(reps),) + shape)
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    key = [base_seed & _UINT64, 0]
+    # the state of Philox(key=key): counter 0, empty buffer
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for k, r in enumerate(reps):
+        key[1] = r
+        bits.state = state
+        gen.standard_normal(out=out[k])
+    return out
 
 
 def _digest(*parts) -> str:
@@ -121,25 +142,18 @@ class DensePlan(SamplerPlan):
         self.index = {p: i for i, p in enumerate(self.points)}
         self.fingerprint = self._fingerprint(factor)
 
+    def _apply(self, z: np.ndarray) -> np.ndarray:
+        """factor @ z for each row z: one stacked gemv, bit-identical to the per-row
+        product (a gemm ``z @ factor.T`` rounds differently)."""
+        return (self.factor @ z[..., None])[..., 0]
+
     def draw_batch(self, replicates) -> np.ndarray:
-        reps = list(replicates)
-        n = self.cov.shape[0]
-        out = np.empty((len(reps), n))
-        for k, r in enumerate(reps):
-            out[k] = self.factor @ _noise(self.base_seed, int(r), n)
-        return out
+        return self._apply(_noise(self.base_seed, replicates, self.factor.shape[1:]))
 
     def draw_pair_batch(self, replicates) -> tuple[np.ndarray, np.ndarray]:
         """Two independent copies per replicate from one stream (X, X')."""
-        reps = list(replicates)
-        n = self.cov.shape[0]
-        a = np.empty((len(reps), n))
-        b = np.empty((len(reps), n))
-        for k, r in enumerate(reps):
-            z = _noise(self.base_seed, int(r), (2, n))
-            a[k] = self.factor @ z[0]
-            b[k] = self.factor @ z[1]
-        return a, b
+        z = _noise(self.base_seed, replicates, (2,) + self.factor.shape[1:])
+        return self._apply(z[:, 0]), self._apply(z[:, 1])
 
     def cov_block(self, pts1, pts2) -> np.ndarray:
         i = [self.index[tuple(p)] for p in pts1]
@@ -221,9 +235,7 @@ class CirculantPlan(SamplerPlan):
         outs = [np.empty((len(reps), self.npoints)) for _ in self._filters]
         for lo in range(0, len(reps), self._FFT_BLOCK):
             block = reps[lo : lo + self._FFT_BLOCK]
-            w = np.empty((len(block),) + shape)
-            for k, r in enumerate(block):
-                w[k] = _noise(self.base_seed, int(r), shape)
+            w = _noise(self.base_seed, block, shape)
             wf = np.fft.rfftn(w, axes=axes)
             for out, f in zip(outs, self._filters):
                 x = np.fft.irfftn(wf * f, s=shape, axes=axes)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: exhaustive path
 enumeration and breadth-first search instead of batched labelling, mpmath
-special functions instead of scipy, grid search instead of Frank-Wolfe.
+special functions instead of scipy, grid search instead of Frank-Wolfe,
+a fresh Philox generator per replicate instead of one re-keyed generator.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ import mpmath as mp
 import numpy as np
 
 mp.mp.dps = 30
+
+
+def philox_normals(base_seed: int, replicate: int, shape) -> np.ndarray:
+    """One replicate's standard normal noise of ``shape``, keyed by (base_seed, replicate)."""
+    key = np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(replicate)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
 def enumerate_maximin(values: np.ndarray, src: set, snk: set, edges: dict) -> float:

@@ -154,11 +154,24 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
 @pytest.mark.parametrize("argv, message", [
     (["verify", "thm1.1", "--eps", "x", "-n", "100"], "--eps"),
     (["verify", "--config", "missing.json"], "cannot read config"),
+    (["verify"], "verify needs a theorem id or --config"),
 ])
 def test_bad_verify_arguments_are_config_errors(tmp_path, capsys, argv, message):
     assert run(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_verify_theorem_choices_omit_none(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "thm9.9"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'thm9.9'" in err and "'thm1.1'" in err and "None" not in err
+    with pytest.raises(SystemExit):
+        run(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert "thm1.1" in out and "None" not in out
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -186,6 +199,8 @@ def test_bad_verify_arguments_are_config_errors(tmp_path, capsys, argv, message)
     (["bootstrap", "decay-table", "-n", "0"], "n must be an integer >= 2"),
     (["bootstrap", "decay-table", "-n", "1"], "n must be an integer >= 2"),
     (["capacity", "--matrix", "{empty}"], "--matrix"),
+    (["sample", "--shape", "4,4", "--replicate", "-1"], "replicate"),
+    (["sample", "--shape", "4,4", "--replicate", str(2**64)], "replicate"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):

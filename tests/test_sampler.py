@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from sdlab import kernels, sampler
 from sdlab.errors import InputError, ModelError, ParameterError
 
@@ -43,6 +44,42 @@ def test_draw_deterministic_and_order_free():
     assert np.array_equal(a[1], b[0])
     again = sampler.draw(plan, 3)
     assert np.array_equal(a[0], again.values)
+
+
+# unsorted, with gaps, one index past 2**40 and the largest valid index
+STREAM_REPLICATES = [7, 0, 3, 2**40 + 5, 1, 2**64 - 1, 12]
+
+
+def _random_cov(d: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).normal(size=(d, d))
+    return a @ a.T
+
+
+@pytest.mark.parametrize("base_seed", [0, -1, 2**63 + 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 257])
+def test_dense_draws_match_fresh_philox_streams(d, base_seed):
+    plan = sampler.plan_dense(_random_cov(d, d), base_seed)
+    x = plan.draw_batch(STREAM_REPLICATES)
+    a, b = plan.draw_pair_batch(STREAM_REPLICATES)
+    for k, r in enumerate(STREAM_REPLICATES):
+        assert np.array_equal(x[k], plan.factor @ oracles.philox_normals(base_seed, r, d))
+        z = oracles.philox_normals(base_seed, r, (2, d))
+        assert np.array_equal(a[k], plan.factor @ z[0])
+        assert np.array_equal(b[k], plan.factor @ z[1])
+
+
+@pytest.mark.parametrize("base_seed", [0, -1, 2**63 + 7])
+def test_torus_noise_matches_fresh_philox_streams(base_seed):
+    w = sampler._noise(base_seed, STREAM_REPLICATES, (64, 64))
+    ref = np.stack([oracles.philox_normals(base_seed, r, (64, 64)) for r in STREAM_REPLICATES])
+    assert np.array_equal(w, ref)
+
+
+@pytest.mark.parametrize("replicates", [[0, -1], [2**64], [1.5]], ids=["negative", "2**64", "float"])
+def test_draw_rejects_bad_replicate_index(replicates):
+    plan = sampler.plan_dense(np.eye(2), 0)
+    with pytest.raises(ParameterError, match="replicate"):
+        plan.draw_batch(replicates)
 
 
 def test_draw_marginals_standard_normal():
