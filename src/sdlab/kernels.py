@@ -12,6 +12,12 @@ Families
 
 All kernels are evaluated through a single displacement-based code path, so
 symmetry K(x,y) == K(y,x) holds exactly.
+
+GFF offsets are canonicalized to sorted absolute integer coordinates.  Each
+row becomes one int64 key in lexicographic row order (mixed radix, re-ranked
+before it could overflow), so one 1-d ``np.unique`` deduplicates them.  Only
+rows missing from the Green's function cache are evaluated, with one
+``scipy.special.ive`` table per batch over its distinct |coordinate| values.
 """
 
 from __future__ import annotations
@@ -140,25 +146,62 @@ def _green_tail_quadrature(npanels: int = 12, order: int = 24) -> tuple[np.ndarr
 
 
 def _green_batch(offsets: np.ndarray, d: int) -> np.ndarray:
-    """Green's function values for an (m, d) array of integer offsets."""
+    """Green's function values for an (m, d) array of integer offsets.
+
+    Each Bessel factor depends on one |coordinate| and one node only, so ``ive``
+    runs once per distinct |coordinate| and the table is gathered into the
+    (m, d, nodes) factors.
+    """
     if d not in _GREEN_NODES:
         with _GREEN_LOCK:
             if d not in _GREEN_NODES:
                 _GREEN_NODES[d] = _green_quadrature() + _green_tail_quadrature()
     s, ws, u, wu = _GREEN_NODES[d]
-    a = np.abs(offsets).astype(float)  # (m, d)
-    body = np.prod(special.ive(a[:, :, None], s[None, None, :] / d), axis=1) @ ws
+    a, idx = np.unique(np.abs(offsets).astype(float), return_inverse=True)
+    idx = idx.reshape(offsets.shape)  # (m, d) rows of the table a
+    body = np.prod(special.ive(a[:, None], s / d)[idx], axis=1) @ ws
     st = 1.0 / u**2
-    tail_vals = np.prod(special.ive(a[:, :, None], st[None, None, :] / d), axis=1)
+    tail_vals = np.prod(special.ive(a[:, None], st / d)[idx], axis=1)
     tail = (tail_vals * (2.0 / u**3)[None, :]) @ wu
     return body + tail
+
+
+def _lattice_rows(offsets: np.ndarray) -> np.ndarray:
+    """Sorted absolute coordinates of each row as int64; DomainError off the lattice."""
+    r = np.round(offsets)
+    if not (np.allclose(offsets, r) and (np.abs(r) < 2.0**63).all()):  # also rejects nan, inf
+        raise DomainError("gff is defined on integer lattice offsets (finite, below 2**63)")
+    return np.sort(np.abs(r.astype(np.int64)), axis=1)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of a nonnegative (m, d) int64 array, in lexicographic row order.
+
+    Mixed radix over the columns.  Where the next column would carry the key past
+    2**63, the running key is first replaced by its rank (below m), and the
+    column too if that is not enough, so the key is exact for every input.
+    """
+    key = rows[:, 0]
+    bound = int(key.max(initial=0)) + 1  # every key < bound
+    for col in rows.T[1:]:
+        radix = int(col.max(initial=0)) + 1
+        if bound * radix > 2**63:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max(initial=0)) + 1
+        if bound * radix > 2**63:
+            _, col = np.unique(col, return_inverse=True)
+            radix = int(col.max(initial=0)) + 1
+        key = key * radix + col
+        bound *= radix
+    return key
 
 
 def gff_green(offset, d: int = 3) -> float:
     """G_d at a lattice offset, cached by sorted absolute coordinates."""
     if d < 3:
         raise DomainError("gff green function requires d >= 3")
-    key = (d, tuple(sorted(abs(int(v)) for v in offset)))
+    row = _lattice_rows(np.asarray(offset, dtype=float)[None, :])[0]
+    key = (d, tuple(int(v) for v in row))
     hit = _GREEN_CACHE.get(key)
     if hit is not None:
         return hit
@@ -225,10 +268,11 @@ def cov_of_offsets(model: CovarianceModel, offsets: np.ndarray) -> np.ndarray:
     """Vectorized K(0, offset) for an (m, dim) displacement array (field units)."""
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     if model.family == "gff":
-        if not np.allclose(offsets, np.round(offsets)):
-            raise DomainError("gff is defined on integer lattice offsets")
-        canon = np.sort(np.abs(np.round(offsets).astype(np.int64)), axis=1)
-        uniq, inverse = np.unique(canon, axis=0, return_inverse=True)
+        canon = _lattice_rows(offsets)
+        keys, inverse = np.unique(_row_keys(canon), return_inverse=True)
+        rep = np.empty(len(keys), dtype=np.intp)
+        rep[inverse] = np.arange(len(canon))  # rows with one key are equal; any will do
+        uniq = canon[rep]
         vals = np.empty(len(uniq))
         missing = []
         for k, row in enumerate(uniq):
@@ -243,7 +287,7 @@ def cov_of_offsets(model: CovarianceModel, offsets: np.ndarray) -> np.ndarray:
             with _GREEN_LOCK:
                 for k, v in zip(missing, fresh):
                     _GREEN_CACHE.setdefault((model.dim, tuple(uniq[k])), float(v))
-        return vals[inverse.ravel()]
+        return vals[inverse]
     if model.family == "explicit":
         raise ModelError("explicit models are not stationary; use eval_cov on indices")
     return _profile(model, np.linalg.norm(offsets, axis=1))
@@ -288,6 +332,8 @@ def build_cov_matrix(model: CovarianceModel, points, return_clipped_mass: bool =
     PSD_CLIP_LIMIT * trace (the kernel is genuinely indefinite on this set).
     """
     pts = [_as_point(p) for p in points]
+    if not pts:
+        raise InputError("point set is empty")
     if len(set(pts)) != len(pts):
         raise InputError("points must be distinct")
     n = len(pts)

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: exhaustive path
 enumeration and breadth-first search instead of batched labelling, mpmath
 special functions instead of scipy, grid search instead of Frank-Wolfe,
-a fresh Philox generator per replicate instead of one re-keyed generator.
+a fresh Philox generator per replicate instead of one re-keyed generator,
+row-wise ``np.unique(axis=0)`` and per-row Bessel factors instead of integer
+row keys and one Bessel table.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from collections import deque
 
 import mpmath as mp
 import numpy as np
+from scipy import special
+
+from sdlab import kernels
 
 mp.mp.dps = 30
 
@@ -21,6 +26,22 @@ def philox_normals(base_seed: int, replicate: int, shape) -> np.ndarray:
     """One replicate's standard normal noise of ``shape``, keyed by (base_seed, replicate)."""
     key = np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(replicate)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+
+
+def green_reference(offsets, d: int) -> np.ndarray:
+    """GFF K(0, offset) for an (m, d) offset array, deduplicated by ``np.unique(axis=0)``,
+    with ``ive`` evaluated per row, coordinate and node, and no cache."""
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
+    canon = np.sort(np.abs(np.round(offsets).astype(np.int64)), axis=1)
+    uniq, inverse = np.unique(canon, axis=0, return_inverse=True)
+    s, ws = kernels._green_quadrature()
+    u, wu = kernels._green_tail_quadrature()
+    a = np.abs(uniq.astype(float))  # (m, d)
+    body = np.prod(special.ive(a[:, :, None], s[None, None, :] / d), axis=1) @ ws
+    st = 1.0 / u**2
+    tail_vals = np.prod(special.ive(a[:, :, None], st[None, None, :] / d), axis=1)
+    tail = (tail_vals * (2.0 / u**3)[None, :]) @ wu
+    return (body + tail)[inverse.ravel()]
 
 
 def enumerate_maximin(values: np.ndarray, src: set, snk: set, edges: dict) -> float:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,113 @@ def test_green_cache_concurrent_reads():
         vals = list(pool.map(lambda o: kernels.gff_green(o, 3), offs * 4))
     serial = [kernels.gff_green(o, 3) for o in offs * 4]
     assert vals == serial
+
+
+def _ball(R, d=3, shift=0):
+    r = range(-R, R + 1)
+    return [(p[0] + shift,) + p[1:] for p in itertools.product(r, repeat=d)
+            if sum(v * v for v in p) <= R * R]
+
+
+def _pair_offsets(points):
+    a = np.asarray(points, dtype=float)
+    return (a[:, None, :] - a[None, :, :]).reshape(-1, a.shape[1])
+
+
+def _d10_rows():
+    # coordinates 0..99 in d = 10: a mixed-radix key 100**10 overflows int64
+    i = np.arange(100)[:, None]
+    rows = (i * np.arange(1, 11) * 37 + np.arange(10)) % 100
+    return np.vstack([rows, rows[:, ::-1], np.full((1, 10), 99), np.zeros((1, 10))]).astype(float)
+
+
+GREEN_CASES = {
+    "ball2": lambda: _pair_offsets(_ball(2)),
+    "ball4": lambda: _pair_offsets(_ball(4)),
+    "ball6": lambda: _pair_offsets(_ball(6)),
+    "maxcorr_pair": lambda: _pair_offsets(_ball(4) + _ball(4, shift=12)),
+    "d4": lambda: _pair_offsets(_ball(2, d=4)),
+    "d5": lambda: _pair_offsets(np.random.default_rng(5).integers(-6, 7, size=(40, 5))),
+    "single": lambda: np.array([[3.0, -1.0, 2.0]]),
+    "zero": lambda: np.zeros((1, 3)),
+    "negative": lambda: -np.array([[1, 2, 3], [3, 2, 1], [0, 5, 1], [2, 2, 0]], dtype=float),
+    "coord_1e6": lambda: np.array([[1e6, 0, 0], [1e6, 1e6, 1e6], [-3, 1e6, 2], [0, 0, 1]]),
+    "d10_0_99": _d10_rows,
+}
+
+
+@pytest.fixture
+def cold_green_cache():
+    kernels._GREEN_CACHE.clear()
+    yield
+    kernels._GREEN_CACHE.clear()
+
+
+@pytest.mark.parametrize("name", list(GREEN_CASES))
+def test_gff_cov_of_offsets_equals_reference_cold_and_warm(name, cold_green_cache):
+    offsets = GREEN_CASES[name]()
+    d = offsets.shape[1]
+    ref = oracles.green_reference(offsets, d)
+    assert np.array_equal(kernels.cov_of_offsets(kernels.gff(d), offsets), ref)  # cold
+    assert np.array_equal(kernels.cov_of_offsets(kernels.gff(d), offsets), ref)  # warm
+
+
+def test_gff_large_coordinate_needs_no_table_up_to_it(cold_green_cache):
+    import tracemalloc
+
+    offsets = np.array([[0.0, 1e6, 0.0]])
+    tracemalloc.start()
+    try:
+        got = kernels.cov_of_offsets(kernels.gff(3), offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, oracles.green_reference(offsets, 3))
+    assert peak < 16 * 2**20
+
+
+def test_gff_row_keys_order_rows_lexicographically():
+    rows = np.array([[0, 99, 5], [2**62, 0, 7], [0, 99, 5], [1, 2**62, 2**62], [0, 0, 2**62]],
+                    dtype=np.int64)
+    keys = kernels._row_keys(rows)
+    assert keys.dtype == np.int64
+    order = sorted(range(len(rows)), key=lambda i: tuple(rows[i]))
+    assert [tuple(rows[i]) for i in np.argsort(keys, kind="stable")] == [tuple(rows[i]) for i in order]
+    assert keys[0] == keys[2] and len(set(keys.tolist())) == 4
+
+
+def test_gff_empty_offsets_give_empty_array():
+    got = kernels.cov_of_offsets(kernels.gff(3), np.empty((0, 3)))
+    assert got.shape == (0,)
+
+
+def test_build_cov_gff_ball6_equals_parent_assembly():
+    # the matrix the np.unique(axis=0) kernel assembled: offsets, symmetrize, repair
+    pts = _ball(6)
+    n = len(pts)
+    m = oracles.green_reference(_pair_offsets(pts), 3).reshape(n, n)
+    expect, _ = kernels.repair_psd(0.5 * (m + m.T))
+    assert np.array_equal(kernels.build_cov_matrix(kernels.gff(3), pts), expect)
+
+
+@pytest.mark.parametrize("offset", [(0.5, 0, 0), (0, 0, 2.25), (np.nan, 0, 0), (np.inf, 1, 1), (-np.inf, 0, 0),
+                                    (2.0**63, 0, 0)])
+def test_gff_green_rejects_off_lattice_offsets(offset):
+    with pytest.raises(DomainError):
+        kernels.gff_green(offset, 3)
+    with pytest.raises(DomainError):
+        kernels.eval_cov(kernels.gff(3), (0, 0, 0), offset)
+
+
+def test_gff_green_integer_offsets_unchanged(cold_green_cache):
+    for off in [(0, 0, 0), (1, 0, 0), (-2, 3, 1), (0, 0, 10**6), (np.int64(4), 1, -1), (2.0, 1.0, 0.0)]:
+        expect = oracles.green_reference(np.array([off], dtype=float), 3)[0]
+        assert kernels.gff_green(off, 3) == expect
+
+
+@pytest.mark.parametrize("model", FAMILIES + [kernels.explicit(np.eye(2))], ids=lambda m: m.family)
+def test_build_cov_empty_point_set_is_input_error(model):
+    with pytest.raises(InputError, match="point set is empty"):
+        kernels.build_cov_matrix(model, [])
+    with pytest.raises(InputError, match="point set is empty"):
+        kernels.build_cov_matrix(model, np.empty((0, model.dim)))
