@@ -10,6 +10,7 @@ closure conditions bite, so every decay function works in log-log space:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .sampler import Grid, plan_circulant
 
 LOG2 = math.log(2.0)
 LOG5 = math.log(5.0)
+_LOG_R_CAP = 1e28  # the closure scan gives up above this log R0
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,12 @@ class DecayFunction:
     gamma: float = 0.0
     alpha: float = 0.0
     beta: float = 0.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.c, self.gamma, self.alpha, self.beta)):
+            raise ParameterError(f"decay parameters must be finite, got {self!r}")
+        if self.c <= 0:
+            raise ParameterError(f"decay constant c must be positive, got {self.c!r}")
 
     def log_value(self, log_r):
         log_r = np.asarray(log_r, dtype=float)
@@ -75,7 +83,7 @@ def power(alpha: float, c: float = 1.0) -> DecayFunction:
     return DecayFunction("power", c=c, alpha=alpha)
 
 
-def stretched_exp(c: float, beta: float) -> DecayFunction:
+def stretched_exp(c: float, beta: float = 1.0) -> DecayFunction:
     if not 0 < beta:
         raise ParameterError("stretched exponential needs beta > 0")
     return DecayFunction("stretched", c=c, beta=beta)
@@ -88,14 +96,16 @@ def decay_from_string(text: str) -> DecayFunction:
         vals = [float(v) for v in args.split(",")]
     except ValueError:
         raise ParameterError(f"decay {text!r} must be family:numbers, as in 'polylog:3.5'") from None
+    if len(vals) > 2:
+        raise ParameterError(f"decay {text!r} takes one or two numbers, as in 'polylog:3.5,1'")
     if name == "polylog":
-        return polylog(vals[0], *(vals[1:2]))
+        return polylog(*vals)
     if name == "loginv":
-        return loginv(vals[0], *(vals[1:2]))
+        return loginv(*vals)
     if name == "power":
-        return power(vals[0], *(vals[1:2]))
+        return power(*vals)
     if name == "stretched":
-        return stretched_exp(vals[0], vals[1] if len(vals) > 1 else 1.0)
+        return stretched_exp(*vals)
     raise ParameterError(f"unknown decay family {name!r}")
 
 
@@ -139,8 +149,8 @@ def check_subcritical_conditions(g: DecayFunction, delta: float, h_prime: DecayF
     Checks run on the geometric grid r = 2^k, k <= k_max, with the tail trend
     standing in for the limit statements.
     """
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    if not delta > 0:  # also rejects nan
+        raise ParameterError(f"delta must be positive, got {delta!r}")
     h = HFromG(g, delta)
     hp = h if h_prime is None else h_prime
     logs = np.arange(2, k_max + 1, dtype=float) * LOG2
@@ -238,6 +248,22 @@ def annulus_covering(d: int, R: float, scale_factor: int = 5) -> AnnulusCovering
 # sprinkling schedule
 
 
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _log_R0(R0: float | None, log_R0: float | None) -> float:
+    """log R0, taken from log_R0 when given; ParameterError unless finite and positive."""
+    if log_R0 is None:
+        if R0 is None or not R0 > 1:
+            raise ParameterError("R0 must exceed 1")
+        log_R0 = math.log(R0)
+    if not (math.isfinite(log_R0) and log_R0 > 0):
+        raise ParameterError(f"log R0 must be finite and positive, got {log_R0!r}")
+    return log_R0
+
+
 @dataclass
 class Schedule:
     levels: np.ndarray  # ell_1 .. ell_{n_max}
@@ -253,14 +279,13 @@ def sprinkle_schedule(R0: float | None, delta: float, ell_prime: float, n_max: i
     comes from comparing the tail sum with the integral of
     (log R0 + x log 5)^(-1-delta/2).
     """
-    if delta <= 0:
-        raise ParameterError("delta <= 0: the sprinkling sums diverge and ell_inf = -infinity")
-    if log_R0 is None:
-        if R0 is None or R0 <= 1:
-            raise ParameterError("R0 must exceed 1")
-        log_R0 = math.log(R0)
-    if log_R0 <= 0:
-        raise ParameterError("log R0 must be positive")
+    if not delta > 0:  # also rejects nan
+        raise ParameterError(f"delta must be positive, got {delta!r}: for delta <= 0 the sprinkling sums "
+                             "diverge and ell_inf = -infinity")
+    if not math.isfinite(ell_prime):
+        raise ParameterError(f"ell' must be finite, got {ell_prime!r}")
+    _check_count("n_max", n_max)
+    log_R0 = _log_R0(R0, log_R0)
     p = 1.0 + delta / 2.0
     n = np.arange(1, n_max + 1, dtype=float)
     steps = (log_R0 + n * LOG5) ** (-p)  # decrement applied after level n
@@ -309,20 +334,15 @@ class ClosureResult:
     n_d: int
 
 
-def find_closure(g: DecayFunction, delta: float, n_d: int, c: float = 36.0,
-                 h_prime: DecayFunction | HFromG | None = None,
-                 log_r_cap: float = 1e28) -> ClosureResult:
-    """Smallest admissible log R0 plus the matching p1 ceiling.
+def _check_closure_args(n_d, c) -> None:
+    _check_count("n_d", n_d)
+    if not (math.isfinite(c) and c > 0):
+        raise ParameterError(f"c must be finite and positive, got {c!r}")
 
-    Solves h'(r)^2 / h'(5r) <= (4 n_d^4 c c')^{-1} for r >= R0 by geometric
-    scan and bisection on the decreasing tail of the ratio.
-    """
-    cond = check_subcritical_conditions(g, delta, h_prime)
-    if not cond.verdict:
-        raise ParameterError("closure impossible: " + "; ".join(cond.diagnostics))
-    h = HFromG(g, delta)
-    hp = h if h_prime is None else h_prime
-    cp = cond.c_prime
+
+def _min_log_R0(hp, n_d: int, c: float, cp: float, log_r_cap: float) -> float:
+    """Smallest log r from which h'(r)^2 / h'(5r) <= (4 n_d^4 c c')^{-1}, by
+    geometric scan and bisection on the decreasing tail of the ratio."""
     thresh_log = -math.log(4.0 * n_d**4 * c * cp)
 
     def sq(logr):
@@ -330,21 +350,33 @@ def find_closure(g: DecayFunction, delta: float, n_d: int, c: float = 36.0,
 
     lo = 2.0 * LOG2
     if sq(lo) <= thresh_log:
-        log_R0 = lo
-    else:
-        hi = lo
-        while sq(hi) > thresh_log:
-            hi *= 2.0
-            if hi > log_r_cap:
-                raise ParameterError("no admissible R0 below the scan cap")
-        lo_b = hi / 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo_b + hi)
-            if sq(mid) > thresh_log:
-                lo_b = mid
-            else:
-                hi = mid
-        log_R0 = hi
+        return lo
+    hi = lo
+    while sq(hi) > thresh_log:
+        hi *= 2.0
+        if hi > log_r_cap:
+            raise ParameterError("no admissible R0 below the scan cap")
+    lo_b = hi / 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo_b + hi)
+        if sq(mid) > thresh_log:
+            lo_b = mid
+        else:
+            hi = mid
+    return hi
+
+
+def find_closure(g: DecayFunction, delta: float, n_d: int, c: float = 36.0,
+                 h_prime: DecayFunction | HFromG | None = None,
+                 log_r_cap: float = _LOG_R_CAP) -> ClosureResult:
+    """Smallest admissible log R0 plus the matching p1 ceiling, with the scanned c'."""
+    _check_closure_args(n_d, c)
+    cond = check_subcritical_conditions(g, delta, h_prime)
+    if not cond.verdict:
+        raise ParameterError("closure impossible: " + "; ".join(cond.diagnostics))
+    hp = HFromG(g, delta) if h_prime is None else h_prime
+    cp = cond.c_prime
+    log_R0 = _min_log_R0(hp, n_d, c, cp, log_r_cap)
     p1_max = 2.0 * n_d**2 * c * cp * math.exp(float(hp.log_value(log_R0 + math.log(25.0))))
     return ClosureResult(log_R0, min(1.0, p1_max), cp, n_d)
 
@@ -381,16 +413,17 @@ def run_recursion(g: DecayFunction, delta: float, n_d: int, c: float, R0: float 
     """
     if not 0.0 <= p1 <= 1.0:
         raise ParameterError("p1 must be a probability")
+    _check_closure_args(n_d, c)
+    _check_count("n_steps", n_steps)
     cond = check_subcritical_conditions(g, delta, h_prime)
     if not cond.verdict:
         raise ParameterError("subcritical conditions fail: " + "; ".join(cond.diagnostics))
-    if log_R0 is None:
-        if R0 is None or R0 <= 1:
-            raise ParameterError("R0 must exceed 1")
-        log_R0 = math.log(R0)
+    log_R0 = _log_R0(R0, log_R0)
     h = HFromG(g, delta)
     hp = h if h_prime is None else h_prime
     cp = c_prime if c_prime is not None else cond.c_prime
+    if not (math.isfinite(cp) and cp > 0):
+        raise ParameterError(f"c' must be finite and positive, got {cp!r}")
     M = 2.0 * n_d**2 * c * cp
     failures: list[str] = []
 
@@ -398,12 +431,12 @@ def run_recursion(g: DecayFunction, delta: float, n_d: int, c: float, R0: float 
     sq = 2.0 * np.asarray(hp.log_value(scales)) - np.asarray(hp.log_value(scales + LOG5))
     thresh_log = -math.log(4.0 * n_d**4 * c * cp)
     r0_ok = bool(np.all(sq <= thresh_log + 1e-12))
-    closure = None
+    log_R0_min = None
     if not r0_ok:
-        closure = find_closure(g, delta, n_d, c, h_prime)
+        log_R0_min = _min_log_R0(hp, n_d, c, cp, _LOG_R_CAP)
         failures.append(
             f"ratio condition h'(r)^2/h'(5r) <= 1/(4 n_d^4 c c') fails at some scale >= R0; "
-            f"minimal log R0 = {closure.log_R0_min:.6g}"
+            f"minimal log R0 = {log_R0_min:.6g}"
         )
     p1_cap = M * math.exp(float(hp.log_value(log_R0 + math.log(25.0))))
     base_ok = p1 <= p1_cap * (1.0 + 1e-12)
@@ -425,7 +458,7 @@ def run_recursion(g: DecayFunction, delta: float, n_d: int, c: float, R0: float 
     return RecursionReport(
         q=q, invariant_bound=inv, closure_r0_ok=r0_ok, closure_base_ok=base_ok,
         invariant_ok=inv_ok, log_R0=log_R0, p1=p1, c_prime=cp, failures=failures,
-        log_R0_min=closure.log_R0_min if closure else None,
+        log_R0_min=log_R0_min,
         p1_max=p1_cap,
     )
 

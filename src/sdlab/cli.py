@@ -11,7 +11,6 @@ import copy
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import analytic, bootstrap, kernels, measures, mc
 from .errors import ConfigError, SdlabError
-from .events import AllAbove, BoxCrossing, event_from_dict, event_to_dict
+from .events import AllAbove, BoxCrossing, event_from_dict, event_to_dict, lattice_ball
 from .sampler import Grid, draw, plan_circulant, plan_dense, write_snapshot
 
 ENV_OUT = "SDLAB_OUT"
@@ -312,16 +311,6 @@ def cmd_negbound(args) -> int:
     return 0
 
 
-def _ball_points(R: float, d: int, center=None):
-    c = np.asarray(center if center is not None else (0,) * d)
-    m = int(math.ceil(R))
-    ranges = [np.arange(v - m, v + m + 1) for v in c]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
-    keep = ((pts - c) ** 2).sum(axis=1) <= R * R
-    return [tuple(int(x) for x in row) for row in pts[keep]]
-
-
 def _read_matrix(path: str) -> np.ndarray:
     try:
         with warnings.catch_warnings():
@@ -337,7 +326,7 @@ def cmd_capacity(args) -> int:
         idx = _numbers("--set", args.set, int) if args.set else None
     else:
         model = build_model({"family": args.model, "d": args.d})
-        pts = _ball_points(args.ball, args.d)
+        pts = lattice_ball((0,) * args.d, args.ball)
         K = kernels.build_cov_matrix(model, pts)
         idx = None
     res = measures.capacity(K, idx, tol=args.tol)
@@ -356,7 +345,7 @@ def cmd_maxcorr(args) -> int:
         i2 = _numbers("--i2", args.i2, int)
     else:
         model = build_model({"family": args.model, "d": args.d})
-        p1 = _ball_points(args.ball, args.d)
+        p1 = list(lattice_ball((0,) * args.d, args.ball))
         shiftv = (args.dist,) + (0,) * (args.d - 1)
         p2 = [tuple(a + b for a, b in zip(p, shiftv)) for p in p1]
         pts = p1 + p2
@@ -441,16 +430,14 @@ def cmd_bootstrap(args) -> int:
     if args.boot_cmd == "run-recursion":
         g = bootstrap.decay_from_string(args.g)
         hp = bootstrap.decay_from_string(args.h_prime) if args.h_prime else None
-        n_d = args.n_d or bootstrap.annulus_covering(args.d, 1.0).n_d
-        if args.log_R0 is None and args.R0 is None:
+        n_d = args.n_d if args.n_d is not None else bootstrap.annulus_covering(args.d, 1.0).n_d
+        R0, log_R0, p1 = args.R0, args.log_R0, args.p1
+        if log_R0 is None and R0 is None:
             closure = bootstrap.find_closure(g, args.delta, n_d, args.c, hp)
             log_R0, p1 = closure.log_R0_min, closure.p1_max
-        else:
-            log_R0 = args.log_R0 if args.log_R0 is not None else math.log(args.R0)
-            p1 = args.p1
-        rep = bootstrap.run_recursion(g, args.delta, n_d, args.c, None, p1, h_prime=hp,
+        rep = bootstrap.run_recursion(g, args.delta, n_d, args.c, R0, p1, h_prime=hp,
                                       n_steps=args.n_steps, log_R0=log_R0)
-        sched = bootstrap.sprinkle_schedule(None, args.delta, args.ell_prime, 1000, log_R0=log_R0)
+        sched = bootstrap.sprinkle_schedule(None, args.delta, args.ell_prime, 1000, log_R0=rep.log_R0)
         cert = {
             "n_d": n_d, "c": args.c, "c_prime": rep.c_prime, "log_R0": rep.log_R0,
             "p1": rep.p1, "closure_r0_ok": rep.closure_r0_ok, "closure_base_ok": rep.closure_base_ok,

@@ -102,18 +102,20 @@ class AnnulusCrossing:
         if self.r_outer <= self.r_inner:
             raise InputError("outer radius must exceed inner radius")
 
-    def _ball_sites(self) -> np.ndarray:
-        c = np.asarray(self.center)
-        m = int(np.ceil(self.r_outer))
-        ranges = [np.arange(v - m, v + m + 1) for v in c]
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        coords = np.stack([g.ravel() for g in mesh], axis=1)
-        d2 = ((coords - c) ** 2).sum(axis=1)
-        return coords[d2 <= self.r_outer**2]
-
     @property
     def support(self) -> tuple[Point, ...]:
-        return tuple(tuple(int(v) for v in row) for row in self._ball_sites())
+        return lattice_ball(self.center, self.r_outer)
+
+
+def lattice_ball(center, radius: float) -> tuple[Point, ...]:
+    """Sites of Z^d within Euclidean distance ``radius`` of ``center``, in row-major order."""
+    if not np.isfinite(radius):
+        raise InputError(f"ball radius must be finite, got {radius!r}")
+    c = np.asarray(center)
+    m = int(np.ceil(radius))
+    mesh = np.meshgrid(*[np.arange(v - m, v + m + 1) for v in c], indexing="ij")
+    coords = np.stack([g.ravel() for g in mesh], axis=1)
+    return _norm_sites(coords[((coords - c) ** 2).sum(axis=1) <= radius**2])
 
 
 EventSpec = AllAbove | AnyAbove | BoxCrossing | AnnulusCrossing

@@ -17,7 +17,12 @@ GFF offsets are canonicalized to sorted absolute integer coordinates.  Each
 row becomes one int64 key in lexicographic row order (mixed radix, re-ranked
 before it could overflow), so one 1-d ``np.unique`` deduplicates them.  Only
 rows missing from the Green's function cache are evaluated, with one
-``scipy.special.ive`` table per batch over its distinct |coordinate| values.
+``scipy.special.ive`` table per batch over its distinct |coordinate| values;
+``gff_green`` is the same path on a one-row batch.
+
+Every covariance matrix that is built here, factored (``sampler.plan_dense``)
+or given to ``measures.capacity`` passes one PSD gate, ``repair_psd``: finite,
+and indefinite only up to roundoff, or a typed error.
 """
 
 from __future__ import annotations
@@ -197,18 +202,8 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def gff_green(offset, d: int = 3) -> float:
-    """G_d at a lattice offset, cached by sorted absolute coordinates."""
-    if d < 3:
-        raise DomainError("gff green function requires d >= 3")
-    row = _lattice_rows(np.asarray(offset, dtype=float)[None, :])[0]
-    key = (d, tuple(int(v) for v in row))
-    hit = _GREEN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    val = float(_green_batch(np.array([key[1]], dtype=float), d)[0])
-    with _GREEN_LOCK:
-        _GREEN_CACHE.setdefault(key, val)
-    return val
+    """G_d at one lattice offset; ``cov_of_offsets`` on a one-row batch."""
+    return float(cov_of_offsets(gff(d), np.asarray(offset, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +263,8 @@ def cov_of_offsets(model: CovarianceModel, offsets: np.ndarray) -> np.ndarray:
     """Vectorized K(0, offset) for an (m, dim) displacement array (field units)."""
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     if model.family == "gff":
+        if offsets.shape[1] != model.dim:
+            raise InputError(f"gff offsets must have {model.dim} coordinates, got {offsets.shape[1]}")
         canon = _lattice_rows(offsets)
         keys, inverse = np.unique(_row_keys(canon), return_inverse=True)
         rep = np.empty(len(keys), dtype=np.intp)
@@ -309,14 +306,25 @@ def eval_cov(model: CovarianceModel, x, y) -> float:
 
 
 def repair_psd(mat: np.ndarray, rel_tol: float = PSD_REL_TOL) -> tuple[np.ndarray, float]:
-    """Clip negative eigenvalues to zero.
+    """The one PSD gate for ``build_cov_matrix``, ``plan_dense`` and ``capacity``.
 
-    Returns the repaired matrix and the clipped eigenvalue mass.  The input is
+    Raises InputError for a non-finite matrix and ModelError when the clipped
+    eigenvalue mass exceeds PSD_CLIP_LIMIT * trace (the matrix is genuinely
+    indefinite, not off by roundoff).  Otherwise clips negative eigenvalues to
+    zero and returns the repaired matrix and the clipped mass; the input is
     returned unchanged when the smallest eigenvalue is above -rel_tol * largest.
     """
+    if not np.isfinite(mat).all():
+        raise InputError("covariance matrix must be finite")
     w = np.linalg.eigvalsh(mat)
     wmax = max(w[-1], 0.0)
     clipped = float(-w[w < 0].sum()) if (w < 0).any() else 0.0
+    tr = float(np.trace(mat))
+    if clipped > PSD_CLIP_LIMIT * max(tr, 1e-300):
+        raise ModelError(
+            f"covariance matrix is not PSD: clipped eigenvalue mass {clipped:.3e} "
+            f"exceeds {PSD_CLIP_LIMIT:.0e} of trace {tr:.3e}"
+        )
     if w[0] >= -rel_tol * max(wmax, 1.0):
         return mat, clipped
     w, v = np.linalg.eigh(mat)
@@ -325,12 +333,8 @@ def repair_psd(mat: np.ndarray, rel_tol: float = PSD_REL_TOL) -> tuple[np.ndarra
     return 0.5 * (rep + rep.T), clipped
 
 
-def build_cov_matrix(model: CovarianceModel, points, return_clipped_mass: bool = False):
-    """Covariance matrix on a finite point set, PSD-checked and repaired.
-
-    Raises ModelError when the clipped eigenvalue mass exceeds
-    PSD_CLIP_LIMIT * trace (the kernel is genuinely indefinite on this set).
-    """
+def build_cov_matrix(model: CovarianceModel, points) -> np.ndarray:
+    """Covariance matrix on a finite point set, through the PSD gate ``repair_psd``."""
     pts = [_as_point(p) for p in points]
     if not pts:
         raise InputError("point set is empty")
@@ -344,17 +348,7 @@ def build_cov_matrix(model: CovarianceModel, points, return_clipped_mass: bool =
         arr = np.asarray(pts, dtype=float)
         diffs = arr[:, None, :] - arr[None, :, :]
         m = cov_of_offsets(model, diffs.reshape(n * n, -1)).reshape(n, n)
-    m = 0.5 * (m + m.T)
-    rep, clipped = repair_psd(m)
-    tr = float(np.trace(m))
-    if clipped > PSD_CLIP_LIMIT * max(tr, 1e-300):
-        raise ModelError(
-            f"kernel not PSD on this point set: clipped eigenvalue mass {clipped:.3e} "
-            f"exceeds {PSD_CLIP_LIMIT:.0e} of trace {tr:.3e}"
-        )
-    if return_clipped_mass:
-        return rep, clipped
-    return rep
+    return repair_psd(0.5 * (m + m.T))[0]
 
 
 def export_cov_csv(matrix: np.ndarray, path) -> None:

@@ -176,10 +176,7 @@ def plan_dense(cov: np.ndarray, base_seed: int, points=None) -> DensePlan:
         raise InputError("covariance must be a square matrix")
     if not np.allclose(cov, cov.T, atol=0, rtol=0):
         raise InputError("covariance must be exactly symmetric")
-    rep, clipped = repair_psd(cov)
-    tr = float(np.trace(cov))
-    if clipped > 1e-6 * max(tr, 1e-300):
-        raise ModelError(f"matrix indefinite beyond repair tolerance (clipped mass {clipped:.2e})")
+    rep, _ = repair_psd(cov)
     w, v = np.linalg.eigh(rep)
     order = np.argsort(-w, kind="stable")
     w, v = np.clip(w[order], 0.0, None), v[:, order]

@@ -215,6 +215,79 @@ def test_recursion_flags_r0_violation_with_minimal_fix():
     assert rep.log_R0_min == pytest.approx(cl.log_R0_min, rel=1e-6)
 
 
+def test_recursion_suggestion_uses_the_run_c_prime():
+    g = bootstrap.polylog(3.5)
+    hp = bootstrap.loginv(0.5)
+    n_d = 10
+    cl = bootstrap.find_closure(g, 0.25, n_d, 36.0, hp)
+    cp = 1e6 * cl.c_prime
+    rep = bootstrap.run_recursion(g, 0.25, n_d, 36.0, None, 1e-9, c_prime=cp, h_prime=hp, log_R0=1e3)
+    assert not rep.closure_r0_ok and rep.log_R0_min > cl.log_R0_min
+    again = bootstrap.run_recursion(g, 0.25, n_d, 36.0, None, 1e-9, c_prime=cp, h_prime=hp,
+                                    log_R0=rep.log_R0_min)
+    assert again.closure_r0_ok
+    # with the scanned c' the suggestion is find_closure's, to the bit
+    rep = bootstrap.run_recursion(g, 0.25, n_d, 36.0, None, 1e-9, h_prime=hp, log_R0=1e3)
+    assert rep.log_R0_min == cl.log_R0_min
+    # no admissible R0 below the scan cap is a typed error, not a suggestion that fails
+    with pytest.raises(ParameterError, match="scan cap"):
+        bootstrap.run_recursion(g, 0.25, 92, 36.0, None, 1e-9, c_prime=cp, h_prime=hp, log_R0=1e3)
+
+
+@pytest.mark.parametrize("n_d", [0, -3, 2.5, True, None])
+def test_closure_and_recursion_need_a_covering_number(n_d):
+    g, hp = bootstrap.polylog(3.5), bootstrap.loginv(0.5)
+    with pytest.raises(ParameterError, match="n_d must be an integer >= 1"):
+        bootstrap.find_closure(g, 0.25, n_d, 36.0, hp)
+    with pytest.raises(ParameterError, match="n_d must be an integer >= 1"):
+        bootstrap.run_recursion(g, 0.25, n_d, 36.0, 100.0, 0.01, h_prime=hp)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_steps": 0}, "n_steps must be an integer >= 1"),
+    ({"n_steps": 2.0}, "n_steps must be an integer >= 1"),
+    ({"R0": -5.0}, "R0 must exceed 1"),
+    ({"R0": 1.0}, "R0 must exceed 1"),
+    ({"R0": math.nan}, "R0 must exceed 1"),
+    ({"R0": math.inf}, "log R0 must be finite and positive"),
+    ({"log_R0": math.inf}, "log R0 must be finite and positive"),
+    ({"log_R0": math.nan}, "log R0 must be finite and positive"),
+    ({"log_R0": 0.0}, "log R0 must be finite and positive"),
+    ({"c": 0.0}, "c must be finite and positive"),
+    ({"c_prime": -1.0}, "c' must be finite and positive"),
+    ({"c_prime": math.inf}, "c' must be finite and positive"),
+])
+def test_recursion_rejects_malformed_numbers(kwargs, message):
+    args = {"R0": 100.0, "n_steps": 10, "c": 36.0, **kwargs}
+    with pytest.raises(ParameterError, match=message):
+        bootstrap.run_recursion(bootstrap.polylog(3.5), 0.25, 10, args.pop("c"), args.pop("R0"), 0.01,
+                                h_prime=bootstrap.loginv(0.5), **args)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_max": 0}, "n_max must be an integer >= 1"),
+    ({"n_max": -2}, "n_max must be an integer >= 1"),
+    ({"R0": math.inf}, "log R0 must be finite and positive"),
+    ({"R0": None, "log_R0": math.inf}, "log R0 must be finite and positive"),
+])
+def test_schedule_rejects_malformed_numbers(kwargs, message):
+    args = {"R0": 10.0, "n_max": 5, **kwargs}
+    with pytest.raises(ParameterError, match=message):
+        bootstrap.sprinkle_schedule(args.pop("R0"), 0.25, -1.0, **args)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("polylog:3.5,0", "decay constant c must be positive"),
+    ("power:2,-1", "decay constant c must be positive"),
+    ("polylog:3.5,1,2", "one or two numbers"),
+    ("stretched:0.04,0.3,1", "one or two numbers"),
+    ("loginv:inf", "decay parameters must be finite"),
+])
+def test_decay_from_string_rejects_malformed_numbers(text, message):
+    with pytest.raises(ParameterError, match=message):
+        bootstrap.decay_from_string(text)
+
+
 def test_recursion_rejects_bad_conditions():
     with pytest.raises(ParameterError):
         bootstrap.run_recursion(bootstrap.polylog(1.5), 0.25, 10, 36.0, 100.0, 0.01)

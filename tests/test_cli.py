@@ -201,6 +201,25 @@ def test_verify_theorem_choices_omit_none(capsys):
     (["capacity", "--matrix", "{empty}"], "--matrix"),
     (["sample", "--shape", "4,4", "--replicate", "-1"], "replicate"),
     (["sample", "--shape", "4,4", "--replicate", str(2**64)], "replicate"),
+    (["bootstrap", "run-recursion", "--n-d", "-3"], "n_d must be an integer >= 1"),
+    (["bootstrap", "run-recursion", "--n-d", "0"], "n_d must be an integer >= 1"),
+    (["bootstrap", "run-recursion", "--n-d", "0", "--R0", "100"], "n_d must be an integer >= 1"),
+    (["bootstrap", "run-recursion", "--c", "-1"], "c must be finite and positive"),
+    (["bootstrap", "run-recursion", "--R0", "-5"], "R0 must exceed 1"),
+    (["bootstrap", "run-recursion", "--R0", "1e400"], "log R0 must be finite and positive"),
+    (["bootstrap", "run-recursion", "--log-R0", "1e400"], "log R0 must be finite and positive"),
+    (["bootstrap", "run-recursion", "--log-R0", "-1"], "log R0 must be finite and positive"),
+    (["bootstrap", "schedule", "--R0", "1e400"], "log R0 must be finite and positive"),
+    (["bootstrap", "run-recursion", "--n-steps", "0"], "n_steps must be an integer >= 1"),
+    (["bootstrap", "schedule", "--n-max", "0"], "n_max must be an integer >= 1"),
+    (["bootstrap", "schedule", "--n-max", "-2"], "n_max must be an integer >= 1"),
+    (["bootstrap", "run-recursion", "--g", "polylog:3.5,0"], "decay constant c must be positive"),
+    (["bootstrap", "run-recursion", "--g", "polylog:3.5,-1"], "decay constant c must be positive"),
+    (["bootstrap", "run-recursion", "--g", "polylog:3.5,1,2"], "one or two numbers"),
+    (["bootstrap", "run-recursion", "--g", "polylog:nan"], "decay parameters must be finite"),
+    (["bootstrap", "run-recursion", "--delta", "nan"], "delta must be positive"),
+    (["bootstrap", "schedule", "--R0", "10", "--delta", "nan"], "delta must be positive"),
+    (["bootstrap", "schedule", "--R0", "10", "--ell-prime", "nan"], "ell' must be finite"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):
@@ -216,6 +235,24 @@ def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Warning" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files.values())
+
+
+def test_non_finite_explicit_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_malformed("cor2.6", model={"family": "explicit", "matrix": [[float("inf")]]})))
+    assert "[[Infinity]]" in path.read_text()
+    assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: covariance matrix must be finite")
+    assert not list(tmp_path.glob("*_*.json"))
+
+
+def test_verify_gff_on_one_dimensional_sites_exits_1(tmp_path, capsys):
+    # the desk sites of thm1.1 are 1-d; G_3 of a 1-d offset is no covariance of the model
+    assert run(["verify", "thm1.1", "--model", "gff", "--d", "3", "-n", "200", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gff offsets must have 3 coordinates, got 1")
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_config_raises_config_error():

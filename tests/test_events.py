@@ -235,3 +235,22 @@ def test_event_from_dict_rejects_malformed_input(d):
 def test_event_to_dict_rejects_unknown_type():
     with pytest.raises(InputError):
         events.event_to_dict(("all_above", ((0,),)))
+
+
+@pytest.mark.parametrize("center, radius", [((0, 0, 0), 4.0), ((0, 0), 2.5), ((1, -2), 3), ((0,), 1.0), ((0, 0), 0.0)])
+def test_lattice_ball_is_the_row_major_euclidean_ball(center, radius):
+    import itertools
+
+    m = int(np.ceil(radius))
+    offsets = itertools.product(range(-m, m + 1), repeat=len(center))
+    expect = tuple(tuple(c + o for c, o in zip(center, off)) for off in offsets
+                   if sum(o * o for o in off) <= radius * radius)
+    assert events.lattice_ball(center, radius) == expect
+    if radius > 0:
+        assert events.AnnulusCrossing(center, 0.0, radius).support == expect
+
+
+@pytest.mark.parametrize("radius", [np.inf, np.nan])
+def test_lattice_ball_needs_a_finite_radius(radius):
+    with pytest.raises(InputError, match="ball radius must be finite"):
+        events.lattice_ball((0, 0), radius)

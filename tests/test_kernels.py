@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sdlab import kernels
+from sdlab import kernels, measures, sampler
 from sdlab.errors import DomainError, InputError, ModelError, ParameterError
 
 import oracles
@@ -281,3 +281,53 @@ def test_build_cov_empty_point_set_is_input_error(model):
         kernels.build_cov_matrix(model, [])
     with pytest.raises(InputError, match="point set is empty"):
         kernels.build_cov_matrix(model, np.empty((0, model.dim)))
+
+
+INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+
+
+@pytest.mark.parametrize("gate", [
+    lambda K: kernels.build_cov_matrix(kernels.explicit(K), [(0,), (1,)]),
+    lambda K: sampler.plan_dense(K, 0),
+    lambda K: measures.capacity(K),
+], ids=["build_cov_matrix", "plan_dense", "capacity"])
+def test_indefinite_matrix_is_one_model_error(gate):
+    with pytest.raises(ModelError) as exc:
+        gate(INDEFINITE)
+    assert str(exc.value) == ("covariance matrix is not PSD: clipped eigenvalue mass 1.000e+00 "
+                              "exceeds 1e-06 of trace 2.000e+00")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_psd_gate_rejects_non_finite_matrices(bad):
+    K = np.array([[bad]])
+    with pytest.raises(InputError, match="covariance matrix must be finite"):
+        kernels.repair_psd(K)
+    # nan is not equal to itself, so a nan matrix already fails the symmetry checks
+    message = "symmetric" if np.isnan(bad) else "covariance matrix must be finite"
+    with pytest.raises(InputError, match=message):
+        sampler.plan_dense(K, 0)
+    with pytest.raises(InputError, match=message):
+        kernels.build_cov_matrix(kernels.explicit(np.full((2, 2), bad)), [(0,), (1,)])
+
+
+@pytest.mark.parametrize("offsets", [np.zeros((1, 2)), np.zeros((4, 1)), np.zeros((1, 4))])
+def test_gff_offsets_need_model_dimension(offsets):
+    with pytest.raises(InputError, match="gff offsets must have 3 coordinates"):
+        kernels.cov_of_offsets(kernels.gff(3), offsets)
+    with pytest.raises(InputError, match="gff offsets must have 3 coordinates"):
+        kernels.gff_green(offsets[0], 3)
+    with pytest.raises(InputError, match="gff offsets must have 3 coordinates"):
+        kernels.build_cov_matrix(kernels.gff(3), [(0,) * offsets.shape[1], (1,) * offsets.shape[1]])
+
+
+def test_isotropic_kernels_accept_lower_dimensional_points():
+    # a point set of lower dimension is a valid embedding for an isotropic profile
+    got = kernels.cov_of_offsets(kernels.bargmann_fock(2), np.array([[1.0]]))
+    assert got[0] == np.exp(-0.5)
+
+
+def test_gff_green_shares_the_offsets_cache(cold_green_cache):
+    val = kernels.gff_green((2, -1, 0), 3)
+    assert kernels._GREEN_CACHE == {(3, (0, 1, 2)): val}
+    assert kernels.cov_of_offsets(kernels.gff(3), np.array([[0.0, 2.0, 1.0]]))[0] == val
