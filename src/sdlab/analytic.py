@@ -54,12 +54,6 @@ def _phi2(rho: float, u: float, v: float) -> float:
     return math.exp(-(u * u - 2.0 * rho * u * v + v * v) / (2.0 * om)) / (2.0 * math.pi * math.sqrt(om))
 
 
-def bivariate_pdf(rho: float, u: float, v: float) -> float:
-    if not -1.0 < rho < 1.0:
-        raise DomainError("bivariate pdf requires |rho| < 1")
-    return _phi2(rho, u, v)
-
-
 def bivariate_cdf(rho: float, u: float, v: float) -> float:
     """P[Z1 <= u, Z2 <= v] for a rho-correlated standard Gaussian pair.
 

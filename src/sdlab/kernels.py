@@ -15,10 +15,10 @@ symmetry K(x,y) == K(y,x) holds exactly.
 
 GFF offsets are canonicalized to sorted absolute integer coordinates.  Each
 row becomes one int64 key in lexicographic row order (mixed radix, re-ranked
-before it could overflow), so one 1-d ``np.unique`` deduplicates them.  Only
-rows missing from the Green's function cache are evaluated, with one
-``scipy.special.ive`` table per batch over its distinct |coordinate| values;
-``gff_green`` is the same path on a one-row batch.
+before it could overflow), so one 1-d ``np.unique`` deduplicates them.  Each
+distinct row is evaluated with one ``scipy.special.ive`` table per batch over
+its distinct |coordinate| values and reduced over the quadrature nodes on its
+own, so G_d(x) depends on x alone; ``gff_green`` is the same path on one row.
 
 Every covariance matrix that is built here, factored (``sampler.plan_dense``)
 or given to ``measures.capacity`` passes one PSD gate, ``repair_psd``: finite,
@@ -28,7 +28,6 @@ and indefinite only up to roundoff, or a typed error.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,32 +121,20 @@ def explicit(matrix) -> CovarianceModel:
 # mapped through s = 1/u^2 so both pieces are smooth for Gauss-Legendre.
 
 _GREEN_T = 40.0
-_GREEN_NODES: dict[int, tuple[np.ndarray, ...]] = {}
-_GREEN_CACHE: dict[tuple[int, tuple], float] = {}
-_GREEN_LOCK = threading.Lock()
 
 
-def _green_quadrature(npanels: int = 24, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre_panels(b: float, npanels: int, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``order``-point Gauss-Legendre on ``npanels`` equal panels of [0, b]."""
     x, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    # [0, T] in equal panels
-    edges = np.linspace(0.0, _GREEN_T, npanels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.linspace(0.0, b, npanels + 1)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
-def _green_tail_quadrature(npanels: int = 12, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    # tail int_T^inf f(s) ds = int_0^{1/sqrt(T)} f(1/u^2) * 2 u^-3 du
-    x, w = np.polynomial.legendre.leggauss(order)
-    umax = 1.0 / math.sqrt(_GREEN_T)
-    edges = np.linspace(0.0, umax, npanels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+# (nodes s, weights) of the body on [0, T] and of the tail, whose weights carry
+# ds = 2 u^-3 du; they do not depend on d, so they are built once here
+_U, _WU = _gauss_legendre_panels(1.0 / math.sqrt(_GREEN_T), 12)
+_GREEN_RULES = (_gauss_legendre_panels(_GREEN_T, 24), (1.0 / _U**2, _WU * (2.0 / _U**3)))
 
 
 def _green_batch(offsets: np.ndarray, d: int) -> np.ndarray:
@@ -155,19 +142,13 @@ def _green_batch(offsets: np.ndarray, d: int) -> np.ndarray:
 
     Each Bessel factor depends on one |coordinate| and one node only, so ``ive``
     runs once per distinct |coordinate| and the table is gathered into the
-    (m, d, nodes) factors.
+    (m, d, nodes) factors.  Each row is reduced over the nodes on its own, so
+    its value does not depend on the other rows of the batch.
     """
-    if d not in _GREEN_NODES:
-        with _GREEN_LOCK:
-            if d not in _GREEN_NODES:
-                _GREEN_NODES[d] = _green_quadrature() + _green_tail_quadrature()
-    s, ws, u, wu = _GREEN_NODES[d]
     a, idx = np.unique(np.abs(offsets).astype(float), return_inverse=True)
     idx = idx.reshape(offsets.shape)  # (m, d) rows of the table a
-    body = np.prod(special.ive(a[:, None], s / d)[idx], axis=1) @ ws
-    st = 1.0 / u**2
-    tail_vals = np.prod(special.ive(a[:, None], st / d)[idx], axis=1)
-    tail = (tail_vals * (2.0 / u**3)[None, :]) @ wu
+    body, tail = ((np.prod(special.ive(a[:, None], s / d)[idx], axis=1) * w).sum(axis=1)
+                  for s, w in _GREEN_RULES)
     return body + tail
 
 
@@ -269,22 +250,7 @@ def cov_of_offsets(model: CovarianceModel, offsets: np.ndarray) -> np.ndarray:
         keys, inverse = np.unique(_row_keys(canon), return_inverse=True)
         rep = np.empty(len(keys), dtype=np.intp)
         rep[inverse] = np.arange(len(canon))  # rows with one key are equal; any will do
-        uniq = canon[rep]
-        vals = np.empty(len(uniq))
-        missing = []
-        for k, row in enumerate(uniq):
-            cached = _GREEN_CACHE.get((model.dim, tuple(row)))
-            if cached is None:
-                missing.append(k)
-            else:
-                vals[k] = cached
-        if missing:
-            fresh = _green_batch(uniq[missing].astype(float), model.dim)
-            vals[missing] = fresh
-            with _GREEN_LOCK:
-                for k, v in zip(missing, fresh):
-                    _GREEN_CACHE.setdefault((model.dim, tuple(uniq[k])), float(v))
-        return vals[inverse]
+        return _green_batch(canon[rep].astype(float), model.dim)[inverse]
     if model.family == "explicit":
         raise ModelError("explicit models are not stationary; use eval_cov on indices")
     return _profile(model, np.linalg.norm(offsets, axis=1))

@@ -62,8 +62,8 @@ def capacity(K: np.ndarray, I=None, tol: float = 1e-10, max_iter: int = 200_000)
     tol * max(energy, 1e-300); an energy below 1e-14 is reported as infinite
     capacity rather than an error.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be finite and positive, got {tol}")
     K, idx = _checked(K, range(len(K)) if I is None else I)
     A = K[np.ix_(idx, idx)]
     A, _ = repair_psd(0.5 * (A + A.T))
@@ -149,8 +149,11 @@ def max_corr(K: np.ndarray, I1, I2, ridge: float | None = None) -> MaxCorrResult
     """Largest canonical correlation between the two coordinate blocks.
 
     ridge=None applies 1e-10 * trace only when a block is near singular;
-    an explicit ridge=0.0 on a singular block raises instead.
+    an explicit ridge=0.0 on a singular block raises instead.  An explicit
+    ridge must be finite and >= 0.
     """
+    if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
+        raise InputError(f"ridge must be finite and >= 0, got {ridge}")
     K, i, j = _checked(K, I1, I2)
     A = K[np.ix_(i, i)]
     B = K[np.ix_(j, j)]

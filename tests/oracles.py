@@ -30,17 +30,13 @@ def philox_normals(base_seed: int, replicate: int, shape) -> np.ndarray:
 
 def green_reference(offsets, d: int) -> np.ndarray:
     """GFF K(0, offset) for an (m, d) offset array, deduplicated by ``np.unique(axis=0)``,
-    with ``ive`` evaluated per row, coordinate and node, and no cache."""
+    with ``ive`` evaluated per row, coordinate and node, each row reduced on its own."""
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     canon = np.sort(np.abs(np.round(offsets).astype(np.int64)), axis=1)
     uniq, inverse = np.unique(canon, axis=0, return_inverse=True)
-    s, ws = kernels._green_quadrature()
-    u, wu = kernels._green_tail_quadrature()
     a = np.abs(uniq.astype(float))  # (m, d)
-    body = np.prod(special.ive(a[:, :, None], s[None, None, :] / d), axis=1) @ ws
-    st = 1.0 / u**2
-    tail_vals = np.prod(special.ive(a[:, :, None], st[None, None, :] / d), axis=1)
-    tail = (tail_vals * (2.0 / u**3)[None, :]) @ wu
+    body, tail = ((np.prod(special.ive(a[:, :, None], s[None, None, :] / d), axis=1) * w).sum(axis=1)
+                  for s, w in kernels._GREEN_RULES)
     return (body + tail)[inverse.ravel()]
 
 

@@ -220,6 +220,10 @@ def test_verify_theorem_choices_omit_none(capsys):
     (["bootstrap", "run-recursion", "--delta", "nan"], "delta must be positive"),
     (["bootstrap", "schedule", "--R0", "10", "--delta", "nan"], "delta must be positive"),
     (["bootstrap", "schedule", "--R0", "10", "--ell-prime", "nan"], "ell' must be finite"),
+    (["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "1", "--ridge", "nan"], "ridge must be finite and >= 0"),
+    (["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "1", "--ridge", "inf"], "ridge must be finite and >= 0"),
+    (["capacity", "--d", "3", "--ball", "1", "--tol", "nan"], "tol must be finite and positive"),
+    (["capacity", "--d", "3", "--ball", "1", "--tol", "inf"], "tol must be finite and positive"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):

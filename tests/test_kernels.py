@@ -1,4 +1,9 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,23 +211,40 @@ GREEN_CASES = {
 }
 
 
-@pytest.fixture
-def cold_green_cache():
-    kernels._GREEN_CACHE.clear()
-    yield
-    kernels._GREEN_CACHE.clear()
-
-
 @pytest.mark.parametrize("name", list(GREEN_CASES))
-def test_gff_cov_of_offsets_equals_reference_cold_and_warm(name, cold_green_cache):
+def test_gff_cov_of_offsets_equals_reference_cold_and_warm(name):
     offsets = GREEN_CASES[name]()
     d = offsets.shape[1]
     ref = oracles.green_reference(offsets, d)
-    assert np.array_equal(kernels.cov_of_offsets(kernels.gff(d), offsets), ref)  # cold
-    assert np.array_equal(kernels.cov_of_offsets(kernels.gff(d), offsets), ref)  # warm
+    assert np.array_equal(kernels.cov_of_offsets(kernels.gff(d), offsets), ref)
+    assert np.array_equal(kernels.cov_of_offsets(kernels.gff(d), offsets), ref)  # repeated call
 
 
-def test_gff_large_coordinate_needs_no_table_up_to_it(cold_green_cache):
+def test_gff_values_do_not_depend_on_earlier_gff_work():
+    kernels.build_cov_matrix(kernels.gff(3), _ball(2))
+    kernels.gff_green((3, 1, 0), 3)
+    offsets = GREEN_CASES["ball4"]()
+    assert np.array_equal(kernels.cov_of_offsets(kernels.gff(3), offsets), oracles.green_reference(offsets, 3))
+
+
+def test_gff_green_equals_the_matrix_entry_of_a_fresh_process():
+    pts = _ball(2)
+    code = ("import json; from sdlab import kernels; "
+            f"print(json.dumps(kernels.build_cov_matrix(kernels.gff(3), {pts!r}).tolist()))")
+    env = dict(os.environ, PYTHONPATH=str(Path(kernels.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    fresh = json.loads(out.stdout)  # json floats round-trip exactly
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            assert kernels.gff_green(np.subtract(p, q), 3) == fresh[i][j], (p, q)
+
+
+def test_green_batch_value_does_not_depend_on_batch_size():
+    rows = np.array(list(itertools.product(range(8), repeat=3))[:463], dtype=float)  # rows[0] = 0
+    assert len({kernels._green_batch(rows[:m], 3)[0] for m in range(1, 464)}) == 1
+
+
+def test_gff_large_coordinate_needs_no_table_up_to_it():
     import tracemalloc
 
     offsets = np.array([[0.0, 1e6, 0.0]])
@@ -269,7 +291,7 @@ def test_gff_green_rejects_off_lattice_offsets(offset):
         kernels.eval_cov(kernels.gff(3), (0, 0, 0), offset)
 
 
-def test_gff_green_integer_offsets_unchanged(cold_green_cache):
+def test_gff_green_integer_offsets_unchanged():
     for off in [(0, 0, 0), (1, 0, 0), (-2, 3, 1), (0, 0, 10**6), (np.int64(4), 1, -1), (2.0, 1.0, 0.0)]:
         expect = oracles.green_reference(np.array([off], dtype=float), 3)[0]
         assert kernels.gff_green(off, 3) == expect
@@ -327,7 +349,6 @@ def test_isotropic_kernels_accept_lower_dimensional_points():
     assert got[0] == np.exp(-0.5)
 
 
-def test_gff_green_shares_the_offsets_cache(cold_green_cache):
+def test_gff_green_shares_the_offsets_cache():
     val = kernels.gff_green((2, -1, 0), 3)
-    assert kernels._GREEN_CACHE == {(3, (0, 1, 2)): val}
     assert kernels.cov_of_offsets(kernels.gff(3), np.array([[0.0, 2.0, 1.0]]))[0] == val
