@@ -165,18 +165,18 @@ def neg_bound_scan(kappa: float, u_values) -> NegBoundTable:
     return NegBoundTable(kappa, u, log_r, r, exponent)
 
 
-def fit_limiting_exponent(table: NegBoundTable, tail_fraction: float = 0.5) -> float:
+def fit_limiting_exponent(table: NegBoundTable) -> float:
     """Extrapolate the scan's diagnostic exponent to u -> infinity.
 
     The finite-u exponent carries a log(sqrt(2 pi) u)/u^2 correction from the
-    Gaussian tail asymptotic; fitting it out on the largest u values yields
-    the limiting constant.
+    Gaussian tail asymptotic; fitting it out on the larger half of the finite
+    rows (at least four) yields the limiting constant.
     """
     ok = np.isfinite(table.exponent) & (table.u > 0)
     u, c = table.u[ok], table.exponent[ok]
     if len(u) < 4:
         raise DomainError("too few finite scan rows to extrapolate")
-    k = max(4, int(len(u) * tail_fraction))
+    k = max(4, len(u) // 2)
     u, c = u[-k:], c[-k:]
     g = np.log(SQRT_2PI * u) / u**2
     design = np.vstack([np.ones_like(g), g]).T

@@ -23,6 +23,7 @@ from .sampler import Grid, plan_circulant
 LOG2 = math.log(2.0)
 LOG5 = math.log(5.0)
 _LOG_R_CAP = 1e28  # the closure scan gives up above this log R0
+_K_MAX = 60  # the condition scan runs over r = 2^k, k <= _K_MAX
 
 
 @dataclass(frozen=True)
@@ -142,18 +143,18 @@ def _tail_decreasing(vals: np.ndarray, k: int = 10) -> bool:
     return bool(np.all(np.diff(tail) < 0))
 
 
-def check_subcritical_conditions(g: DecayFunction, delta: float, h_prime: DecayFunction | HFromG | None = None,
-                                 k_max: int = 60) -> ConditionsReport:
+def check_subcritical_conditions(g: DecayFunction, delta: float,
+                                 h_prime: DecayFunction | HFromG | None = None) -> ConditionsReport:
     """Check h -> 0, sup h/h'(25 r) < inf (reported as c'), h'(r)^2/h'(5r) -> 0.
 
-    Checks run on the geometric grid r = 2^k, k <= k_max, with the tail trend
+    Checks run on the geometric grid r = 2^k, k <= _K_MAX, with the tail trend
     standing in for the limit statements.
     """
     if not delta > 0:  # also rejects nan
         raise ParameterError(f"delta must be positive, got {delta!r}")
     h = HFromG(g, delta)
     hp = h if h_prime is None else h_prime
-    logs = np.arange(2, k_max + 1, dtype=float) * LOG2
+    logs = np.arange(2, _K_MAX + 1, dtype=float) * LOG2
     lh = h.log_value(logs)
     lhp25 = hp.log_value(logs + math.log(25.0))
     lhp = hp.log_value(logs)
@@ -173,7 +174,7 @@ def check_subcritical_conditions(g: DecayFunction, delta: float, h_prime: DecayF
     # summable (increment * k^2 not growing), i.e. the ratio converges
     log_ratio = lh - lhp25
     d = np.diff(log_ratio)
-    ks = np.arange(3, k_max + 1, dtype=float)
+    ks = np.arange(3, _K_MAX + 1, dtype=float)
     if np.all(d[-10:] <= 1e-12):
         ratio_bounded = True
     else:
@@ -220,7 +221,7 @@ def _shell_points(radius: float, spacing: float, d: int) -> np.ndarray:
     return pts[np.abs(norms - radius) <= tol]
 
 
-def annulus_covering(d: int, R: float, scale_factor: int = 5) -> AnnulusCovering:
+def annulus_covering(d: int, R: float) -> AnnulusCovering:
     """Point sets whose R-annulus crossings are forced by any B(5R) -> bd B(10R) path.
 
     Shells at radii 6R and 8R with lattice spacing R/sqrt(d): any sphere point
@@ -232,8 +233,6 @@ def annulus_covering(d: int, R: float, scale_factor: int = 5) -> AnnulusCovering
         raise InputError("annulus covering is defined for d >= 2")
     if R <= 0:
         raise InputError("R must be positive")
-    if scale_factor != 5:
-        raise ParameterError("the recursion uses scale factor 5")
     s = R / math.sqrt(d)
     xs = _shell_points(6.0 * R, s, d)
     ys = _shell_points(8.0 * R, s, d)
@@ -340,7 +339,7 @@ def _check_closure_args(n_d, c) -> None:
         raise ParameterError(f"c must be finite and positive, got {c!r}")
 
 
-def _min_log_R0(hp, n_d: int, c: float, cp: float, log_r_cap: float) -> float:
+def _min_log_R0(hp, n_d: int, c: float, cp: float) -> float:
     """Smallest log r from which h'(r)^2 / h'(5r) <= (4 n_d^4 c c')^{-1}, by
     geometric scan and bisection on the decreasing tail of the ratio."""
     thresh_log = -math.log(4.0 * n_d**4 * c * cp)
@@ -354,7 +353,7 @@ def _min_log_R0(hp, n_d: int, c: float, cp: float, log_r_cap: float) -> float:
     hi = lo
     while sq(hi) > thresh_log:
         hi *= 2.0
-        if hi > log_r_cap:
+        if hi > _LOG_R_CAP:
             raise ParameterError("no admissible R0 below the scan cap")
     lo_b = hi / 2.0
     for _ in range(200):
@@ -367,8 +366,7 @@ def _min_log_R0(hp, n_d: int, c: float, cp: float, log_r_cap: float) -> float:
 
 
 def find_closure(g: DecayFunction, delta: float, n_d: int, c: float = 36.0,
-                 h_prime: DecayFunction | HFromG | None = None,
-                 log_r_cap: float = _LOG_R_CAP) -> ClosureResult:
+                 h_prime: DecayFunction | HFromG | None = None) -> ClosureResult:
     """Smallest admissible log R0 plus the matching p1 ceiling, with the scanned c'."""
     _check_closure_args(n_d, c)
     cond = check_subcritical_conditions(g, delta, h_prime)
@@ -376,7 +374,7 @@ def find_closure(g: DecayFunction, delta: float, n_d: int, c: float = 36.0,
         raise ParameterError("closure impossible: " + "; ".join(cond.diagnostics))
     hp = HFromG(g, delta) if h_prime is None else h_prime
     cp = cond.c_prime
-    log_R0 = _min_log_R0(hp, n_d, c, cp, log_r_cap)
+    log_R0 = _min_log_R0(hp, n_d, c, cp)
     p1_max = 2.0 * n_d**2 * c * cp * math.exp(float(hp.log_value(log_R0 + math.log(25.0))))
     return ClosureResult(log_R0, min(1.0, p1_max), cp, n_d)
 
@@ -433,7 +431,7 @@ def run_recursion(g: DecayFunction, delta: float, n_d: int, c: float, R0: float 
     r0_ok = bool(np.all(sq <= thresh_log + 1e-12))
     log_R0_min = None
     if not r0_ok:
-        log_R0_min = _min_log_R0(hp, n_d, c, cp, _LOG_R_CAP)
+        log_R0_min = _min_log_R0(hp, n_d, c, cp)
         failures.append(
             f"ratio condition h'(r)^2/h'(5r) <= 1/(4 n_d^4 c c') fails at some scale >= R0; "
             f"minimal log R0 = {log_R0_min:.6g}"
@@ -475,27 +473,33 @@ class CrossingEstimate:
     R: float
     ell: float
     kind: str
-    thresholds: np.ndarray | None = None
+    thresholds: np.ndarray  # read-only: the threshold cache holds it
 
 
 def _crossing_event(kind: str, R_sites: int, aspect: float):
     if kind == "annulus":
-        return AnnulusCrossing((0,) * 2, R_sites, 2 * R_sites), 2 * R_sites
+        return AnnulusCrossing((0,) * 2, R_sites, 2 * R_sites)
     if kind == "one_arm":
-        return AnnulusCrossing((0,) * 2, 0.0, R_sites), R_sites
+        return AnnulusCrossing((0,) * 2, 0.0, R_sites)
     if kind in ("hcross", "vcross"):
         nx = max(2, int(round(aspect * R_sites)))
         ny = max(2, int(R_sites))
         if kind == "vcross":
             nx, ny = ny, nx
         axis = 0 if kind == "hcross" else 1
-        return BoxCrossing((0, 0), (nx - 1, ny - 1), axis=axis), None
+        return BoxCrossing((0, 0), (nx - 1, ny - 1), axis=axis)
     raise ParameterError(f"unknown crossing kind {kind!r}")
 
 
+def _support_grid(events, spacing: float) -> Grid:
+    """The bounding box of the events' supports."""
+    pts = np.array([p for ev in events for p in ev.support])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    return Grid(tuple(int(s) for s in hi - lo + 1), spacing, tuple(int(o) for o in lo))
+
+
 def estimate_crossing(model, spacing: float, ell: float, R: float, kind: str, n: int,
-                      seed: int, aspect: float = 5.0, workers: int = 1, padding: int = 2,
-                      keep_thresholds: bool = False) -> CrossingEstimate:
+                      seed: int, aspect: float = 5.0, workers: int = 1) -> CrossingEstimate:
     """P_ell of an annulus / one-arm / box-crossing event at level 0 for f + ell.
 
     Implemented as a threshold comparison (event occurs iff threshold <= ell),
@@ -507,20 +511,11 @@ def estimate_crossing(model, spacing: float, ell: float, R: float, kind: str, n:
     R_sites = int(round(R / spacing))
     if R_sites < 2:
         raise ParameterError("grid too small: R must span at least two sites")
-    event, ball = _crossing_event(kind, R_sites, aspect)
-    if ball is not None:
-        shape = (2 * ball + 1, 2 * ball + 1)
-        origin = (-ball, -ball)
-    else:
-        shape = (event.hi[0] + 1, event.hi[1] + 1)
-        origin = (0, 0)
-    grid = Grid(shape, spacing, origin)
-    plan = plan_circulant(model, grid, seed, padding=padding)
+    event = _crossing_event(kind, R_sites, aspect)
+    plan = plan_circulant(model, _support_grid((event,), spacing), seed)
     T = mc.event_thresholds(plan, (event,), n, workers)[0]
-    hits = (T <= ell).astype(float)
-    est = mc._mean_se(hits)
-    return CrossingEstimate(est.value, est.se, n, R, ell, kind,
-                            thresholds=T if keep_thresholds else None)
+    est = mc._mean_se((T <= ell).astype(float))
+    return CrossingEstimate(est.value, est.se, n, R, ell, kind, T)
 
 
 @dataclass
@@ -536,13 +531,12 @@ class DecayTable:
     rows: list[DecayRow]
     ell: float
     monotone_in_R: bool
-    thresholds: np.ndarray | None = None
+    thresholds: np.ndarray  # read-only, one row per radius: the threshold cache holds it
 
 
 def subcritical_decay_table(model, ell: float, R_values, n: int, seed: int,
                             h_prime: DecayFunction | HFromG | None = None,
-                            spacing: float = 1.0, workers: int = 1,
-                            keep_thresholds: bool = False) -> DecayTable:
+                            spacing: float = 1.0, workers: int = 1) -> DecayTable:
     """One-arm probabilities at increasing R with a scaled decay envelope.
 
     All radii share one field per replicate (nested events), so the estimates
@@ -551,10 +545,8 @@ def subcritical_decay_table(model, ell: float, R_values, n: int, seed: int,
     Rs = sorted(float(r) for r in R_values)
     if not Rs:
         raise InputError("need at least one radius")
-    ball = int(round(Rs[-1] / spacing))
-    grid = Grid((2 * ball + 1, 2 * ball + 1), spacing, (-ball, -ball))
-    plan = plan_circulant(model, grid, seed)
     events = tuple(AnnulusCrossing((0, 0), 0.0, int(round(r / spacing))) for r in Rs)
+    plan = plan_circulant(model, _support_grid(events, spacing), seed)
     T = mc.event_thresholds(plan, events, n, workers)
     ests = [(T[k] <= ell).astype(float) for k in range(len(Rs))]
     rows = []
@@ -569,4 +561,4 @@ def subcritical_decay_table(model, ell: float, R_values, n: int, seed: int,
             env = env_scale * val
         rows.append(DecayRow(r, t.value, t.se, env))
     mono = all(rows[k].estimate >= rows[k + 1].estimate for k in range(len(rows) - 1))
-    return DecayTable(rows, ell, mono, thresholds=T if keep_thresholds else None)
+    return DecayTable(rows, ell, mono, T)

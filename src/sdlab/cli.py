@@ -180,7 +180,7 @@ THEOREMS: dict[str, TheoremSpec] = {
         "interpolation covariance identity",
         {"model": {"family": "explicit", "matrix": [[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]]},
          "events": (_above([0]), _above([1]))},
-        lambda c, ev: mc.verify_interp_formula(build_plan(c, ev), c.n, workers=c.workers), n_events=0),
+        lambda c, ev: mc.verify_interp_formula(build_plan(c, ev), c.n), n_events=0),
     "prop1.8": TheoremSpec(
         "finite-range sprinkled decoupling", dict(_BF_BLOCKS, eps=(1.0,), radius=1.5),
         lambda c, ev: mc.verify_finite_range(build_model(c.model), _grid(c), c.radius, ev[0], ev[1],
@@ -413,79 +413,78 @@ def cmd_suite(args) -> int:
     return _run_suite(args, 10_000 if args.set == "smoke" else 100_000, f"suite_{args.set}.csv")
 
 
-def cmd_bootstrap(args) -> int:
-    out_dir = _out_dir(args)
-    if args.boot_cmd == "schedule":
-        sched = bootstrap.sprinkle_schedule(args.R0, args.delta, args.ell_prime, args.n_max,
-                                            log_R0=args.log_R0)
-        path = os.path.join(out_dir, "schedule.csv")
-        with open(path, "w") as fh:
-            fh.write("n,ell\n")
-            for i, v in enumerate(sched.levels, start=1):
-                fh.write(f"{i},{v:.17g}\n")
-        print(json.dumps({"ell_inf_lower": sched.ell_inf_lower, "tail_bound": sched.tail_bound},
-                         sort_keys=True))
-        print(f"wrote {path}")
-        return 0
-    if args.boot_cmd == "run-recursion":
-        g = bootstrap.decay_from_string(args.g)
-        hp = bootstrap.decay_from_string(args.h_prime) if args.h_prime else None
-        n_d = args.n_d if args.n_d is not None else bootstrap.annulus_covering(args.d, 1.0).n_d
-        R0, log_R0, p1 = args.R0, args.log_R0, args.p1
-        if log_R0 is None and R0 is None:
-            closure = bootstrap.find_closure(g, args.delta, n_d, args.c, hp)
-            log_R0, p1 = closure.log_R0_min, closure.p1_max
-        rep = bootstrap.run_recursion(g, args.delta, n_d, args.c, R0, p1, h_prime=hp,
-                                      n_steps=args.n_steps, log_R0=log_R0)
-        sched = bootstrap.sprinkle_schedule(None, args.delta, args.ell_prime, 1000, log_R0=rep.log_R0)
-        cert = {
-            "n_d": n_d, "c": args.c, "c_prime": rep.c_prime, "log_R0": rep.log_R0,
-            "p1": rep.p1, "closure_r0_ok": rep.closure_r0_ok, "closure_base_ok": rep.closure_base_ok,
-            "invariant_ok": rep.invariant_ok, "verdict": rep.verdict,
-            "q_first": rep.q[0], "q_last": rep.q[-1], "failures": rep.failures,
-            "ell_inf_lower": sched.ell_inf_lower,
-        }
-        path = os.path.join(out_dir, "recursion_certificate.json")
-        with open(path, "w") as fh:
-            json.dump(cert, fh, sort_keys=True, indent=1, default=_json_default)
-        print(json.dumps(cert, sort_keys=True, default=_json_default))
-        return 0 if rep.verdict else 2
-    if args.boot_cmd == "crossing":
-        model = build_model({"family": args.model, "d": 2})
-        est = bootstrap.estimate_crossing(model, args.spacing, args.ell, args.R, args.kind,
-                                          args.n, args.seed, aspect=args.aspect,
-                                          workers=args.workers)
-        print(json.dumps({"estimate": est.estimate, "se": est.se, "n": est.n,
-                          "R": est.R, "ell": est.ell, "kind": est.kind}, sort_keys=True))
-        return 0
-    if args.boot_cmd == "decay-table":
-        model = build_model({"family": args.model, "d": 2})
-        hp = bootstrap.decay_from_string(args.h_prime) if args.h_prime else None
-        Rs = _numbers("--Rs", args.Rs)
-        table = bootstrap.subcritical_decay_table(model, args.ell, Rs, args.n, args.seed,
-                                                  h_prime=hp, spacing=args.spacing,
-                                                  workers=args.workers)
-        path = os.path.join(out_dir, "decay_table.csv")
-        with open(path, "w") as fh:
-            fh.write("R,estimate,se,envelope\n")
-            for row in table.rows:
-                fh.write(f"{row.R:.6g},{row.estimate:.10g},{row.se:.10g},{row.envelope:.10g}\n")
-        print(f"wrote {path} (monotone in R: {table.monotone_in_R})")
-        return 0
-    raise SdlabError(f"unknown bootstrap subcommand {args.boot_cmd!r}")
+def cmd_schedule(args) -> int:
+    sched = bootstrap.sprinkle_schedule(args.R0, args.delta, args.ell_prime, args.n_max, log_R0=args.log_R0)
+    path = os.path.join(_out_dir(args), "schedule.csv")
+    with open(path, "w") as fh:
+        fh.write("n,ell\n")
+        for i, v in enumerate(sched.levels, start=1):
+            fh.write(f"{i},{v:.17g}\n")
+    print(json.dumps({"ell_inf_lower": sched.ell_inf_lower, "tail_bound": sched.tail_bound}, sort_keys=True))
+    print(f"wrote {path}")
+    return 0
+
+
+def cmd_run_recursion(args) -> int:
+    g = bootstrap.decay_from_string(args.g)
+    hp = bootstrap.decay_from_string(args.h_prime) if args.h_prime else None
+    n_d = args.n_d if args.n_d is not None else bootstrap.annulus_covering(args.d, 1.0).n_d
+    R0, log_R0, p1 = args.R0, args.log_R0, args.p1
+    if log_R0 is None and R0 is None:
+        closure = bootstrap.find_closure(g, args.delta, n_d, args.c, hp)
+        log_R0, p1 = closure.log_R0_min, closure.p1_max
+    rep = bootstrap.run_recursion(g, args.delta, n_d, args.c, R0, p1, h_prime=hp,
+                                  n_steps=args.n_steps, log_R0=log_R0)
+    sched = bootstrap.sprinkle_schedule(None, args.delta, args.ell_prime, 1000, log_R0=rep.log_R0)
+    cert = {
+        "n_d": n_d, "c": args.c, "c_prime": rep.c_prime, "log_R0": rep.log_R0,
+        "p1": rep.p1, "closure_r0_ok": rep.closure_r0_ok, "closure_base_ok": rep.closure_base_ok,
+        "invariant_ok": rep.invariant_ok, "verdict": rep.verdict,
+        "q_first": rep.q[0], "q_last": rep.q[-1], "failures": rep.failures,
+        "ell_inf_lower": sched.ell_inf_lower,
+    }
+    path = os.path.join(_out_dir(args), "recursion_certificate.json")
+    with open(path, "w") as fh:
+        json.dump(cert, fh, sort_keys=True, indent=1, default=_json_default)
+    print(json.dumps(cert, sort_keys=True, default=_json_default))
+    return 0 if rep.verdict else 2
+
+
+def cmd_crossing(args) -> int:
+    model = build_model({"family": args.model, "d": 2})
+    est = bootstrap.estimate_crossing(model, args.spacing, args.ell, args.R, args.kind, args.n, args.seed,
+                                      aspect=args.aspect, workers=args.workers)
+    print(json.dumps({"estimate": est.estimate, "se": est.se, "n": est.n,
+                      "R": est.R, "ell": est.ell, "kind": est.kind}, sort_keys=True))
+    return 0
+
+
+def cmd_decay_table(args) -> int:
+    model = build_model({"family": args.model, "d": 2})
+    hp = bootstrap.decay_from_string(args.h_prime) if args.h_prime else None
+    table = bootstrap.subcritical_decay_table(model, args.ell, _numbers("--Rs", args.Rs), args.n, args.seed,
+                                              h_prime=hp, spacing=args.spacing, workers=args.workers)
+    path = os.path.join(_out_dir(args), "decay_table.csv")
+    with open(path, "w") as fh:
+        fh.write("R,estimate,se,envelope\n")
+        for row in table.rows:
+            fh.write(f"{row.R:.6g},{row.estimate:.10g},{row.se:.10g},{row.envelope:.10g}\n")
+    print(f"wrote {path} (monotone in R: {table.monotone_in_R})")
+    return 0
 
 
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sdlab", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or .)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or .)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--workers", type=int, default=1)
 
-    sp = sub.add_parser("sample", help="write a field snapshot")
-    add_common(sp)
+    sp = sub.add_parser("sample", parents=[out], help="write a field snapshot")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--model", default="bf")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--shape", default="32,32")
@@ -500,16 +499,14 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("v", type=float)
     sp.set_defaults(fn=cmd_bvn)
 
-    sp = sub.add_parser("negbound", help="tail-gap scan table as CSV")
-    add_common(sp)
+    sp = sub.add_parser("negbound", parents=[out], help="tail-gap scan table as CSV")
     sp.add_argument("--kappa", type=float, default=0.293)
     sp.add_argument("--u-max", type=float, default=40.0)
     sp.add_argument("--u-step", type=float, default=1.0)
     sp.add_argument("--file", default=None)
     sp.set_defaults(fn=cmd_negbound)
 
-    sp = sub.add_parser("capacity", help="simplex-energy capacity of an index set")
-    add_common(sp)
+    sp = sub.add_parser("capacity", parents=[out], help="simplex-energy capacity of an index set")
     sp.add_argument("--matrix", default=None, help="CSV covariance matrix")
     sp.add_argument("--set", default=None, help="comma-separated indices into the matrix")
     sp.add_argument("--model", default="gff")
@@ -518,8 +515,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.set_defaults(fn=cmd_capacity)
 
-    sp = sub.add_parser("maxcorr", help="maximum correlation coefficient between blocks")
-    add_common(sp)
+    sp = sub.add_parser("maxcorr", parents=[out], help="maximum correlation coefficient between blocks")
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--i1", default=None)
     sp.add_argument("--i2", default=None)
@@ -530,8 +526,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ridge", type=float, default=-1.0, help="negative means automatic")
     sp.set_defaults(fn=cmd_maxcorr)
 
-    sp = sub.add_parser("verify", help="run one theorem verification")
-    add_common(sp)
+    sp = sub.add_parser("verify", parents=[out, seeded], help="run one theorem verification")
     sp.add_argument("theorem", nargs="?", default=None, choices=THEOREM_IDS)
     sp.add_argument("--config", default=None, help="JSON experiment config file")
     sp.add_argument("--model", default=None)
@@ -540,30 +535,26 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("-n", type=int, default=100_000)
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("verify-all", help="run every theorem id once")
-    add_common(sp)
+    sp = sub.add_parser("verify-all", parents=[out, seeded], help="run every theorem id once")
     sp.add_argument("-n", type=int, default=10_000)
     sp.set_defaults(fn=cmd_verify_all)
 
-    sp = sub.add_parser("suite", help="built-in config sets")
-    add_common(sp)
+    sp = sub.add_parser("suite", parents=[out, seeded], help="built-in config sets")
     sp.add_argument("set", choices=("smoke", "full"))
     sp.set_defaults(fn=cmd_suite)
 
     sp = sub.add_parser("bootstrap", help="multi-scale recursion tools")
     boot = sp.add_subparsers(dest="boot_cmd", required=True)
 
-    bp = boot.add_parser("schedule")
-    add_common(bp)
+    bp = boot.add_parser("schedule", parents=[out])
     bp.add_argument("--R0", type=float, default=None)
     bp.add_argument("--log-R0", dest="log_R0", type=float, default=None)
     bp.add_argument("--delta", type=float, default=0.25)
     bp.add_argument("--ell-prime", dest="ell_prime", type=float, default=-1.0)
     bp.add_argument("--n-max", dest="n_max", type=int, default=1000)
-    bp.set_defaults(fn=cmd_bootstrap)
+    bp.set_defaults(fn=cmd_schedule)
 
-    bp = boot.add_parser("run-recursion")
-    add_common(bp)
+    bp = boot.add_parser("run-recursion", parents=[out])
     bp.add_argument("--g", default="polylog:3.5")
     bp.add_argument("--h-prime", dest="h_prime", default=None)
     bp.add_argument("--delta", type=float, default=0.25)
@@ -575,10 +566,9 @@ def make_parser() -> argparse.ArgumentParser:
     bp.add_argument("--p1", type=float, default=1e-6)
     bp.add_argument("--n-steps", dest="n_steps", type=int, default=40)
     bp.add_argument("--ell-prime", dest="ell_prime", type=float, default=-1.0)
-    bp.set_defaults(fn=cmd_bootstrap)
+    bp.set_defaults(fn=cmd_run_recursion)
 
-    bp = boot.add_parser("crossing")
-    add_common(bp)
+    bp = boot.add_parser("crossing", parents=[out, seeded])
     bp.add_argument("--model", default="bf")
     bp.add_argument("--spacing", type=float, default=0.5)
     bp.add_argument("--ell", type=float, default=0.0)
@@ -587,17 +577,16 @@ def make_parser() -> argparse.ArgumentParser:
                     choices=("annulus", "one_arm", "hcross", "vcross"))
     bp.add_argument("--aspect", type=float, default=5.0)
     bp.add_argument("-n", type=int, default=2000)
-    bp.set_defaults(fn=cmd_bootstrap)
+    bp.set_defaults(fn=cmd_crossing)
 
-    bp = boot.add_parser("decay-table")
-    add_common(bp)
+    bp = boot.add_parser("decay-table", parents=[out, seeded])
     bp.add_argument("--model", default="bf")
     bp.add_argument("--spacing", type=float, default=1.0)
     bp.add_argument("--ell", type=float, default=-0.5)
     bp.add_argument("--Rs", default="8,16,32")
     bp.add_argument("--h-prime", dest="h_prime", default=None)
     bp.add_argument("-n", type=int, default=2000)
-    bp.set_defaults(fn=cmd_bootstrap)
+    bp.set_defaults(fn=cmd_decay_table)
 
     return p
 

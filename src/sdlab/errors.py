@@ -26,11 +26,7 @@ class ModelError(SdlabError, RuntimeError):
 
 
 class EmbeddingError(ModelError):
-    """Circulant torus embedding failed; carries a suggested padding factor."""
-
-    def __init__(self, message: str, suggested_padding: int | None = None):
-        super().__init__(message)
-        self.suggested_padding = suggested_padding
+    """Circulant torus embedding failed at every padding tried."""
 
 
 class NumericalError(SdlabError, RuntimeError):

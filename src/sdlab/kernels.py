@@ -47,8 +47,7 @@ PSD_CLIP_LIMIT = 1e-6
 class CovarianceModel:
     """A kernel family with parameters, evaluable at point pairs.
 
-    ``lattice`` marks whether points are meant as sites of Z^d (True) or as
-    positions of a scaled grid of R^d.  Models are immutable and safe to share.
+    Models are immutable and safe to share.
     """
 
     family: str
@@ -56,12 +55,16 @@ class CovarianceModel:
     alpha: float = 0.0
     gamma: float = 0.0
     scale: float = 1.0
-    lattice: bool = False
     matrix: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def stationary(self) -> bool:
         return self.family != "explicit"
+
+    @property
+    def lattice(self) -> bool:
+        """Points are sites of Z^d (True) or positions of a scaled grid of R^d."""
+        return self.family in ("gff", "iid_standard", "explicit")
 
     def __post_init__(self):
         if self.family == "gff" and self.dim < 3:
@@ -84,7 +87,7 @@ class CovarianceModel:
 
 
 def gff(d: int = 3) -> CovarianceModel:
-    return CovarianceModel("gff", d, lattice=True)
+    return CovarianceModel("gff", d)
 
 
 def bargmann_fock(d: int = 2) -> CovarianceModel:
@@ -104,12 +107,12 @@ def polylog_decay(c: float, gamma: float, d: int = 1) -> CovarianceModel:
 
 
 def iid_standard(d: int = 1) -> CovarianceModel:
-    return CovarianceModel("iid_standard", d, lattice=True)
+    return CovarianceModel("iid_standard", d)
 
 
 def explicit(matrix) -> CovarianceModel:
     m = np.asarray(matrix, dtype=float)
-    return CovarianceModel("explicit", 1, matrix=m, lattice=True)
+    return CovarianceModel("explicit", 1, matrix=m)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +274,14 @@ def eval_cov(model: CovarianceModel, x, y) -> float:
     return float(cov_of_offsets(model, off[None, :])[0])
 
 
-def repair_psd(mat: np.ndarray, rel_tol: float = PSD_REL_TOL) -> tuple[np.ndarray, float]:
+def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """The one PSD gate for ``build_cov_matrix``, ``plan_dense`` and ``capacity``.
 
     Raises InputError for a non-finite matrix and ModelError when the clipped
     eigenvalue mass exceeds PSD_CLIP_LIMIT * trace (the matrix is genuinely
     indefinite, not off by roundoff).  Otherwise clips negative eigenvalues to
     zero and returns the repaired matrix and the clipped mass; the input is
-    returned unchanged when the smallest eigenvalue is above -rel_tol * largest.
+    returned unchanged when the smallest eigenvalue is above -PSD_REL_TOL * largest.
     """
     if not np.isfinite(mat).all():
         raise InputError("covariance matrix must be finite")
@@ -291,7 +294,7 @@ def repair_psd(mat: np.ndarray, rel_tol: float = PSD_REL_TOL) -> tuple[np.ndarra
             f"covariance matrix is not PSD: clipped eigenvalue mass {clipped:.3e} "
             f"exceeds {PSD_CLIP_LIMIT:.0e} of trace {tr:.3e}"
         )
-    if w[0] >= -rel_tol * max(wmax, 1.0):
+    if w[0] >= -PSD_REL_TOL * max(wmax, 1.0):
         return mat, clipped
     w, v = np.linalg.eigh(mat)
     wc = np.clip(w, 0.0, None)

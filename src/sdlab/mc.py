@@ -130,7 +130,10 @@ def _check_replicates(n) -> None:
 
 
 def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.ndarray:
-    """Threshold matrix of shape (len(specs), n) over replicates 0..n-1."""
+    """Threshold matrix of shape (len(specs), n) over replicates 0..n-1.
+
+    The matrix is read-only: the cache hands the same array to every caller.
+    """
     _check_replicates(n)
     specs = tuple(specs)
     key = (plan.fingerprint, specs, int(n))
@@ -154,6 +157,7 @@ def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.n
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, blocks))
+    out.flags.writeable = False
     with _CACHE_LOCK:
         _CACHE[key] = out
         while len(_CACHE) > _CACHE_MAX:
@@ -244,8 +248,7 @@ def _cov(a: np.ndarray, b: np.ndarray) -> TermEstimate:
 
 @_timed
 def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: float, eps2: float, n: int,
-                     constant_mode: str = "proof-36", workers: int = 1,
-                     theorem_id: str = "thm1.1") -> InequalityReport:
+                     constant_mode: str = "proof-36", workers: int = 1) -> InequalityReport:
     """Two-sided sprinkled decoupling at error c * max|K_cross| / (eps1 eps2).
 
     constant_mode "proof-36" uses the explicit constant 36 on both sides;
@@ -260,7 +263,7 @@ def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: floa
         c_up, c_down = 36.0, 36.0
     elif constant_mode == "positive-1":
         if kmin < -1e-12:
-            return _report(theorem_id, {}, [], {"kappa": kappa, "min_cross": kmin}, plan.base_seed, n,
+            return _report("thm1.1", {}, [], {"kappa": kappa, "min_cross": kmin}, plan.base_seed, n,
                            VERDICT_NA, ("cross-covariance sign check failed; c=1 branch inapplicable",))
         c_up, c_down = 1.0, 0.0
     else:
@@ -289,7 +292,7 @@ def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: floa
     }
     consts = {"kappa": kappa, "min_cross": kmin, "c_up": c_up, "c_down": c_down,
               "eps1": eps1, "eps2": eps2, "bound_up": bound, "bound_down": bound_dn}
-    return _report(theorem_id, terms, sides, consts, plan.base_seed, n, notes=notes)
+    return _report("thm1.1", terms, sides, consts, plan.base_seed, n, notes=notes)
 
 
 @_timed
@@ -306,13 +309,15 @@ def verify_threshold_cov(plan, A1, A2, n: int, workers: int = 1) -> InequalityRe
                    {"lower": lo, "upper": hi, "min_cross": kmin, "max_cross": kmax}, plan.base_seed, n)
 
 
+HOEFFDING_BINS = 256  # histogram bins per axis of the Hoeffding box
+
+
 @dataclass(frozen=True)
 class HoeffdingBox:
     u_lo: float
     u_hi: float
     v_lo: float
     v_hi: float
-    bins: int = 256
     budget_tol: float = 0.02
 
 
@@ -357,7 +362,7 @@ def verify_hoeffding(plan, A1, A2, n: int, box: HoeffdingBox, workers: int = 1) 
     if budget > box.budget_tol:
         for k in range(4, 80):
             cand = HoeffdingBox(A1.level - k * sig1, A1.level + k * sig1,
-                                A2.level - k * sig2, A2.level + k * sig2, box.bins, box.budget_tol)
+                                A2.level - k * sig2, A2.level + k * sig2, box.budget_tol)
             if _budget(cand) <= 0.5 * box.budget_tol:
                 raise ParameterError(
                     f"integration box too small: truncation budget {budget:.3e} > "
@@ -383,12 +388,12 @@ def verify_hoeffding(plan, A1, A2, n: int, box: HoeffdingBox, workers: int = 1) 
         dv = (box.v_hi - box.v_lo) / bins
         return float(integrand.sum() * du * dv)
 
-    integral = box_integral(box.bins)
-    resolution = abs(integral - box_integral(max(16, box.bins // 2)))
+    integral = box_integral(HOEFFDING_BINS)
+    resolution = abs(integral - box_integral(HOEFFDING_BINS // 2))
     side = _allowance("cov=integral", abs(cov_est.value - integral), cov_est.se,
                       3.0 * cov_est.se + budget + resolution)
     terms = {"cov": cov_est, "integral": TermEstimate(integral, 0.0, n)}
-    consts = {"budget": budget, "resolution": resolution, "bins": box.bins}
+    consts = {"budget": budget, "resolution": resolution, "bins": HOEFFDING_BINS}
     return _report("hoeffding", terms, [side], consts, plan.base_seed, n)
 
 
@@ -410,47 +415,43 @@ def verify_positive_association(plan, A1, A2, n: int, workers: int = 1) -> Inequ
     return _report("pa", terms, [side], {"min_cross": kmin, "max_cross": kmax}, plan.base_seed, n)
 
 
+INTERP_NODES = 24  # Gauss-Legendre nodes of the interpolation integral
+
+
 def _grad_index(desc, column, n: int) -> np.ndarray:
     """Per-replicate index of the gradient's nonzero coordinate; column(i) gives coordinate i."""
-    kind = desc[0]
-    if kind == "linear":
+    if desc[0] == "linear":
         return np.full(n, desc[1], dtype=np.intp)
-    if kind == "max":
-        i, j = desc[1], desc[2]
-        return np.where(column(i) >= column(j), i, j).astype(np.intp)
-    raise ParameterError(f"unknown functional {desc!r}")
+    i, j = desc[1], desc[2]
+    return np.where(column(i) >= column(j), i, j).astype(np.intp)
 
 
 def _func_values(desc, draws: np.ndarray) -> np.ndarray:
-    kind = desc[0]
-    if kind == "linear":
+    if desc[0] == "linear":
         return draws[:, desc[1]]
     return np.maximum(draws[:, desc[1]], draws[:, desc[2]])
 
 
 @_timed
-def verify_interp_formula(plan: DensePlan, n: int, t_nodes: int = 24, cases=None,
-                          workers: int = 1) -> InequalityReport:
+def verify_interp_formula(plan: DensePlan, n: int) -> InequalityReport:
     """Interpolation covariance identity for linear and max-of-two functionals.
 
     Cov[f(X), g(X)] equals the exponentially weighted time integral of
     sum_ij K(i,j) E[df_i(X) dg_j(X^t)] along the Ornstein-Uhlenbeck
     interpolation X^t; the integral is mapped to (0,1) by s = e^{-t} and
-    evaluated with Gauss-Legendre nodes sharing one replicate set.
+    evaluated with Gauss-Legendre nodes sharing one replicate set.  The cases
+    are linear-linear across two sites and on one site, plus max-linear when
+    the plan has three sites.
     """
     if not isinstance(plan, DensePlan):
         raise InputError("interpolation check needs a dense plan with explicit covariance")
     _check_replicates(n)
     K = plan.cov
     dim = K.shape[0]
-    if cases is None:
-        cases = [
-            (("linear", 0), ("linear", min(1, dim - 1))),
-            (("linear", 0), ("linear", 0)),
-        ]
-        if dim >= 3:
-            cases.append((("max", 0, 1), ("linear", 2)))
-    s_nodes, s_w = np.polynomial.legendre.leggauss(t_nodes)
+    cases = [(("linear", 0), ("linear", min(1, dim - 1))), (("linear", 0), ("linear", 0))]
+    if dim >= 3:
+        cases.append((("max", 0, 1), ("linear", 2)))
+    s_nodes, s_w = np.polynomial.legendre.leggauss(INTERP_NODES)
     s_nodes = 0.5 * (s_nodes + 1.0)
     s_w = 0.5 * s_w
     X, Xp = plan.draw_pair_batch(range(n))
@@ -467,7 +468,7 @@ def verify_interp_formula(plan: DensePlan, n: int, t_nodes: int = 24, cases=None
             return acc
 
         rhs = _mean_se(rhs_at(s_nodes, s_w))
-        half = np.polynomial.legendre.leggauss(max(4, t_nodes // 2))
+        half = np.polynomial.legendre.leggauss(INTERP_NODES // 2)
         hn, hw = 0.5 * (half[0] + 1.0), 0.5 * half[1]
         quad_budget = abs(float(np.mean(rhs_at(hn, hw))) - rhs.value)
         se = float(np.hypot(lhs.se, rhs.se))
@@ -475,7 +476,7 @@ def verify_interp_formula(plan: DensePlan, n: int, t_nodes: int = 24, cases=None
                                 3.0 * se + quad_budget))
         terms[f"lhs{ci}"] = lhs
         terms[f"rhs{ci}"] = rhs
-    return _report("interp", terms, sides, {"t_nodes": t_nodes}, plan.base_seed, n)
+    return _report("interp", terms, sides, {"t_nodes": INTERP_NODES}, plan.base_seed, n)
 
 
 @_timed

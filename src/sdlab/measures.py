@@ -17,6 +17,7 @@ from .errors import InputError, NumericalError
 from .kernels import repair_psd
 
 CAP_INFINITE_ENERGY = 1e-14
+CAP_MAX_ITER = 200_000
 
 
 def _checked(K, *index_sets):
@@ -54,7 +55,7 @@ class CapacityResult:
     infinite: bool = False
 
 
-def capacity(K: np.ndarray, I=None, tol: float = 1e-10, max_iter: int = 200_000) -> CapacityResult:
+def capacity(K: np.ndarray, I=None, tol: float = 1e-10) -> CapacityResult:
     """Minimize mu^T K mu over the simplex on I; Cap = 1/energy.
 
     Frank-Wolfe with away steps and exact line search (the objective is
@@ -77,7 +78,7 @@ def capacity(K: np.ndarray, I=None, tol: float = 1e-10, max_iter: int = 200_000)
     mu = np.zeros(m)
     mu[start] = 1.0
     Amu = A[:, start].copy()
-    for it in range(1, max_iter + 1):
+    for it in range(1, CAP_MAX_ITER + 1):
         grad = 2.0 * Amu
         energy = float(mu @ Amu)
         s = int(np.argmin(grad))
@@ -118,7 +119,7 @@ def capacity(K: np.ndarray, I=None, tol: float = 1e-10, max_iter: int = 200_000)
     grad = 2.0 * Amu
     fw_gap = float(grad @ mu - grad.min())
     return CapacityResult(1.0 / energy if energy > CAP_INFINITE_ENERGY else math.inf,
-                          mu, energy, fw_gap, max_iter, False, energy < CAP_INFINITE_ENERGY)
+                          mu, energy, fw_gap, CAP_MAX_ITER, False, energy < CAP_INFINITE_ENERGY)
 
 
 @dataclass

@@ -6,6 +6,11 @@ average irfftn(rfftn(w) * f) on the box: the circulant plan has one filter,
 the half-spectrum of sqrt_spectrum; the split X = X1 + X2 has two, the near
 and far parts of that moving average, applied to the same w.
 
+The torus grows until its spectrum is nonnegative up to roundoff (Wood & Chan
+1994, Dietrich & Newsam 1997): each axis is the box extent times a padding of
+2, then 4 (``PADDINGS``), rounded up to a power of two, and the first torus
+whose clipped spectral fraction is at most ``SPECTRUM_CLIP_LIMIT`` is kept.
+
 Reproducibility contract: every replicate's noise comes from a counter-based
 Philox stream keyed by (base_seed, replicate), so draw(plan, r) is a pure
 function of the plan and the replicate index, independent of evaluation order
@@ -33,6 +38,9 @@ from .kernels import Point, cov_of_offsets, repair_psd
 
 DENSE_FACTOR_TOL = 1e-8
 SPECTRUM_CLIP_LIMIT = 1e-6
+# torus extent over box extent, tried in order; each FFT block holds
+# CirculantPlan._FFT_BLOCK replicates of the whole torus, so no larger
+PADDINGS = (2, 4)
 _UINT64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -254,28 +262,24 @@ class CirculantPlan(SamplerPlan):
         return float(cov_of_offsets(self.model, np.zeros((1, self.model.dim)))[0])
 
 
-def plan_circulant(model, grid: Grid, base_seed: int, padding: int = 2) -> CirculantPlan:
-    """Embed a stationary model on a torus of ``padding`` times the box extent."""
+def plan_circulant(model, grid: Grid, base_seed: int) -> CirculantPlan:
+    """Embed a stationary model on the first torus of ``PADDINGS`` whose spectrum clips
+    at most ``SPECTRUM_CLIP_LIMIT`` of its mass; EmbeddingError if none does."""
     if not model.stationary:
         raise ModelError("circulant embedding requires a stationary model")
     if len(grid.shape) != model.dim:
         raise InputError(f"grid dimension {len(grid.shape)} != model dimension {model.dim}")
-    if padding < 2:
-        raise ParameterError("padding factor must be >= 2")
-    torus_shape = tuple(int(2 ** math.ceil(math.log2(max(2, s * padding)))) for s in grid.shape)
-    c = cov_of_offsets(model, _torus_offsets(grid, torus_shape).reshape(-1, model.dim)).reshape(torus_shape)
-    lam = np.fft.fftn(c).real
-    neg = float(-lam[lam < 0].sum())
-    tot = float(np.abs(lam).sum())
-    frac = neg / tot if tot > 0 else 0.0
-    if frac > SPECTRUM_CLIP_LIMIT:
-        raise EmbeddingError(
-            f"circulant spectrum has clipped mass fraction {frac:.3e} > {SPECTRUM_CLIP_LIMIT:.0e}; "
-            f"try padding={2 * padding}",
-            suggested_padding=2 * padding,
-        )
-    lam = np.clip(lam, 0.0, None)
-    return CirculantPlan(model, grid, torus_shape, np.sqrt(lam), frac, base_seed)
+    for padding in PADDINGS:
+        torus_shape = tuple(int(2 ** math.ceil(math.log2(max(2, s * padding)))) for s in grid.shape)
+        offsets = _torus_offsets(grid, torus_shape).reshape(-1, model.dim)
+        lam = np.fft.fftn(cov_of_offsets(model, offsets).reshape(torus_shape)).real
+        neg = float(-lam[lam < 0].sum())
+        tot = float(np.abs(lam).sum())
+        frac = neg / tot if tot > 0 else 0.0
+        if frac <= SPECTRUM_CLIP_LIMIT:
+            return CirculantPlan(model, grid, torus_shape, np.sqrt(np.clip(lam, 0.0, None)), frac, base_seed)
+    raise EmbeddingError(f"circulant spectrum has clipped mass fraction {frac:.3e} > "
+                         f"{SPECTRUM_CLIP_LIMIT:.0e} at padding {padding}, the largest tried")
 
 
 def draw(plan: SamplerPlan, replicate: int) -> FieldSample:
@@ -318,12 +322,12 @@ class DecomposedPlan(CirculantPlan):
         return x1 + x2
 
 
-def plan_decomposed(model, grid: Grid, radius: float, base_seed: int, padding: int = 2) -> DecomposedPlan:
+def plan_decomposed(model, grid: Grid, radius: float, base_seed: int) -> DecomposedPlan:
     if model.family not in ("bargmann_fock", "cauchy"):
         raise ParameterError("moving-average decomposition supports bargmann_fock and cauchy")
     if radius < grid.spacing:
         raise ParameterError(f"truncation radius {radius} smaller than one grid cell {grid.spacing}")
-    base = plan_circulant(model, grid, base_seed, padding=padding)
+    base = plan_circulant(model, grid, base_seed)
     return DecomposedPlan(base, radius)
 
 

@@ -361,8 +361,7 @@ def test_criterion_9_percolation_desk_experiment():
                                       aspect=1.0, workers=4)
     square_ok = 0.4 <= est.estimate <= 0.6
 
-    table = bootstrap.subcritical_decay_table(model, -0.5, [8, 16, 32], 2000, 402,
-                                              keep_thresholds=True, workers=4)
+    table = bootstrap.subcritical_decay_table(model, -0.5, [8, 16, 32], 2000, 402, workers=4)
     mono_R = table.monotone_in_R
     T = table.thresholds
     mono_ell = all(np.all((T <= a) <= (T <= b)) for a, b in [(-1.0, -0.5), (-0.5, 0.0), (0.0, 0.5)])

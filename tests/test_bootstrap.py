@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdlab import bootstrap, kernels
+from sdlab import bootstrap, events, kernels
 from sdlab.errors import DomainError, InputError, ParameterError
 
 
@@ -321,8 +321,7 @@ def test_estimate_crossing_extreme_levels():
 
 def test_estimate_crossing_monotone_in_level():
     model = kernels.bargmann_fock(2)
-    est = bootstrap.estimate_crossing(model, 1.0, 0.0, 6.0, "one_arm", 400, 5,
-                                      keep_thresholds=True)
+    est = bootstrap.estimate_crossing(model, 1.0, 0.0, 6.0, "one_arm", 400, 5)
     T = est.thresholds
     for a, b in [(-0.5, 0.0), (0.0, 0.3), (0.3, 1.0)]:
         assert np.all((T <= a) <= (T <= b))
@@ -348,8 +347,33 @@ def test_decay_table_monotone_and_envelope():
 
 def test_decay_table_exact_monotone_in_level():
     model = kernels.bargmann_fock(2)
-    t1 = bootstrap.subcritical_decay_table(model, -0.5, [4, 8], 400, 7, keep_thresholds=True)
+    t1 = bootstrap.subcritical_decay_table(model, -0.5, [4, 8], 400, 7)
     T = t1.thresholds
     p_low = (T <= -0.8).mean(axis=1)
     p_high = (T <= -0.2).mean(axis=1)
     assert np.all(p_low <= p_high)
+
+
+def test_crossing_thresholds_are_read_only():
+    # the threshold cache hands one array to every caller: a write must not
+    # change the next estimate for the same config
+    model = kernels.bargmann_fock(2)
+    est = bootstrap.estimate_crossing(model, 1.0, 0.0, 6.0, "hcross", 400, 3, aspect=1.0)
+    with pytest.raises(ValueError):
+        est.thresholds[:] = 1.0
+    table = bootstrap.subcritical_decay_table(model, -0.5, [4, 8], 400, 7)
+    with pytest.raises(ValueError):
+        table.thresholds[0, 0] = 0.0
+    again = bootstrap.estimate_crossing(model, 1.0, 0.0, 6.0, "hcross", 400, 3, aspect=1.0)
+    assert again.estimate == est.estimate and again.se == est.se
+
+
+@pytest.mark.parametrize("specs, shape, origin", [
+    (("annulus",), (17, 17), (-8, -8)), (("one_arm",), (9, 9), (-4, -4)),
+    (("hcross",), (6, 4), (0, 0)), (("vcross",), (4, 6), (0, 0)),
+    ((events.AnnulusCrossing((0, 0), 0.0, 2), events.AnnulusCrossing((0, 0), 0.0, 5)), (11, 11), (-5, -5)),
+])
+def test_support_grid_is_the_bounding_box(specs, shape, origin):
+    specs = [bootstrap._crossing_event(s, 4, 1.5) if isinstance(s, str) else s for s in specs]
+    grid = bootstrap._support_grid(specs, 0.5)
+    assert (grid.shape, grid.origin, grid.spacing) == (shape, origin, 0.5)

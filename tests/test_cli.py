@@ -308,11 +308,15 @@ def test_sample_snapshot(tmp_path, capsys):
     assert vals.size == 64
 
 
-def test_sample_embedding_error_suggests_padding(capsys):
-    # a torus spanning too few correlation lengths is rejected with advice
-    code = run(["sample", "--model", "bf", "--shape", "8,8", "--spacing", "0.5"])
+def test_sample_embedding_error_suggests_padding(tmp_path, capsys):
+    # the torus grows from padding 2 to 4 when its spectrum clips: bf 8x8 at
+    # spacing 0.5 embeds at padding 4; the wave kernel embeds at neither
+    assert run(["sample", "--model", "bf", "--shape", "8,8", "--spacing", "0.5",
+                "--out", str(tmp_path)]) == 0
+    code = run(["sample", "--model", "wave", "--out", str(tmp_path / "wave")])
     assert code == 1
     assert "padding" in capsys.readouterr().err
+    assert not (tmp_path / "wave" / "field.snap").exists()
 
 
 def test_bootstrap_schedule_cmd(tmp_path, capsys):
@@ -363,6 +367,13 @@ def test_bootstrap_crossing_cmd(tmp_path, capsys):
     assert 0.0 <= out["estimate"] <= 1.0
 
 
+def test_bootstrap_crossing_cmd_grows_the_torus(capsys):
+    # a 12x8 box at spacing 0.5 clips at padding 2 and embeds at padding 4
+    code = run(["bootstrap", "crossing", "--spacing", "0.5", "--R", "4", "--aspect", "1.5", "-n", "200"])
+    assert code == 0
+    assert 0.0 <= json.loads(capsys.readouterr().out)["estimate"] <= 1.0
+
+
 def test_bootstrap_decay_table_cmd(tmp_path):
     code = run(["bootstrap", "decay-table", "--model", "bf", "--ell", "-0.5",
                 "--Rs", "4,8", "-n", "200", "--seed", "5", "--out", str(tmp_path)])
@@ -394,3 +405,30 @@ def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_OUT, str(tmp_path))
     assert run(["negbound", "--kappa", "0.4", "--u-max", "5", "--file", "x.csv"]) == 0
     assert (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--workers", "2"],
+    *([*cmd, flag, "2"] for cmd in (["negbound"], ["capacity"], ["maxcorr"],
+                                     ["bootstrap", "schedule"], ["bootstrap", "run-recursion"])
+      for flag in ("--seed", "--workers")),
+])
+def test_unread_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_kept_options_parse():
+    parser = cli.make_parser()
+    seeded = (["verify"], ["verify-all"], ["suite", "smoke"],
+              ["bootstrap", "crossing"], ["bootstrap", "decay-table"])
+    for cmd in seeded:
+        args = parser.parse_args([*cmd, "--seed", "3", "--workers", "2", "--out", "x"])
+        assert (args.seed, args.workers, args.out) == (3, 2, "x")
+    args = parser.parse_args(["sample", "--seed", "3", "--out", "x"])
+    assert (args.seed, args.out) == (3, "x")
+    for cmd in (["negbound"], ["capacity"], ["maxcorr"], ["bootstrap", "schedule"],
+                ["bootstrap", "run-recursion"]):
+        assert parser.parse_args([*cmd, "--out", "x"]).out == "x"

@@ -471,3 +471,15 @@ def test_replicate_count_below_two_is_a_parameter_error(n):
         mc.verify_interp_formula(sampler.plan_dense(np.eye(3), 1), n)
     with pytest.raises(ParameterError, match="n must be an integer >= 2"):
         mc.event_thresholds(iid_plan(), block_events(), n)
+
+
+def test_cached_thresholds_are_read_only():
+    # every caller gets the cached array itself, so a write would poison the next caller
+    clear_cache()
+    plan, events = iid_plan(), block_events()
+    T = mc.event_thresholds(plan, events, 500)
+    before = T.copy()
+    with pytest.raises(ValueError):
+        T[0, :] = 0.0
+    again = mc.event_thresholds(plan, events, 500)
+    assert again is T and np.array_equal(again, before)

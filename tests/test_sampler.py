@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from sdlab import kernels, sampler
-from sdlab.errors import InputError, ModelError, ParameterError
+from sdlab.errors import EmbeddingError, InputError, ModelError, ParameterError
 
 
 def test_plan_dense_identity_factor():
@@ -154,6 +154,16 @@ def test_circulant_covariance_fidelity_audit():
         prod = x[:, i] * x[:, j]
         se = prod.std(ddof=1) / np.sqrt(n)
         assert abs(prod.mean() - target) < 4 * max(se, 1e-12)
+
+
+def test_circulant_torus_grows_until_the_spectrum_is_nonnegative():
+    bf = kernels.bargmann_fock(2)
+    small = sampler.plan_circulant(bf, sampler.Grid((8, 8), 0.5), 0)  # clips at padding 2
+    assert small.torus_shape == (32, 32)
+    assert small.clipped_fraction <= sampler.SPECTRUM_CLIP_LIMIT
+    assert sampler.plan_circulant(bf, sampler.Grid((24, 24), 0.5), 0).torus_shape == (64, 64)
+    with pytest.raises(EmbeddingError, match="at padding 4"):
+        sampler.plan_circulant(kernels.monochromatic_wave(2), sampler.Grid((32, 32)), 0)
 
 
 def test_circulant_polylog_embedding_feasible():
