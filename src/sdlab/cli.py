@@ -170,8 +170,7 @@ THEOREMS: dict[str, TheoremSpec] = {
         lambda c, ev: mc.verify_threshold_cov(build_plan(c, ev), ev[0], ev[1], c.n, c.workers)),
     "hoeffding": TheoremSpec(
         "Hoeffding covariance formula", _PAIR,
-        lambda c, ev: mc.verify_hoeffding(build_plan(c, ev), ev[0], ev[1], c.n,
-                                          mc.HoeffdingBox(-8.0, 8.0, -8.0, 8.0), c.workers)),
+        lambda c, ev: mc.verify_hoeffding(build_plan(c, ev), ev[0], ev[1], c.n, c.workers)),
     "pa": TheoremSpec(
         "local positive association", dict(_PAIR, events=(_above([0], 1.0), _above([1], 1.0))),
         lambda c, ev: mc.verify_positive_association(build_plan(c, ev), ev[0], ev[1], c.n, c.workers)),
@@ -432,7 +431,10 @@ def cmd_run_recursion(args) -> int:
     R0, log_R0, p1 = args.R0, args.log_R0, args.p1
     if log_R0 is None and R0 is None:
         closure = bootstrap.find_closure(g, args.delta, n_d, args.c, hp)
-        log_R0, p1 = closure.log_R0_min, closure.p1_max
+        log_R0 = closure.log_R0_min
+        p1 = closure.p1_max if p1 is None else p1
+    elif p1 is None:
+        p1 = 1e-6
     rep = bootstrap.run_recursion(g, args.delta, n_d, args.c, R0, p1, h_prime=hp,
                                   n_steps=args.n_steps, log_R0=log_R0)
     sched = bootstrap.sprinkle_schedule(None, args.delta, args.ell_prime, 1000, log_R0=rep.log_R0)
@@ -563,7 +565,8 @@ def make_parser() -> argparse.ArgumentParser:
     bp.add_argument("--c", type=float, default=36.0)
     bp.add_argument("--R0", type=float, default=None)
     bp.add_argument("--log-R0", dest="log_R0", type=float, default=None)
-    bp.add_argument("--p1", type=float, default=1e-6)
+    bp.add_argument("--p1", type=float, default=None,
+                    help="default: the closure's ceiling, or 1e-6 with --R0/--log-R0")
     bp.add_argument("--n-steps", dest="n_steps", type=int, default=40)
     bp.add_argument("--ell-prime", dest="ell_prime", type=float, default=-1.0)
     bp.set_defaults(fn=cmd_run_recursion)

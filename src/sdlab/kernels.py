@@ -61,11 +61,6 @@ class CovarianceModel:
     def stationary(self) -> bool:
         return self.family != "explicit"
 
-    @property
-    def lattice(self) -> bool:
-        """Points are sites of Z^d (True) or positions of a scaled grid of R^d."""
-        return self.family in ("gff", "iid_standard", "explicit")
-
     def __post_init__(self):
         if self.family == "gff" and self.dim < 3:
             raise DomainError(f"gff requires dimension >= 3, got d={self.dim}")

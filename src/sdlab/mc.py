@@ -5,7 +5,7 @@ a field X, occurs(A, X + u) iff T_A(X) <= u, so one threshold array per event
 serves every sprinkling level.  This makes sprinkled indicators exactly
 monotone in the sprinkling parameter replicate by replicate.
 
-Difference estimators are paired: replicates are grouped in twos (a, b) and
+Difference estimators are paired (`_gap`): replicates are grouped in twos (a, b) and
 
     d = (J(a) + J(b))/2 - (S1(a) S2(b) + S1(b) S2(a))/2
 
@@ -171,12 +171,18 @@ def _mean_se(x: np.ndarray) -> TermEstimate:
     return TermEstimate(float(np.mean(x)), sd / np.sqrt(n), n)
 
 
-def _paired_diff(joint: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> TermEstimate:
-    """Mean and SE of P[joint] - P[s1] P[s2] from paired replicates."""
+def _gap(t1: np.ndarray, t2: np.ndarray, e1: float, e2: float) -> tuple[TermEstimate, np.ndarray, ...]:
+    """Paired estimate of the decoupling gap P[A1 and A2] - P[X+e1 in A1] P[X+e2 in A2].
+
+    Returns the estimate with the joint and sprinkled indicators it was
+    computed from.
+    """
+    joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
+    s1, s2 = (t1 <= e1).astype(float), (t2 <= e2).astype(float)
     m = (len(joint) // 2) * 2
     a, b = slice(0, m, 2), slice(1, m, 2)
     d = 0.5 * (joint[a] + joint[b]) - 0.5 * (s1[a] * s2[b] + s1[b] * s2[a])
-    return _mean_se(d)
+    return _mean_se(d), joint, s1, s2
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +278,10 @@ def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: floa
         warnings.warn("supports overlap; inhomogeneous bound applies after restricting to disjoint blocks")
         notes.append("overlapping supports")
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
-    joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
-    up1, up2 = (t1 <= eps1).astype(float), (t2 <= eps2).astype(float)
-    dn1, dn2 = (t1 <= -eps1).astype(float), (t2 <= -eps2).astype(float)
     bound = c_up * kappa / (eps1 * eps2)
     bound_dn = c_down * kappa / (eps1 * eps2)
-    lhs_up = _paired_diff(joint, up1, up2)
-    d_dn = _paired_diff(joint, dn1, dn2)  # estimates P12 - P[-e1]P[-e2]
+    lhs_up, joint, up1, up2 = _gap(t1, t2, eps1, eps2)
+    d_dn, _, dn1, dn2 = _gap(t1, t2, -eps1, -eps2)  # estimates P12 - P[-e1]P[-e2]
     sides = [
         _upper("sprinkle-up", lhs_up.value, lhs_up.se, bound),
         _upper("sprinkle-down", -d_dn.value, d_dn.se, bound_dn),
@@ -309,16 +312,9 @@ def verify_threshold_cov(plan, A1, A2, n: int, workers: int = 1) -> InequalityRe
                    {"lower": lo, "upper": hi, "min_cross": kmin, "max_cross": kmax}, plan.base_seed, n)
 
 
-HOEFFDING_BINS = 256  # histogram bins per axis of the Hoeffding box
-
-
-@dataclass(frozen=True)
-class HoeffdingBox:
-    u_lo: float
-    u_hi: float
-    v_lo: float
-    v_hi: float
-    budget_tol: float = 0.02
+HOEFFDING_BINS = 256  # histogram bins per axis of the integration box
+HOEFFDING_REACH = (8.0, 16.0, 32.0, 64.0)  # box half-widths tried, in threshold sds
+HOEFFDING_BUDGET = 0.02  # largest truncation budget a box may leave
 
 
 def _tail_bound_fn(level: float, size: int, sigma: float):
@@ -334,12 +330,15 @@ def _sqrt_integral(fn, lo: float, hi: float, npts: int = 2001) -> float:
 
 
 @_timed
-def verify_hoeffding(plan, A1, A2, n: int, box: HoeffdingBox, workers: int = 1) -> InequalityReport:
+def verify_hoeffding(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """Cov[T1,T2] against the double integral of the joint-cdf defect.
 
-    The integral is taken over the box at the box's resolution from the
-    empirical cdfs; the outside contribution is bounded through the Gaussian
-    tails of the 1-Lipschitz thresholds and reported as a truncation budget.
+    The integral is taken from the empirical cdfs over the box level +- k sd
+    of each threshold, at HOEFFDING_BINS bins per axis.  The contribution
+    outside the box is bounded through the Gaussian tails of the 1-Lipschitz
+    thresholds and reported as a truncation budget; k is the first of
+    HOEFFDING_REACH whose budget is at most HOEFFDING_BUDGET.  At k = 64 the
+    box covers the 42-sd reach of both tails, so its budget is 0.
     """
     sig1 = float(np.sqrt(np.diag(plan.cov_block(A1.support, A1.support)).max()))
     sig2 = float(np.sqrt(np.diag(plan.cov_block(A2.support, A2.support)).max()))
@@ -348,35 +347,24 @@ def verify_hoeffding(plan, A1, A2, n: int, box: HoeffdingBox, workers: int = 1) 
     lo1, hi1 = A1.level - 42.0 * sig1, A1.level + 42.0 * sig1
     lo2, hi2 = A2.level - 42.0 * sig2, A2.level + 42.0 * sig2
     full1, full2 = _sqrt_integral(m1, lo1, hi1), _sqrt_integral(m2, lo2, hi2)
-
-    def _budget(b: HoeffdingBox) -> float:
-        """Tail mass outside b, over the 42-sigma reach of each threshold."""
-        return (
-            _sqrt_integral(m1, min(b.u_lo, lo1), b.u_lo) * full2
-            + _sqrt_integral(m1, b.u_hi, max(b.u_hi, hi1)) * full2
-            + _sqrt_integral(m2, min(b.v_lo, lo2), b.v_lo) * full1
-            + _sqrt_integral(m2, b.v_hi, max(b.v_hi, hi2)) * full1
+    for k in HOEFFDING_REACH:
+        u_lo, u_hi = A1.level - k * sig1, A1.level + k * sig1
+        v_lo, v_hi = A2.level - k * sig2, A2.level + k * sig2
+        budget = (  # tail mass outside the box, over the 42-sd reach of each threshold
+            _sqrt_integral(m1, min(u_lo, lo1), u_lo) * full2
+            + _sqrt_integral(m1, u_hi, max(u_hi, hi1)) * full2
+            + _sqrt_integral(m2, min(v_lo, lo2), v_lo) * full1
+            + _sqrt_integral(m2, v_hi, max(v_hi, hi2)) * full1
         )
-
-    budget = _budget(box)
-    if budget > box.budget_tol:
-        for k in range(4, 80):
-            cand = HoeffdingBox(A1.level - k * sig1, A1.level + k * sig1,
-                                A2.level - k * sig2, A2.level + k * sig2, box.budget_tol)
-            if _budget(cand) <= 0.5 * box.budget_tol:
-                raise ParameterError(
-                    f"integration box too small: truncation budget {budget:.3e} > "
-                    f"{box.budget_tol:.1e}; suggest u in [{cand.u_lo:.2f},{cand.u_hi:.2f}], "
-                    f"v in [{cand.v_lo:.2f},{cand.v_hi:.2f}]"
-                )
-        raise ParameterError(f"integration box too small: truncation budget {budget:.3e}")
+        if budget <= HOEFFDING_BUDGET:
+            break
 
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     cov_est = _cov(t1, t2)
 
     def box_integral(bins: int) -> float:
-        mu = box.u_lo + (np.arange(bins) + 0.5) * (box.u_hi - box.u_lo) / bins
-        mv = box.v_lo + (np.arange(bins) + 0.5) * (box.v_hi - box.v_lo) / bins
+        mu = u_lo + (np.arange(bins) + 0.5) * (u_hi - u_lo) / bins
+        mv = v_lo + (np.arange(bins) + 0.5) * (v_hi - v_lo) / bins
         eu = np.concatenate(([-np.inf], mu, [np.inf]))
         ev = np.concatenate(([-np.inf], mv, [np.inf]))
         counts, _, _ = np.histogram2d(t1, t2, bins=(eu, ev))
@@ -384,8 +372,8 @@ def verify_hoeffding(plan, A1, A2, n: int, box: HoeffdingBox, workers: int = 1) 
         F1 = np.searchsorted(np.sort(t1), mu, side="right") / n
         F2 = np.searchsorted(np.sort(t2), mv, side="right") / n
         integrand = F12 - np.outer(F1, F2)
-        du = (box.u_hi - box.u_lo) / bins
-        dv = (box.v_hi - box.v_lo) / bins
+        du = (u_hi - u_lo) / bins
+        dv = (v_hi - v_lo) / bins
         return float(integrand.sum() * du * dv)
 
     integral = box_integral(HOEFFDING_BINS)
@@ -404,9 +392,7 @@ def verify_positive_association(plan, A1, A2, n: int, workers: int = 1) -> Inequ
     if na := _mixed_sign("pa", plan, n, kmin, kmax, "mixed-sign cross covariance"):
         return na
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
-    joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
-    i1, i2 = (t1 <= 0).astype(float), (t2 <= 0).astype(float)
-    gap = _paired_diff(joint, i1, i2)
+    gap, joint, i1, i2 = _gap(t1, t2, 0.0, 0.0)
     if kmin >= -1e-12:
         side = _lower("gap>=0", gap.value, gap.se, 0.0)
     else:  # slack -gap, not 0.0 - gap, so a zero gap keeps its signed-zero slack
@@ -499,9 +485,7 @@ def verify_finite_range(model, grid: Grid, radius: float, A1, A2, eps: float, n:
     size = max(len(A1.support), len(A2.support))
     bound = finite_range_bound(size, sigma2, eps)
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
-    joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
-    up1, up2 = (t1 <= eps).astype(float), (t2 <= eps).astype(float)
-    lhs = _paired_diff(joint, up1, up2)
+    lhs = _gap(t1, t2, eps, eps)[0]
     consts = {"sigma2": sigma2, "radius": radius, "eps": eps, "max_support": size,
               "separation": separation, "bound": bound}
     return _report("prop1.8", {"lhs": lhs}, [_upper("finite-range", lhs.value, lhs.se, bound)],
@@ -529,10 +513,7 @@ def verify_sdi2(plan, A1, A2, eps: float, n: int, workers: int = 1) -> Inequalit
     kinf = plan.max_abs_cov()
     bound = float(np.exp(-(eps**2) / (8.0 * kinf * rho**2))) if rho > 0 else 0.0
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
-    joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
-    p1 = (t1 <= 0).astype(float)
-    p2e = (t2 <= eps).astype(float)
-    lhs = _paired_diff(joint, p1, p2e)
+    lhs, _, p1, p2e = _gap(t1, t2, 0.0, eps)
     return _report("thm1.7", {"lhs": lhs, "p1": _mean_se(p1), "p2_eps": _mean_se(p2e)},
                    [_upper("one-sided-sprinkle", lhs.value, lhs.se, bound)],
                    {"rho": rho, "k_inf": kinf, "eps": eps, "bound": bound}, plan.base_seed, n)
@@ -553,18 +534,14 @@ def verify_sdi3(plan, A1, A2, delta1: float, delta2: float, n: int, workers: int
         return _report("thm1.10", {}, [], {"rho": rho, "delta1": delta1}, plan.base_seed, n,
                        VERDICT_NA, (f"rho={rho:.4f} exceeds 1-delta1={1-delta1:.4f}",))
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
-    p1 = (t1 <= 0).astype(float)
-    p2 = (t2 <= 0).astype(float)
-    marginals = {"p1": _mean_se(p1), "p2": _mean_se(p2)}
+    marginals = {"p1": _mean_se((t1 <= 0).astype(float)), "p2": _mean_se((t2 <= 0).astype(float))}
     pmax = max(marginals["p1"].value, marginals["p2"].value)
     if pmax < delta2:
         return _report("thm1.10", marginals, [], {"rho": rho, "delta2": delta2}, plan.base_seed, n,
                        VERDICT_NA, (f"max marginal {pmax:.4f} below delta2={delta2}",))
     kappa = 2.0 + max(0.0, -analytic.std_quantile(delta2)) / np.sqrt(delta1)
     eps = kappa * rho * float(np.sqrt(kinf))
-    joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
-    up1, up2 = (t1 <= eps).astype(float), (t2 <= eps).astype(float)
-    lhs = _paired_diff(joint, up1, up2)
+    lhs = _gap(t1, t2, eps, eps)[0]
     # slack -lhs, not 0.0 - lhs, so a zero lhs keeps its signed-zero slack
     side = _side("errorless", lhs.value, lhs.se, 0.0, -lhs.value)
     consts = {"rho": rho, "k_inf": kinf, "kappa": kappa, "eps": eps,
@@ -597,8 +574,7 @@ def verify_noise_stability(plan, A1, A2, n: int, workers: int = 1) -> Inequality
     """P[A1 and A2] <= Phi_rho(Phi^{-1} P[A1], Phi^{-1} P[A2])."""
     rho = _rho_of(plan, A1, A2)
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
-    i1, i2 = (t1 <= 0).astype(float), (t2 <= 0).astype(float)
-    joint = ((t1 <= 0) & (t2 <= 0)).astype(float)
+    _, joint, i1, i2 = _gap(t1, t2, 0.0, 0.0)
     p1, p2, p12 = _mean_se(i1), _mean_se(i2), _mean_se(joint)
     if not (0 < p1.value < 1 and 0 < p2.value < 1):
         return _report("cor2.7", {"p1": p1, "p2": p2}, [], {"rho": rho}, plan.base_seed, n,

@@ -273,7 +273,7 @@ def plan_circulant(model, grid: Grid, base_seed: int) -> CirculantPlan:
         torus_shape = tuple(int(2 ** math.ceil(math.log2(max(2, s * padding)))) for s in grid.shape)
         offsets = _torus_offsets(grid, torus_shape).reshape(-1, model.dim)
         lam = np.fft.fftn(cov_of_offsets(model, offsets).reshape(torus_shape)).real
-        neg = float(-lam[lam < 0].sum())
+        neg = abs(float(lam[lam < 0].sum()))  # +0.0, not -0.0, when nothing is clipped
         tot = float(np.abs(lam).sum())
         frac = neg / tot if tot > 0 else 0.0
         if frac <= SPECTRUM_CLIP_LIMIT:

@@ -205,7 +205,6 @@ def test_criterion_5_sprinkled_decoupling_suite():
 def test_criterion_6_threshold_cov_hoeffding_pa_interp():
     t0 = time.perf_counter()
     n = 30_000
-    box = mc.HoeffdingBox(-8, 8, -8, 8)
     plan_iid = sampler.plan_dense(np.eye(8), 201)
     plan_zz = sampler.plan_dense(np.array([[1.0, 1.0], [1.0, 1.0]]), 202)
     plan_corr = sampler.plan_dense(np.array([[1.0, 0.6], [0.6, 1.0]]), 203)
@@ -223,13 +222,13 @@ def test_criterion_6_threshold_cov_hoeffding_pa_interp():
     verdicts["p22_bf"] = mc.verify_threshold_cov(plan_bf, bf1, bf2, n).verdict
 
     # hoeffding: independent / rank-1 Cov=1 / correlated 2x2
-    verdicts["hf_iid"] = mc.verify_hoeffding(plan_iid, *block_events(), n, box).verdict
-    rep_hf = mc.verify_hoeffding(plan_zz, *single_events(), n, box)
+    verdicts["hf_iid"] = mc.verify_hoeffding(plan_iid, *block_events(), n).verdict
+    rep_hf = mc.verify_hoeffding(plan_zz, *single_events(), n)
     verdicts["hf_zz"] = rep_hf.verdict
     cov_one = abs(rep_hf.terms["cov"].value - 1.0) <= 3 * rep_hf.terms["cov"].se
     int_one = abs(rep_hf.terms["integral"].value - rep_hf.terms["cov"].value) \
         <= rep_hf.sides[0].bound
-    verdicts["hf_corr"] = mc.verify_hoeffding(plan_corr, *single_events(), n, box).verdict
+    verdicts["hf_corr"] = mc.verify_hoeffding(plan_corr, *single_events(), n).verdict
 
     # positive association: independent / positive pair / negated pair
     verdicts["pa_iid"] = mc.verify_positive_association(plan_iid, *block_events(), n).verdict

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sdlab import cli, mc
+from sdlab import bootstrap, cli, mc
 from sdlab.sampler import read_snapshot
 
 
@@ -59,6 +59,14 @@ def test_verify_from_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(cfg.to_json())
     assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+def test_verify_hoeffding_at_variance_9(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_malformed("hoeffding", n=2000, model={
+        "family": "explicit", "matrix": [[9.0, 9.0], [9.0, 9.0]]})))
+    assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "hoeffding: pass" in capsys.readouterr().out
 
 
 def test_verify_all_summary(tmp_path):
@@ -337,6 +345,20 @@ def test_bootstrap_recursion_cmd_auto(tmp_path, capsys):
     assert cert["verdict"] is True
     assert cert["q_last"] < 1e-6 * cert["q_first"]
     assert np.isfinite(cert["ell_inf_lower"])
+
+
+@pytest.mark.parametrize("mode", [[], ["--log-R0", "2.5e8"]], ids=["closure", "given-R0"])
+def test_bootstrap_recursion_reads_p1(tmp_path, capsys, mode):
+    def p1_of(*p1):
+        run(["bootstrap", "run-recursion", "--n-steps", "5", *mode, *p1, "--out", str(tmp_path)])
+        return json.loads((tmp_path / "recursion_certificate.json").read_text())["p1"]
+
+    default = p1_of()
+    n_d = bootstrap.annulus_covering(2, 1.0).n_d
+    closure = bootstrap.find_closure(bootstrap.decay_from_string("polylog:3.5"), 0.25, n_d, 36.0)
+    assert default == (1e-6 if mode else closure.p1_max)
+    assert p1_of("--p1", "2e-7") == 2e-7
+    assert p1_of("--p1", "0.9") == 0.9
 
 
 def test_bootstrap_recursion_cmd_fail_exit_code(tmp_path, capsys):

@@ -88,7 +88,7 @@ def test_wave_d2_matches_bessel_oracle():
 def test_symmetry_exact(model):
     d = model.dim
     for _ in range(1000):
-        if model.lattice:
+        if model.family in ("gff", "iid_standard"):  # kernels on the sites of Z^d
             x = tuple(RNG.integers(-6, 7, size=d).tolist())
             y = tuple(RNG.integers(-6, 7, size=d).tolist())
         else:

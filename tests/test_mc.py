@@ -202,15 +202,13 @@ def test_threshold_cov_bf_grid():
 
 
 def test_hoeffding_independent_integral_near_zero():
-    box = mc.HoeffdingBox(-8, 8, -8, 8)
-    rep = mc.verify_hoeffding(iid_plan(), *block_events(), 20_000, box)
+    rep = mc.verify_hoeffding(iid_plan(), *block_events(), 20_000)
     assert rep.verdict == mc.VERDICT_PASS
     assert abs(rep.terms["integral"].value) < 0.05
 
 
 def test_hoeffding_rank1_reproduces_unit_covariance():
-    box = mc.HoeffdingBox(-8, 8, -8, 8)
-    rep = mc.verify_hoeffding(pair_plan(), *single_events(), 30_000, box)
+    rep = mc.verify_hoeffding(pair_plan(), *single_events(), 30_000)
     assert rep.verdict == mc.VERDICT_PASS
     assert rep.terms["cov"].value == pytest.approx(1.0, abs=3 * rep.terms["cov"].se)
     assert rep.terms["integral"].value == pytest.approx(rep.terms["cov"].value, abs=0.08)
@@ -218,15 +216,18 @@ def test_hoeffding_rank1_reproduces_unit_covariance():
 
 def test_hoeffding_correlated_2x2():
     plan = sampler.plan_dense(np.array([[1.0, 0.6], [0.6, 1.0]]), 8)
-    box = mc.HoeffdingBox(-8, 8, -8, 8)
-    rep = mc.verify_hoeffding(plan, *single_events(), 30_000, box)
+    rep = mc.verify_hoeffding(plan, *single_events(), 30_000)
     assert rep.verdict == mc.VERDICT_PASS
 
 
-def test_hoeffding_box_too_small_suggests_alternative():
-    box = mc.HoeffdingBox(-0.5, 0.5, -0.5, 0.5, budget_tol=1e-3)
-    with pytest.raises(ParameterError, match="suggest"):
-        mc.verify_hoeffding(pair_plan(), *single_events(), 100, box)
+@pytest.mark.parametrize("var, level", [(9.0, 0.0), (1.0, 12.0)], ids=["variance-9", "level-12"])
+def test_hoeffding_box_follows_level_and_scale(var, level):
+    # the box is level +- 8 sd here; a (-8, 8)^2 box would leave a truncation budget above 2
+    plan = sampler.plan_dense(np.full((2, 2), var), 2)
+    rep = mc.verify_hoeffding(plan, *single_events(level), 5_000)
+    assert rep.verdict == mc.VERDICT_PASS
+    assert rep.constants["budget"] <= mc.HOEFFDING_BUDGET
+    assert rep.terms["integral"].value == pytest.approx(var, rel=0.05)
 
 
 # --- positive association -------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -161,7 +163,9 @@ def test_circulant_torus_grows_until_the_spectrum_is_nonnegative():
     small = sampler.plan_circulant(bf, sampler.Grid((8, 8), 0.5), 0)  # clips at padding 2
     assert small.torus_shape == (32, 32)
     assert small.clipped_fraction <= sampler.SPECTRUM_CLIP_LIMIT
-    assert sampler.plan_circulant(bf, sampler.Grid((24, 24), 0.5), 0).torus_shape == (64, 64)
+    big = sampler.plan_circulant(bf, sampler.Grid((24, 24), 0.5), 0)  # nothing clipped at padding 2
+    assert big.torus_shape == (64, 64)
+    assert math.copysign(1.0, big.clipped_fraction) == 1.0  # +0.0, not -0.0
     with pytest.raises(EmbeddingError, match="at padding 4"):
         sampler.plan_circulant(kernels.monochromatic_wave(2), sampler.Grid((32, 32)), 0)
 
