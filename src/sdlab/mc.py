@@ -319,7 +319,10 @@ HOEFFDING_BUDGET = 0.02  # largest truncation budget a box may leave
 
 def _tail_bound_fn(level: float, size: int, sigma: float):
     def m(u):
-        z = np.abs(np.asarray(u, dtype=float) - level) / sigma
+        u = np.asarray(u, dtype=float)
+        if sigma == 0.0:  # every support site has zero variance: the threshold is constant, no tail
+            return np.zeros_like(u)
+        z = np.abs(u - level) / sigma
         return np.minimum(0.5, size * special.ndtr(-z))
     return m
 

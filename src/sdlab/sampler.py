@@ -7,9 +7,12 @@ the half-spectrum of sqrt_spectrum; the split X = X1 + X2 has two, the near
 and far parts of that moving average, applied to the same w.
 
 The torus grows until its spectrum is nonnegative up to roundoff (Wood & Chan
-1994, Dietrich & Newsam 1997): each axis is the box extent times a padding of
-2, then 4 (``PADDINGS``), rounded up to a power of two, and the first torus
-whose clipped spectral fraction is at most ``SPECTRUM_CLIP_LIMIT`` is kept.
+1994, Dietrich & Newsam 1997): for each padding of ``PADDINGS`` (2, then 4)
+each axis is the box extent times the padding, rounded up first to a 5-smooth
+size (``scipy.fft.next_fast_len``) and then to a power of two, and the first of
+these tori whose clipped spectral fraction is at most ``SPECTRUM_CLIP_LIMIT``
+is kept.  The candidates grow along every axis, so no box gets a larger torus
+than the power of two alone would give it.
 
 Reproducibility contract: every replicate's noise comes from a counter-based
 Philox stream keyed by (base_seed, replicate), so draw(plan, r) is a pure
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import EmbeddingError, InputError, ModelError, ParameterError
 from .kernels import Point, cov_of_offsets, repair_psd
@@ -236,16 +240,25 @@ class CirculantPlan(SamplerPlan):
         reps = list(replicates)
         shape = self.torus_shape
         axes = tuple(range(1, len(shape) + 1))
-        box = (slice(None),) + tuple(slice(0, s) for s in self.grid.shape)
         outs = [np.empty((len(reps), self.npoints)) for _ in self._filters]
         for lo in range(0, len(reps), self._FFT_BLOCK):
             block = reps[lo : lo + self._FFT_BLOCK]
             w = _noise(self.base_seed, block, shape)
             wf = np.fft.rfftn(w, axes=axes)
             for out, f in zip(outs, self._filters):
-                x = np.fft.irfftn(wf * f, s=shape, axes=axes)
-                out[lo : lo + len(block)] = x[box].reshape(len(block), -1)
+                out[lo : lo + len(block)] = self._box_irfftn(wf * f).reshape(len(block), -1)
         return outs
+
+    def _box_irfftn(self, a: np.ndarray) -> np.ndarray:
+        """irfftn(a, s=torus_shape, axes=1..d)[box], inverting only the rows the box keeps.
+
+        irfftn runs ifft over the leading axes in order, then irfft over the
+        last; each line transform is independent of the others, so dropping
+        the rows outside the box after each axis leaves the box bit-identical.
+        """
+        for ax, s in enumerate(self.grid.shape[:-1], start=1):
+            a = np.fft.ifft(a, axis=ax)[(slice(None),) * ax + (slice(0, s),)]
+        return np.fft.irfft(a, n=self.torus_shape[-1], axis=-1)[..., : self.grid.shape[-1]]
 
     def draw_batch(self, replicates) -> np.ndarray:
         return self._filter_noise(replicates)[0]
@@ -262,15 +275,23 @@ class CirculantPlan(SamplerPlan):
         return float(cov_of_offsets(self.model, np.zeros((1, self.model.dim)))[0])
 
 
+def _torus_candidates(shape: tuple[int, ...]):
+    """(padding, torus shape) in the order tried: per padding the 5-smooth torus, then the power of two."""
+    for padding in PADDINGS:
+        smooth = tuple(next_fast_len(s * padding, real=True) for s in shape)
+        pow2 = tuple(int(2 ** math.ceil(math.log2(max(2, s * padding)))) for s in shape)
+        for torus_shape in dict.fromkeys((smooth, pow2)):
+            yield padding, torus_shape
+
+
 def plan_circulant(model, grid: Grid, base_seed: int) -> CirculantPlan:
-    """Embed a stationary model on the first torus of ``PADDINGS`` whose spectrum clips
-    at most ``SPECTRUM_CLIP_LIMIT`` of its mass; EmbeddingError if none does."""
+    """Embed a stationary model on the first torus of ``_torus_candidates`` whose spectrum
+    clips at most ``SPECTRUM_CLIP_LIMIT`` of its mass; EmbeddingError if none does."""
     if not model.stationary:
         raise ModelError("circulant embedding requires a stationary model")
     if len(grid.shape) != model.dim:
         raise InputError(f"grid dimension {len(grid.shape)} != model dimension {model.dim}")
-    for padding in PADDINGS:
-        torus_shape = tuple(int(2 ** math.ceil(math.log2(max(2, s * padding)))) for s in grid.shape)
+    for padding, torus_shape in _torus_candidates(grid.shape):
         offsets = _torus_offsets(grid, torus_shape).reshape(-1, model.dim)
         lam = np.fft.fftn(cov_of_offsets(model, offsets).reshape(torus_shape)).real
         neg = abs(float(lam[lam < 0].sum()))  # +0.0, not -0.0, when nothing is clipped

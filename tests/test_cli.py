@@ -69,6 +69,14 @@ def test_verify_hoeffding_at_variance_9(tmp_path, capsys):
     assert "hoeffding: pass" in capsys.readouterr().out
 
 
+def test_verify_hoeffding_on_a_zero_variance_site(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_malformed("hoeffding", n=2000, model={
+        "family": "explicit", "matrix": [[0.0, 0.0], [0.0, 1.0]]})))
+    assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "hoeffding: pass" in capsys.readouterr().out
+
+
 def test_verify_all_summary(tmp_path):
     code = run(["verify-all", "--out", str(tmp_path), "-n", "1500", "--seed", "11"])
     assert code == 0

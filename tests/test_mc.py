@@ -230,6 +230,20 @@ def test_hoeffding_box_follows_level_and_scale(var, level):
     assert rep.terms["integral"].value == pytest.approx(var, rel=0.05)
 
 
+@pytest.mark.parametrize("level", [0.0, 0.3])
+@pytest.mark.parametrize("constant_first", [True, False], ids=["constant-first", "constant-second"])
+def test_hoeffding_zero_variance_site_is_no_false_fail(level, constant_first):
+    # a zero-variance site's threshold is constant: its truncation budget, covariance
+    # and Hoeffding integral are all 0, where dividing by its sd made the budget nan
+    plan = sampler.plan_dense(np.array([[0.0, 0.0], [0.0, 1.0]]), 3)
+    A_const, A_var = single_events(level)
+    rep = mc.verify_hoeffding(plan, *((A_const, A_var) if constant_first else (A_var, A_const)), 4_000)
+    assert rep.verdict == mc.VERDICT_PASS
+    assert rep.constants["budget"] == 0.0
+    assert rep.terms["integral"].value == 0.0
+    assert math.isfinite(rep.sides[0].slack) and rep.sides[0].slack >= 0
+
+
 # --- positive association -------------------------------------------------------
 
 

@@ -160,14 +160,30 @@ def test_circulant_covariance_fidelity_audit():
 
 def test_circulant_torus_grows_until_the_spectrum_is_nonnegative():
     bf = kernels.bargmann_fock(2)
-    small = sampler.plan_circulant(bf, sampler.Grid((8, 8), 0.5), 0)  # clips at padding 2
+    small = sampler.plan_circulant(bf, sampler.Grid((8, 8), 0.5), 0)  # 16^2 clips at padding 2
     assert small.torus_shape == (32, 32)
     assert small.clipped_fraction <= sampler.SPECTRUM_CLIP_LIMIT
-    big = sampler.plan_circulant(bf, sampler.Grid((24, 24), 0.5), 0)  # nothing clipped at padding 2
-    assert big.torus_shape == (64, 64)
+    big = sampler.plan_circulant(bf, sampler.Grid((24, 24), 0.5), 0)  # 5-smooth 48^2 clips nothing
+    assert big.torus_shape == (48, 48)
     assert math.copysign(1.0, big.clipped_fraction) == 1.0  # +0.0, not -0.0
     with pytest.raises(EmbeddingError, match="at padding 4"):
         sampler.plan_circulant(kernels.monochromatic_wave(2), sampler.Grid((32, 32)), 0)
+
+
+@pytest.mark.parametrize("spacing", [0.5, 1.0])
+def test_circulant_torus_never_exceeds_the_power_of_two_rule(spacing):
+    bf = kernels.bargmann_fock(2)
+    for s in range(2, 41):
+        old = oracles.pow2_torus(bf, (s, s), spacing, sampler.SPECTRUM_CLIP_LIMIT)
+        if old is None:  # the smallest boxes at spacing 0.5 embed on no torus
+            with pytest.raises(EmbeddingError):
+                sampler.plan_circulant(bf, sampler.Grid((s, s), spacing), 0)
+            continue
+        plan = sampler.plan_circulant(bf, sampler.Grid((s, s), spacing), 0)
+        assert all(m <= o for m, o in zip(plan.torus_shape, old)), (s, plan.torus_shape, old)
+        assert plan.clipped_fraction <= sampler.SPECTRUM_CLIP_LIMIT
+    if spacing == 0.5:  # 5-smooth 18^2 clips for a 9^2 box; 5-smooth-only would give 36^2
+        assert sampler.plan_circulant(bf, sampler.Grid((9, 9), spacing), 0).torus_shape == (32, 32)
 
 
 def test_circulant_polylog_embedding_feasible():
@@ -263,6 +279,25 @@ def test_torus_filters_reproduce_cov_block_exactly(model, split):
     off = (pts[:, None, :] - pts[None, :, :]) % np.array(plan.torus_shape)
     implied = c[off[..., 0], off[..., 1]]
     assert np.abs(implied - plan.cov_block(plan.points, plan.points)).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape, split", [
+    ((7,), False), ((6, 5), False), ((5, 6, 4), False), ((6, 5), True), ((5, 6, 4), True),
+], ids=["1d", "2d", "3d", "2d-split", "3d-split"])
+def test_box_only_inverse_is_bit_identical_to_irfftn(shape, split):
+    bf = kernels.bargmann_fock(len(shape))
+    grid = sampler.Grid(shape, 1.0)
+    plan = sampler.plan_decomposed(bf, grid, 1.5, 5) if split else sampler.plan_circulant(bf, grid, 5)
+    reps = range(600)  # crosses the 512-replicate FFT block
+    axes = tuple(range(1, len(shape) + 1))
+    wf = np.fft.rfftn(np.stack([oracles.philox_normals(5, r, plan.torus_shape) for r in reps]), axes=axes)
+    box = (slice(None),) + tuple(slice(0, s) for s in shape)
+    ref = [np.fft.irfftn(wf * f, s=plan.torus_shape, axes=axes)[box].reshape(len(reps), -1)
+           for f in plan._filters]
+    got = plan.draw_split_batch(reps) if split else (plan.draw_batch(reps),)
+    assert len(got) == len(ref) == (2 if split else 1)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
 
 
 @pytest.mark.parametrize("kwargs", [
