@@ -37,21 +37,14 @@ def std_quantile(p):
     return float(out) if out.ndim == 0 else out
 
 
-def log_std_tail(u):
-    """log P[Z >= u], accurate far into the tail."""
-    return special.log_ndtr(-np.asarray(u, dtype=float))
-
-
-def mills_ratio_inverse(s):
-    """phi(s)/Phi(s), evaluated stably via the scaled complementary erf."""
-    s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore"):  # erfcx overflow at s >> 0 means ratio ~ 0
-        return 2.0 / (SQRT_2PI * special.erfcx(-s / math.sqrt(2.0)))
-
-
 def _phi2(rho: float, u: float, v: float) -> float:
     om = 1.0 - rho * rho
     return math.exp(-(u * u - 2.0 * rho * u * v + v * v) / (2.0 * om)) / (2.0 * math.pi * math.sqrt(om))
+
+
+def _check_levels(u: float, v: float) -> None:
+    if math.isnan(u) or math.isnan(v):
+        raise DomainError(f"levels u and v must not be nan, got u={u}, v={v}")
 
 
 def bivariate_cdf(rho: float, u: float, v: float) -> float:
@@ -62,6 +55,7 @@ def bivariate_cdf(rho: float, u: float, v: float) -> float:
     """
     if not -1.0 <= rho <= 1.0:
         raise DomainError("correlation must lie in [-1, 1]")
+    _check_levels(u, v)
     if np.isinf(u) or np.isinf(v):
         if u == -np.inf or v == -np.inf:
             return 0.0
@@ -80,13 +74,21 @@ def bivariate_cdf(rho: float, u: float, v: float) -> float:
 
 
 def bivariate_cdf_derivs(rho: float, u: float, v: float) -> tuple[float, float, float]:
-    """(d/du, d/dv, d/drho) of the bivariate cdf; needs |rho| < 1."""
+    """(d/du, d/dv, d/drho) of the bivariate cdf; needs |rho| < 1.
+
+    At an infinite level each derivative is its limit: d/du is 0 at an
+    infinite u, and d/drho is 0 at an infinite u or v.
+    """
     if not -1.0 < rho < 1.0:
         raise DomainError("derivatives require |rho| < 1")
+    _check_levels(u, v)
     om = math.sqrt(1.0 - rho * rho)
-    du = float(std_pdf(u) * special.ndtr((v - u * rho) / om))
-    dv = float(std_pdf(v) * special.ndtr((u - v * rho) / om))
-    return du, dv, _phi2(rho, u, v)
+
+    def partial(a, b):  # d/da of P[Z1 <= a, Z2 <= b]
+        return 0.0 if math.isinf(a) else float(std_pdf(a) * special.ndtr((b - a * rho) / om))
+
+    dr = 0.0 if math.isinf(u) or math.isinf(v) else _phi2(rho, u, v)
+    return partial(u, v), partial(v, u), dr
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from . import analytic, bootstrap, kernels, measures, mc
 from .errors import ConfigError, SdlabError
 from .events import AllAbove, BoxCrossing, event_from_dict, event_to_dict, lattice_ball
-from .sampler import Grid, draw, plan_circulant, plan_dense, write_snapshot
+from .sampler import Grid, plan_circulant, plan_dense, write_snapshot
 
 ENV_OUT = "SDLAB_OUT"
 
@@ -271,10 +271,10 @@ def cmd_sample(args) -> int:
     model = build_model(spec)
     grid = Grid(_numbers("--shape", args.shape, int), args.spacing)
     plan = plan_circulant(model, grid, args.seed)
-    sample = draw(plan, args.replicate)
+    values = plan.draw_batch([args.replicate])[0]
     out = os.path.join(_out_dir(args), args.file)
-    write_snapshot(out, sample, grid, args.seed, args.replicate, model.family)
-    print(f"wrote {out}: {sample.values.size} values")
+    write_snapshot(out, values, grid, args.seed, args.replicate, model.family)
+    print(f"wrote {out}: {values.size} values")
     return 0
 
 
@@ -289,6 +289,10 @@ def cmd_bvn(args) -> int:
 
 
 def cmd_negbound(args) -> int:
+    if not (np.isfinite(args.u_step) and args.u_step > 0 and np.isfinite(args.u_max)
+            and args.u_max >= args.u_step):
+        raise ConfigError(f"--u-step must be finite and > 0 and --u-max finite and >= it, "
+                          f"got {args.u_step} and {args.u_max}")
     u = np.arange(args.u_step, args.u_max + 1e-12, args.u_step)
     table = analytic.neg_bound_scan(args.kappa, u)
     lines = ["u,r,exponent"]

@@ -17,7 +17,6 @@ from scipy import ndimage
 
 from .errors import InputError, SpecError
 from .kernels import Point
-from .sampler import FieldSample
 
 
 def _norm_sites(sites) -> tuple[Point, ...]:
@@ -210,14 +209,6 @@ class CompiledEvent:
         self.structure = np.zeros((3,) * (len(self.shape) + 1), dtype=bool)
         self.structure[1] = cross
 
-    # -- single-sample queries ------------------------------------------------
-
-    def occurs(self, values: np.ndarray) -> bool:
-        return self.threshold(values) <= 0
-
-    def threshold(self, values: np.ndarray) -> float:
-        return float(self.thresholds_batch(values[None])[0])
-
     def thresholds_batch(self, values_matrix: np.ndarray) -> np.ndarray:
         vals = values_matrix[:, self.cols]
         if self.kind == "AllAbove":
@@ -251,28 +242,3 @@ class CompiledEvent:
 
 def compile_event(spec: EventSpec, index) -> CompiledEvent:
     return CompiledEvent(spec, index)
-
-
-def _resolve(sample, index=None) -> tuple[np.ndarray, dict]:
-    if isinstance(sample, FieldSample):
-        return np.asarray(sample.values, dtype=float), sample.index
-    if index is None:
-        raise InputError("plain arrays need an explicit index map")
-    return np.asarray(sample, dtype=float), index
-
-
-def occurs(spec: EventSpec, sample, index=None) -> bool:
-    """Does the event hold on {sample >= level} with lattice connectivity?"""
-    values, idx = _resolve(sample, index)
-    return compile_event(spec, idx).occurs(values)
-
-
-def threshold(spec: EventSpec, sample, index=None) -> float:
-    """T with occurs(spec shifted by u) iff T <= u.
-
-    For AllAbove this is level - min over the support; for crossings it is
-    level minus the maximin (bottleneck) value over source-sink paths.
-    Raises SpecError for structurally degenerate specifications.
-    """
-    values, idx = _resolve(sample, index)
-    return compile_event(spec, idx).threshold(values)

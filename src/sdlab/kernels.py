@@ -6,7 +6,7 @@ Families
 * ``bargmann_fock(d)``  K(0,x) = exp(-|x|^2/2)
 * ``cauchy(alpha, d)``  K(0,x) = (1+|x|^2)^(-alpha/2)
 * ``monochromatic_wave(d)``  normalized Fourier transform of the unit-sphere measure
-* ``polylog_decay(c, gamma, d)``  K(0,x) = (log(e+|x|))^(-gamma), raw g(r) = c*(log(e+r))^(-gamma)
+* ``polylog_decay(c, gamma, d)``  K(0,x) = (log(e+|x|))^(-gamma)
 * ``iid_standard(d)``   identity covariance
 * ``explicit(matrix)``  user-supplied symmetric matrix on integer indices
 
@@ -223,13 +223,6 @@ def _profile(model: CovarianceModel, r: np.ndarray) -> np.ndarray:
     if fam == "monochromatic_wave":
         return _wave_profile(r, model.dim)
     raise ModelError(f"family {fam!r} has no isotropic profile")
-
-
-def polylog_raw_g(model: CovarianceModel, r) -> np.ndarray:
-    """Unnormalized decay bound g(r) = c * (log(e+r))^(-gamma); g(0) = c."""
-    if model.family != "polylog_decay":
-        raise ParameterError("raw g is defined for polylog_decay models only")
-    return model.scale * np.log(math.e + np.asarray(r, dtype=float)) ** (-model.gamma)
 
 
 def _as_point(x) -> Point:

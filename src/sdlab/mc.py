@@ -1,7 +1,7 @@
 """Monte Carlo verification engine for the decoupling inequality suite.
 
 Every verifier reduces to threshold statistics: for an increasing event A and
-a field X, occurs(A, X + u) iff T_A(X) <= u, so one threshold array per event
+a field X, {X + u in A} iff T_A(X) <= u, so one threshold array per event
 serves every sprinkling level.  This makes sprinkled indicators exactly
 monotone in the sprinkling parameter replicate by replicate.
 

@@ -38,12 +38,6 @@ def sup_cross_cov(K: np.ndarray, I1, I2) -> float:
     return float(np.abs(K[np.ix_(i, j)]).max())
 
 
-def cross_cov_range(K: np.ndarray, I1, I2) -> tuple[float, float]:
-    K, i, j = _checked(K, I1, I2)
-    block = K[np.ix_(i, j)]
-    return float(block.min()), float(block.max())
-
-
 @dataclass
 class CapacityResult:
     value: float  # Cap(I), may be math.inf
@@ -151,7 +145,8 @@ def max_corr(K: np.ndarray, I1, I2, ridge: float | None = None) -> MaxCorrResult
 
     ridge=None applies 1e-10 * trace only when a block is near singular;
     an explicit ridge=0.0 on a singular block raises instead.  An explicit
-    ridge must be finite and >= 0.
+    ridge must be finite and >= 0.  A block whose variances are all zero
+    gives rho = 0 with zero directions and no ridge.
     """
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
         raise InputError(f"ridge must be finite and >= 0, got {ridge}")
@@ -159,6 +154,11 @@ def max_corr(K: np.ndarray, I1, I2, ridge: float | None = None) -> MaxCorrResult
     A = K[np.ix_(i, i)]
     B = K[np.ix_(j, j)]
     C = K[np.ix_(i, j)]
+    if not (A.diagonal().any() and B.diagonal().any()):
+        # a block with zero variances is a.s. constant; PSD forces C = 0, so rho = 0
+        if C.any():
+            raise InputError("a zero-variance block has nonzero cross covariance: not a covariance")
+        return MaxCorrResult(0.0, np.zeros(len(i)), np.zeros(len(j)), 0.0)
     Ai, ra = _inv_sqrt(A, ridge)
     Bi, rb = _inv_sqrt(B, ridge)
     W = Ai @ C @ Bi

@@ -1,4 +1,4 @@
-"""Seeded Gaussian sampling: dense factorizations, circulant embedding, sprinkling.
+"""Seeded Gaussian sampling: dense factorizations, circulant embedding, moving-average split.
 
 A dense plan multiplies white noise by a covariance factor.  A torus plan
 draws real white noise w on a torus around the box and returns the moving
@@ -15,12 +15,12 @@ is kept.  The candidates grow along every axis, so no box gets a larger torus
 than the power of two alone would give it.
 
 Reproducibility contract: every replicate's noise comes from a counter-based
-Philox stream keyed by (base_seed, replicate), so draw(plan, r) is a pure
-function of the plan and the replicate index, independent of evaluation order
-and thread count.  A batch builds one Philox generator and re-keys it for each
-replicate (key (base_seed, replicate), counter 0, empty buffer); being
-counter-based, the re-keyed generator gives exactly the stream of a fresh
-generator with that key.
+Philox stream keyed by (base_seed, replicate), so the row of replicate r in
+plan.draw_batch(replicates) is a pure function of the plan and r, independent
+of the other rows, evaluation order and thread count.  A batch builds one
+Philox generator and re-keys it for each replicate (key (base_seed,
+replicate), counter 0, empty buffer); being counter-based, the re-keyed
+generator gives exactly the stream of a fresh generator with that key.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -46,13 +46,6 @@ SPECTRUM_CLIP_LIMIT = 1e-6
 # CirculantPlan._FFT_BLOCK replicates of the whole torus, so no larger
 PADDINGS = (2, 4)
 _UINT64 = 0xFFFFFFFFFFFFFFFF
-
-
-class FieldSample(NamedTuple):
-    """One realization: values aligned with an index map point -> coordinate."""
-
-    values: np.ndarray
-    index: Mapping[Point, int]
 
 
 def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
@@ -303,18 +296,6 @@ def plan_circulant(model, grid: Grid, base_seed: int) -> CirculantPlan:
                          f"{SPECTRUM_CLIP_LIMIT:.0e} at padding {padding}, the largest tried")
 
 
-def draw(plan: SamplerPlan, replicate: int) -> FieldSample:
-    """One seeded realization of the plan's Gaussian vector."""
-    return FieldSample(plan.draw_batch([int(replicate)])[0], plan.index)
-
-
-def shift(sample, eps: float):
-    """Add a constant level to every coordinate (eps may be negative)."""
-    if isinstance(sample, FieldSample):
-        return FieldSample(sample.values + eps, sample.index)
-    return np.asarray(sample, dtype=float) + eps
-
-
 class DecomposedPlan(CirculantPlan):
     """Moving-average split X = X1 + X2 from a shared white noise.
 
@@ -352,17 +333,11 @@ def plan_decomposed(model, grid: Grid, radius: float, base_seed: int) -> Decompo
     return DecomposedPlan(base, radius)
 
 
-def draw_decomposed(plan: DecomposedPlan, replicate: int):
-    """(X1, X2, sigma2) for one replicate; X1 + X2 has the plan's law."""
-    x1, x2 = plan.draw_split_batch([int(replicate)])
-    return FieldSample(x1[0], plan.index), FieldSample(x2[0], plan.index), plan.sigma2
-
-
 # ---------------------------------------------------------------------------
 # field snapshot format: one JSON header line, then row-major little-endian f8
 
 
-def write_snapshot(path, sample: FieldSample, grid: Grid, seed: int, replicate: int, family: str) -> None:
+def write_snapshot(path, values: np.ndarray, grid: Grid, seed: int, replicate: int, family: str) -> None:
     header = {
         "family": family,
         "grid_shape": list(grid.shape),
@@ -374,7 +349,7 @@ def write_snapshot(path, sample: FieldSample, grid: Grid, seed: int, replicate: 
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(np.ascontiguousarray(sample.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> tuple[dict, np.ndarray]:

@@ -115,47 +115,57 @@ def test_criterion_3_capacity_oracles():
 def test_criterion_4_threshold_correctness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    mismatches = 0
-    total = 0
     compiled = {}
     for nx in (2, 3, 4):
         for ny in (2, 3, 4):
             spec = events.BoxCrossing((0, 0), (nx - 1, ny - 1), axis=0)
             idx = {p: k for k, p in enumerate(spec.support)}
             compiled[(nx, ny)] = (spec, idx, events.compile_event(spec, idx))
-    while total < 10_000:
+    fields = {key: [] for key in compiled}  # instances in draw order, stacked per grid
+    for _ in range(10_000):
         nx, ny = rng.integers(2, 5), rng.integers(2, 5)
-        spec, idx, ce = compiled[(int(nx), int(ny))]
-        field = rng.integers(-4, 5, size=(ny, nx)).astype(float)
-        vals = np.array([field[p[1], p[0]] for p in spec.support])
-        got = ce.threshold(vals)
-        want = -oracles.grid_maximin(field.T, axis=0)
-        mismatches += got != want
-        total += 1
+        fields[(int(nx), int(ny))].append(rng.integers(-4, 5, size=(ny, nx)).astype(float))
+    mismatches = 0
+    total = 0
+    for key, (spec, idx, ce) in compiled.items():
+        if not fields[key]:
+            continue
+        got = ce.thresholds_batch(np.array([[f[p[1], p[0]] for p in spec.support] for f in fields[key]]))
+        for field, t in zip(fields[key], got):
+            mismatches += t != -oracles.grid_maximin(field.T, axis=0)
+            total += 1
     ok = mismatches == 0
 
-    # Lemma-style invariants on 10^3 random samples each
+    # Lemma-style invariants on 10^3 random samples each, drawn in the order of
+    # the per-sample checks they replace and evaluated as stacks
     spec = events.BoxCrossing((0, 0), (3, 3), axis=0)
     idx = {p: k for k, p in enumerate(spec.support)}
     ce = events.compile_event(spec, idx)
-    lip = shift_eq = mono = local = consist = True
     spec_loc = events.AllAbove(((0,), (1,)), 0.0)
     idx_loc = {(i,): i for i in range(4)}
     ce_loc = events.compile_event(spec_loc, idx_loc)
+    cols = {k: [] for k in ("v", "w", "h", "up", "u", "vl", "wl")}
     for _ in range(1000):
         v = rng.normal(size=16)
-        w = v + rng.normal(size=16) * 0.3
-        lip &= abs(ce.threshold(v) - ce.threshold(w)) <= np.abs(v - w).max() + 1e-12
-        h = float(rng.normal())
-        shift_eq &= ce.threshold(v + h) == ce.threshold(v) - h
-        mono &= ce.threshold(v + rng.uniform(0, 1, 16)) <= ce.threshold(v) + 1e-12
-        u = float(rng.normal())
-        consist &= oracles.box_crossing_occurs(v + u, spec.support, spec.lo, spec.hi, spec.axis) == (
-            ce.threshold(v) <= u)
+        cols["v"].append(v)
+        cols["w"].append(v + rng.normal(size=16) * 0.3)
+        cols["h"].append(float(rng.normal()))
+        cols["up"].append(v + rng.uniform(0, 1, 16))
+        cols["u"].append(float(rng.normal()))
         vl = rng.normal(size=4)
         wl = vl.copy()
         wl[2:] = rng.normal(size=2)
-        local &= ce_loc.threshold(vl) == ce_loc.threshold(wl)
+        cols["vl"].append(vl)
+        cols["wl"].append(wl)
+    v, w, up, vl, wl = (np.array(cols[k]) for k in ("v", "w", "up", "vl", "wl"))
+    h, u = np.array(cols["h"]), np.array(cols["u"])
+    tv = ce.thresholds_batch(v)
+    lip = bool(np.all(np.abs(tv - ce.thresholds_batch(w)) <= np.abs(v - w).max(axis=1) + 1e-12))
+    shift_eq = bool(np.all(ce.thresholds_batch(v + h[:, None]) == tv - h))
+    mono = bool(np.all(ce.thresholds_batch(up) <= tv + 1e-12))
+    consist = all(oracles.box_crossing_occurs(v[k] + u[k], spec.support, spec.lo, spec.hi, spec.axis) == (
+        tv[k] <= u[k]) for k in range(len(v)))
+    local = bool(np.all(ce_loc.thresholds_batch(vl) == ce_loc.thresholds_batch(wl)))
     ok &= lip and shift_eq and mono and local and consist
     elapsed = time.perf_counter() - t0
     report("4 (thresholds)", bool(ok),

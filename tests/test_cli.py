@@ -240,6 +240,11 @@ def test_verify_theorem_choices_omit_none(capsys):
     (["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "1", "--ridge", "inf"], "ridge must be finite and >= 0"),
     (["capacity", "--d", "3", "--ball", "1", "--tol", "nan"], "tol must be finite and positive"),
     (["capacity", "--d", "3", "--ball", "1", "--tol", "inf"], "tol must be finite and positive"),
+    (["negbound", "--u-step", "0"], "--u-step must be finite and > 0"),
+    (["negbound", "--u-max", "nan"], "--u-max finite"),
+    (["negbound", "--u-step", "inf"], "--u-step must be finite and > 0"),
+    (["negbound", "--u-step", "-1"], "--u-step must be finite and > 0"),
+    (["negbound", "--u-max", "0.5"], "got 1.0 and 0.5"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):
@@ -289,6 +294,12 @@ def test_bvn_subcommand(capsys):
     assert out["cdf"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+def test_bvn_nan_level_exits_1(capsys):
+    assert run(["bvn", "0.5", "nan", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: levels u and v must not be nan") and not captured.out
+
+
 def test_negbound_csv(tmp_path, capsys):
     assert run(["negbound", "--kappa", "0.3", "--u-max", "10", "--file", "nb.csv",
                 "--out", str(tmp_path)]) == 0
@@ -313,6 +324,13 @@ def test_maxcorr_subcommand_matrix(tmp_path, capsys):
     assert run(["maxcorr", "--matrix", str(m), "--i1", "0", "--i2", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["rho"] == pytest.approx(0.4, abs=1e-10)
+
+
+def test_maxcorr_on_a_zero_variance_block(tmp_path, capsys):
+    m = tmp_path / "z.csv"
+    np.savetxt(m, np.array([[0.0, 0.0], [0.0, 1.0]]), delimiter=",")
+    assert run(["maxcorr", "--matrix", str(m), "--i1", "0", "--i2", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho"] == 0.0
 
 
 def test_sample_snapshot(tmp_path, capsys):

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from sdlab import events
 from sdlab.errors import InputError, SpecError
-from sdlab.sampler import FieldSample
 
 import oracles
 
 
-def grid_sample(field2d: np.ndarray) -> FieldSample:
+def grid_sample(field2d: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Values and index map of a 2d field, sites (x, y) in column-major order."""
     ny, nx = field2d.shape
     index = {}
     vals = []
@@ -18,7 +18,12 @@ def grid_sample(field2d: np.ndarray) -> FieldSample:
         for y in range(ny):
             index[(x, y)] = len(vals)
             vals.append(field2d[y, x])
-    return FieldSample(np.array(vals), index)
+    return np.array(vals), index
+
+
+def thresholds(spec, index, rows) -> np.ndarray:
+    """T_A of each row of a stack of samples."""
+    return events.compile_event(spec, index).thresholds_batch(np.asarray(rows, dtype=float))
 
 
 def hcross_spec(nx, ny, level=0.0):
@@ -27,38 +32,38 @@ def hcross_spec(nx, ny, level=0.0):
 
 def test_all_above_basic():
     spec = events.AllAbove(((0,), (1,)), 0.5)
-    fs = FieldSample(np.array([1.0, 2.0]), {(0,): 0, (1,): 1})
-    assert events.occurs(spec, fs)
-    fs2 = FieldSample(np.array([1.0, 0.2]), {(0,): 0, (1,): 1})
-    assert not events.occurs(spec, fs2)
+    t = thresholds(spec, {(0,): 0, (1,): 1}, [[1.0, 2.0], [1.0, 0.2]])
+    assert t[0] <= 0
+    assert not t[1] <= 0
 
 
 def test_two_by_two_diagonal_no_crossing():
     # rows y=0,1: [[+1,-1],[-1,+1]] has no monotone-lattice path of positives
     field = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert not events.occurs(hcross_spec(2, 2), grid_sample(field))
+    vals, idx = grid_sample(field)
+    assert not thresholds(hcross_spec(2, 2), idx, [vals])[0] <= 0
 
 
 def test_annulus_all_above_occurs():
     spec = events.AnnulusCrossing((0, 0), 1.0, 3.0, 0.0)
     idx = {p: i for i, p in enumerate(spec.support)}
-    fs = FieldSample(np.ones(len(idx)), idx)
-    assert events.occurs(spec, fs)
-    assert not events.occurs(spec, FieldSample(-np.ones(len(idx)), idx))
+    t = thresholds(spec, idx, [np.ones(len(idx)), -np.ones(len(idx))])
+    assert t[0] <= 0
+    assert not t[1] <= 0
 
 
 def test_missing_support_raises():
     spec = events.AllAbove(((5,),), 0.0)
     with pytest.raises(InputError):
-        events.occurs(spec, FieldSample(np.zeros(1), {(0,): 0}))
+        events.compile_event(spec, {(0,): 0})
 
 
 def test_threshold_all_above_closed_form():
     spec = events.AllAbove(((0,), (1,), (2,)), 0.0)
-    fs = FieldSample(np.array([0.3, -0.7, 1.2]), {(i,): i for i in range(3)})
-    assert events.threshold(spec, fs) == pytest.approx(0.7)
+    vals, idx = [[0.3, -0.7, 1.2]], {(i,): i for i in range(3)}
+    assert thresholds(spec, idx, vals)[0] == pytest.approx(0.7)
     spec1 = events.AnyAbove(((1,),), 0.0)
-    assert events.threshold(spec1, fs) == pytest.approx(0.7)  # -sample_1
+    assert thresholds(spec1, idx, vals)[0] == pytest.approx(0.7)  # -sample_1
 
 
 def test_threshold_empty_support_raises():
@@ -69,10 +74,10 @@ def test_threshold_empty_support_raises():
 def test_threshold_3x3_matches_enumeration():
     rng = np.random.default_rng(1)
     spec = hcross_spec(3, 3)
-    for _ in range(50):
-        field = rng.integers(-5, 6, size=(3, 3)).astype(float)
-        fs = grid_sample(field)
-        t = events.threshold(spec, fs)
+    fields = [rng.integers(-5, 6, size=(3, 3)).astype(float) for _ in range(50)]
+    samples = [grid_sample(field) for field in fields]
+    got = thresholds(spec, samples[0][1], [vals for vals, _ in samples])
+    for field, t in zip(fields, got):
         assert t == -oracles.grid_maximin(field.T, axis=0)
 
 
@@ -83,10 +88,10 @@ def test_union_find_matches_enumeration_all_small_grids():
             spec = hcross_spec(nx, ny)
             idx = {p: k for k, p in enumerate(spec.support)}
             ce = events.compile_event(spec, idx)
-            for _ in range(60):
-                field = rng.integers(-4, 5, size=(ny, nx)).astype(float)
-                vals = np.array([field[p[1], p[0]] for p in spec.support])
-                assert ce.threshold(vals) == -oracles.grid_maximin(field.T, axis=0)
+            fields = [rng.integers(-4, 5, size=(ny, nx)).astype(float) for _ in range(60)]
+            got = ce.thresholds_batch(np.array([[f[p[1], p[0]] for p in spec.support] for f in fields]))
+            for field, t in zip(fields, got):
+                assert t == -oracles.grid_maximin(field.T, axis=0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -108,7 +113,6 @@ def test_threshold_matches_enumeration_beyond_2d_boxes(spec):
     got = ce.thresholds_batch(fields)
     for vals, t in zip(fields, got):
         assert t == -oracles.support_maximin(vals, spec.support, src, snk)
-        assert ce.threshold(vals) == t
 
 
 def test_occurs_iff_threshold_below_shift():
@@ -116,12 +120,15 @@ def test_occurs_iff_threshold_below_shift():
     spec = hcross_spec(4, 3)
     idx = {p: k for k, p in enumerate(spec.support)}
     ce = events.compile_event(spec, idx)
-    for _ in range(300):
-        vals = rng.normal(size=len(spec.support))
-        u = rng.normal()
-        t = ce.threshold(vals)
-        assert ce.occurs(vals + u) == (t <= u)
-        assert oracles.box_crossing_occurs(vals + u, spec.support, spec.lo, spec.hi, spec.axis) == (t <= u)
+    draws = [(rng.normal(size=len(spec.support)), rng.normal()) for _ in range(300)]
+    vals = np.array([v for v, _ in draws])
+    u = np.array([u for _, u in draws])
+    t = ce.thresholds_batch(vals)
+    occurs = ce.thresholds_batch(vals + u[:, None]) <= 0
+    for k in range(len(draws)):
+        assert occurs[k] == (t[k] <= u[k])
+        assert oracles.box_crossing_occurs(vals[k] + u[k], spec.support, spec.lo, spec.hi, spec.axis) == (
+            t[k] <= u[k])
 
 
 def test_threshold_shift_equivariance_exact():
@@ -129,10 +136,10 @@ def test_threshold_shift_equivariance_exact():
     spec = hcross_spec(4, 4)
     idx = {p: k for k, p in enumerate(spec.support)}
     ce = events.compile_event(spec, idx)
-    for _ in range(100):
-        vals = rng.normal(size=len(spec.support))
-        h = float(rng.normal())
-        assert ce.threshold(vals + h) == ce.threshold(vals) - h
+    draws = [(rng.normal(size=len(spec.support)), float(rng.normal())) for _ in range(100)]
+    vals = np.array([v for v, _ in draws])
+    h = np.array([h for _, h in draws])
+    assert np.array_equal(ce.thresholds_batch(vals + h[:, None]), ce.thresholds_batch(vals) - h)
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,10 +148,10 @@ def test_threshold_shift_equivariance_exact():
 def test_threshold_lipschitz(vals, pert):
     spec = hcross_spec(3, 3)
     idx = {p: k for k, p in enumerate(spec.support)}
-    ce = events.compile_event(spec, idx)
     v = np.array(vals)
     w = v + np.array(pert)
-    assert abs(ce.threshold(v) - ce.threshold(w)) <= np.abs(v - w).max() + 1e-12
+    tv, tw = thresholds(spec, idx, [v, w])
+    assert abs(tv - tw) <= np.abs(v - w).max() + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,34 +160,35 @@ def test_threshold_lipschitz(vals, pert):
 def test_threshold_monotone_under_increase(vals, bump):
     spec = hcross_spec(3, 3)
     idx = {p: k for k, p in enumerate(spec.support)}
-    ce = events.compile_event(spec, idx)
     v = np.array(vals)
-    assert ce.threshold(v + np.array(bump)) <= ce.threshold(v) + 1e-12
+    t_up, t = thresholds(spec, idx, [v + np.array(bump), v])
+    assert t_up <= t + 1e-12
 
 
 def test_threshold_support_locality():
     # off-support coordinates cannot change the threshold
     spec = events.AllAbove(((0,), (1,)), 0.0)
     idx = {(i,): i for i in range(4)}
-    ce = events.compile_event(spec, idx)
     rng = np.random.default_rng(11)
+    v, w = [], []
     for _ in range(100):
-        v = rng.normal(size=4)
-        w = v.copy()
-        w[2:] = rng.normal(size=2)
-        assert ce.threshold(v) == ce.threshold(w)
+        v.append(rng.normal(size=4))
+        w.append(v[-1].copy())
+        w[-1][2:] = rng.normal(size=2)
+    assert np.array_equal(thresholds(spec, idx, v), thresholds(spec, idx, w))
 
 
 def test_monotone_event_contract():
     rng = np.random.default_rng(13)
     spec = hcross_spec(3, 3)
     idx = {p: k for k, p in enumerate(spec.support)}
-    ce = events.compile_event(spec, idx)
+    v, w = [], []
     for _ in range(200):
-        v = rng.normal(size=9)
-        w = v + rng.uniform(0, 1, size=9)
-        if ce.occurs(v):
-            assert ce.occurs(w)
+        v.append(rng.normal(size=9))
+        w.append(v[-1] + rng.uniform(0, 1, size=9))
+    for tv, tw in zip(thresholds(spec, idx, v), thresholds(spec, idx, w)):
+        if tv <= 0:
+            assert tw <= 0
 
 
 def test_tie_breaking_deterministic_on_integer_fields():
@@ -188,8 +196,8 @@ def test_tie_breaking_deterministic_on_integer_fields():
     idx = {p: k for k, p in enumerate(spec.support)}
     ce = events.compile_event(spec, idx)
     vals = np.zeros(9)
-    t1 = ce.threshold(vals)
-    t2 = ce.threshold(vals.copy())
+    t1 = ce.thresholds_batch(vals[None])[0]
+    t2 = ce.thresholds_batch(vals.copy()[None])[0]
     assert t1 == t2 == 0.0
 
 
@@ -201,9 +209,11 @@ def test_one_arm_event():
     for x in range(0, 4):
         if (x, 0) in idx:
             vals[idx[(x, 0)]] = 1.0
-    assert events.occurs(spec, FieldSample(vals, idx))
-    vals[idx[(2, 0)]] = -1.0  # cut the path
-    assert not events.occurs(spec, FieldSample(vals, idx))
+    cut = vals.copy()
+    cut[idx[(2, 0)]] = -1.0  # cut the path
+    t = thresholds(spec, idx, [vals, cut])
+    assert t[0] <= 0
+    assert not t[1] <= 0
 
 
 def test_event_serialization_roundtrip():

@@ -133,7 +133,6 @@ def test_build_cov_polylog_diagonal_convention():
     expect = np.log(np.e + 1.0) ** -3.5
     assert got[0, 0] == 1.0
     assert got[0, 1] == pytest.approx(expect, abs=1e-15)
-    assert float(kernels.polylog_raw_g(m, 0.0)) == 1.0  # g(0) = c
 
 
 def test_build_cov_duplicate_points_rejected():

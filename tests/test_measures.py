@@ -114,6 +114,22 @@ def test_max_corr_block_diagonal_zero():
     assert measures.max_corr(K, [0, 1], [2, 3]).rho == 0.0
 
 
+@pytest.mark.parametrize("K, i1, i2", [
+    (np.array([[0.0, 0.0], [0.0, 1.0]]), [0], [1]),
+    (np.array([[0.0, 0.0], [0.0, 1.0]]), [1], [0]),
+    (np.zeros((3, 3)), [0, 1], [2]),
+])
+def test_max_corr_zero_variance_block_is_uncorrelated(K, i1, i2):
+    # a block with zero variances is a.s. constant: rho = 0, with or without a ridge
+    for ridge in (None, 0.0, 1e-3):
+        assert measures.max_corr(K, i1, i2, ridge).rho == 0.0
+
+
+def test_max_corr_zero_variance_block_with_cross_covariance_is_rejected():
+    with pytest.raises(InputError, match="zero-variance block"):
+        measures.max_corr(np.array([[0.0, 0.5], [0.5, 1.0]]), [0], [1])
+
+
 def test_max_corr_duplicated_coordinate_is_one():
     # X = (Z, Z, W): block {0} vs {1} share the same coordinate
     K = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -226,7 +242,7 @@ def test_chain_ordering_random_instances():
 
 @pytest.mark.parametrize("call", [
     lambda K, I: measures.sup_cross_cov(K, [0], I),
-    lambda K, I: measures.cross_cov_range(K, I, [0]),
+    lambda K, I: measures.sup_cross_cov(K, I, [0]),
     lambda K, I: measures.capacity(K, I),
     lambda K, I: measures.max_corr(K, [0], I),
     lambda K, I: measures.bound_chain_report(K, I, [0]),

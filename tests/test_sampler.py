@@ -44,8 +44,8 @@ def test_draw_deterministic_and_order_free():
     b = plan.draw_batch([1, 2, 3])
     assert np.array_equal(a[0], b[2])
     assert np.array_equal(a[1], b[0])
-    again = sampler.draw(plan, 3)
-    assert np.array_equal(a[0], again.values)
+    again = plan.draw_batch([3])[0]
+    assert np.array_equal(a[0], again)
 
 
 # unsorted, with gaps, one index past 2**40 and the largest valid index
@@ -102,17 +102,6 @@ def test_rank_degenerate_samples_stay_in_column_space():
     basis = u[:, s > 1e-12]
     resid = x - (x @ basis) @ basis.T
     assert np.abs(resid).max() < 1e-8
-
-
-def test_shift_basics():
-    v = np.array([0.1, -0.2])
-    assert np.array_equal(sampler.shift(v, 0.0), v)
-    assert np.allclose(sampler.shift(sampler.shift(v, 0.7), -0.7), v)
-    assert np.allclose(sampler.shift(v, 0.5), [0.6, 0.3])
-    fs = sampler.FieldSample(v, {(0,): 0, (1,): 1})
-    out = sampler.shift(fs, 0.5)
-    assert isinstance(out, sampler.FieldSample)
-    assert np.allclose(out.values, [0.6, 0.3])
 
 
 def test_circulant_iid_flat_spectrum():
@@ -236,14 +225,12 @@ def test_decomposed_radius_below_cell_rejected():
         sampler.plan_decomposed(kernels.bargmann_fock(2), sampler.Grid((8, 8), 0.5), 0.2, 0)
 
 
-def test_draw_decomposed_public_api():
+def test_split_draw_sums_to_the_plan_draw():
     grid = sampler.Grid((10, 10), 0.5)
     plan = sampler.plan_decomposed(kernels.bargmann_fock(2), grid, 2.0, 19)
-    x1, x2, sigma2 = sampler.draw_decomposed(plan, 4)
-    assert isinstance(x1, sampler.FieldSample) and isinstance(x2, sampler.FieldSample)
-    assert sigma2 == plan.sigma2
-    full = sampler.draw(plan, 4)
-    assert np.allclose(x1.values + x2.values, full.values, atol=1e-12)
+    x1, x2 = plan.draw_split_batch([4])
+    full = plan.draw_batch([4])
+    assert np.allclose(x1 + x2, full, atol=1e-12)
 
 
 def test_decomposed_x1_independence_across_separated_sets():
@@ -319,10 +306,10 @@ def test_grid_normalises_json_lists():
 def test_snapshot_roundtrip(tmp_path):
     grid = sampler.Grid((6, 6), 1.0)
     plan = sampler.plan_circulant(kernels.bargmann_fock(2), grid, 5)
-    s = sampler.draw(plan, 3)
+    s = plan.draw_batch([3])[0]
     path = tmp_path / "f.snap"
     sampler.write_snapshot(path, s, grid, 5, 3, "bargmann_fock")
     header, vals = sampler.read_snapshot(path)
     assert header["grid_shape"] == [6, 6]
     assert header["replicate"] == 3
-    assert np.array_equal(vals, s.values)
+    assert np.array_equal(vals, s)
