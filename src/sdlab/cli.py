@@ -81,7 +81,7 @@ def build_model(spec: dict) -> kernels.CovarianceModel:
     fam = spec.get("family", "iid")
     try:
         d = int(spec.get("d", 2))
-        params = {k: float(spec[k]) for k in ("alpha", "c", "gamma") if k in spec}
+        params = {k: float(spec[k]) for k in ("alpha", "gamma") if k in spec}
         matrix = np.asarray(spec.get("matrix", []), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model parameters must be numbers: {exc}") from None
@@ -96,7 +96,9 @@ def build_model(spec: dict) -> kernels.CovarianceModel:
     if fam in ("wave", "monochromatic_wave"):
         return kernels.monochromatic_wave(d)
     if fam in ("polylog", "polylog_decay"):
-        return kernels.polylog_decay(params.get("c", 1.0), params.get("gamma", 3.5), d)
+        if "c" in spec:
+            raise ConfigError("polylog model takes gamma only: K(0,x) = (log(e+|x|))^(-gamma) has no constant c")
+        return kernels.polylog_decay(params.get("gamma", 3.5), d)
     if fam == "explicit":
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
             raise ConfigError("explicit model needs a nonempty square matrix")

@@ -6,7 +6,7 @@ Families
 * ``bargmann_fock(d)``  K(0,x) = exp(-|x|^2/2)
 * ``cauchy(alpha, d)``  K(0,x) = (1+|x|^2)^(-alpha/2)
 * ``monochromatic_wave(d)``  normalized Fourier transform of the unit-sphere measure
-* ``polylog_decay(c, gamma, d)``  K(0,x) = (log(e+|x|))^(-gamma)
+* ``polylog_decay(gamma, d)``  K(0,x) = (log(e+|x|))^(-gamma)
 * ``iid_standard(d)``   identity covariance
 * ``explicit(matrix)``  user-supplied symmetric matrix on integer indices
 
@@ -54,7 +54,6 @@ class CovarianceModel:
     dim: int
     alpha: float = 0.0
     gamma: float = 0.0
-    scale: float = 1.0
     matrix: np.ndarray | None = field(default=None, compare=False)
 
     @property
@@ -68,11 +67,8 @@ class CovarianceModel:
             raise ParameterError(f"cauchy requires alpha > 0, got {self.alpha}")
         if self.family == "monochromatic_wave" and self.dim < 2:
             raise DomainError("monochromatic_wave requires dimension >= 2")
-        if self.family == "polylog_decay":
-            if self.gamma <= 0:
-                raise ParameterError(f"polylog_decay requires gamma > 0, got {self.gamma}")
-            if self.scale <= 0:
-                raise ParameterError(f"polylog_decay requires c > 0, got {self.scale}")
+        if self.family == "polylog_decay" and self.gamma <= 0:
+            raise ParameterError(f"polylog_decay requires gamma > 0, got {self.gamma}")
         if self.family == "explicit":
             m = self.matrix
             if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -97,8 +93,8 @@ def monochromatic_wave(d: int = 2) -> CovarianceModel:
     return CovarianceModel("monochromatic_wave", d)
 
 
-def polylog_decay(c: float, gamma: float, d: int = 1) -> CovarianceModel:
-    return CovarianceModel("polylog_decay", d, gamma=gamma, scale=c)
+def polylog_decay(gamma: float, d: int = 1) -> CovarianceModel:
+    return CovarianceModel("polylog_decay", d, gamma=gamma)
 
 
 def iid_standard(d: int = 1) -> CovarianceModel:
@@ -269,11 +265,17 @@ def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
     eigenvalue mass exceeds PSD_CLIP_LIMIT * trace (the matrix is genuinely
     indefinite, not off by roundoff).  Otherwise clips negative eigenvalues to
     zero and returns the repaired matrix and the clipped mass; the input is
-    returned unchanged when the smallest eigenvalue is above -PSD_REL_TOL * largest.
+    returned unchanged when the smallest eigenvalue is above -PSD_REL_TOL *
+    largest, and with mass 0.0, before any eigenvalue, when it has a Cholesky
+    factor (then its smallest eigenvalue is above -n * eps * largest).
     """
     if not np.isfinite(mat).all():
         raise InputError("covariance matrix must be finite")
-    w = np.linalg.eigvalsh(mat)
+    try:
+        np.linalg.cholesky(mat)
+        return mat, 0.0
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(mat)
     wmax = max(w[-1], 0.0)
     clipped = float(-w[w < 0].sum()) if (w < 0).any() else 0.0
     tr = float(np.trace(mat))

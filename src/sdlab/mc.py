@@ -166,9 +166,12 @@ def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.n
 
 
 def _mean_se(x: np.ndarray) -> TermEstimate:
+    """Mean and standard error, on x scaled exactly by 2^-e so that squares of tiny terms do not underflow."""
     n = len(x)
-    sd = float(np.std(x, ddof=1)) if n > 1 else 0.0
-    return TermEstimate(float(np.mean(x)), sd / np.sqrt(n), n)
+    e = np.frexp(np.abs(x).max(initial=0.0))[1]
+    y = np.ldexp(x, -e)
+    sd = float(np.ldexp(np.std(y, ddof=1), e)) if n > 1 else 0.0
+    return TermEstimate(float(np.ldexp(np.mean(y), e)), sd / np.sqrt(n), n)
 
 
 def _gap(t1: np.ndarray, t2: np.ndarray, e1: float, e2: float) -> tuple[TermEstimate, np.ndarray, ...]:

@@ -1,9 +1,9 @@
 """Correlation quantifiers: sup cross-covariance, capacity, maximum correlation.
 
 Capacity Cap(I) is the inverse of the minimal quadratic energy mu^T K mu over
-probability vectors mu on I, solved by Frank-Wolfe with away steps so the
-duality gap doubles as a convergence certificate.  The maximum correlation
-coefficient is the top canonical correlation of the two coordinate blocks.
+probability vectors mu on I, solved exactly by an active-set method that the
+Frank-Wolfe duality gap certifies.  The maximum correlation coefficient is
+the top canonical correlation of the two coordinate blocks.
 """
 
 from __future__ import annotations
@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .errors import InputError, NumericalError
 from .kernels import repair_psd
 
 CAP_INFINITE_ENERGY = 1e-14
-CAP_MAX_ITER = 200_000
 
 
 def _checked(K, *index_sets):
@@ -44,76 +44,73 @@ class CapacityResult:
     minimizer: np.ndarray  # probability vector on I
     energy: float  # mu^T K mu at the minimizer
     gap: float  # Frank-Wolfe duality gap at termination
-    iterations: int
+    iterations: int  # active-set steps, one KKT solve each
     converged: bool
     infinite: bool = False
+
+
+def _affine_min(A: np.ndarray) -> np.ndarray:
+    """argmin z^T A z subject to sum(z) = 1: A^-1 1 normalized when A has a Cholesky factor, else
+    the least-squares solution of the (consistent) KKT system [[A, 1], [1^T, 0]] (z, -energy) = (0, 1)."""
+    k = len(A)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = cho_solve((np.linalg.cholesky(A), True), np.ones(k), check_finite=False)
+            if 0 < y.sum() < math.inf:
+                return y / y.sum()
+    except np.linalg.LinAlgError:
+        pass
+    M = np.block([[A, np.ones((k, 1))], [np.ones((1, k)), 0.0]])
+    return np.linalg.lstsq(M, np.eye(k + 1)[k])[0][:k]
 
 
 def capacity(K: np.ndarray, I=None, tol: float = 1e-10) -> CapacityResult:
     """Minimize mu^T K mu over the simplex on I; Cap = 1/energy.
 
-    Frank-Wolfe with away steps and exact line search (the objective is
-    quadratic).  Terminates when the duality gap drops below
-    tol * max(energy, 1e-300); an energy below 1e-14 is reported as infinite
-    capacity rather than an error.
+    Exact active-set solve (Wolfe's minimum-norm point; Lawson & Hanson ch. 23) from the
+    barycentre of I.  Each step (``iterations`` counts them) moves toward the affine minimizer
+    on the support as far as the simplex allows, dropping coordinates that reach 0; after a
+    full step the coordinate of least gradient (A mu)_i joins.  It stops when the duality gap
+    2(mu^T A mu - min_i (A mu)_i) is at most tol * max(energy, 1e-300), or at an energy below
+    1e-14 * max(1, largest variance): zero up to roundoff, infinite capacity.  A full step that
+    fails to lower the energy (roundoff only) ends it with ``converged=False``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be finite and positive, got {tol}")
     K, idx = _checked(K, range(len(K)) if I is None else I)
     A = K[np.ix_(idx, idx)]
     A, _ = repair_psd(0.5 * (A + A.T))
-    m = A.shape[0]
-    if m == 1:
-        e = float(A[0, 0])
-        inf_flag = e < CAP_INFINITE_ENERGY
-        return CapacityResult(math.inf if inf_flag else 1.0 / e, np.array([1.0]), e, 0.0, 0, True, inf_flag)
-
-    start = int(np.argmin(np.diag(A)))
-    mu = np.zeros(m)
-    mu[start] = 1.0
-    Amu = A[:, start].copy()
-    for it in range(1, CAP_MAX_ITER + 1):
-        grad = 2.0 * Amu
-        energy = float(mu @ Amu)
-        s = int(np.argmin(grad))
-        fw_gap = float(grad @ mu - grad[s])
-        if fw_gap <= tol * max(energy, 1e-300) or energy < CAP_INFINITE_ENERGY:
-            inf_flag = energy < CAP_INFINITE_ENERGY
-            return CapacityResult(
-                math.inf if inf_flag else 1.0 / energy, mu, energy, fw_gap, it - 1, True, inf_flag
-            )
-        support = np.nonzero(mu > 0)[0]
-        a = int(support[np.argmax(grad[support])])
-        away_gap = float(grad[a] - grad @ mu)
-        if fw_gap >= away_gap:
-            direction = -mu.copy()
-            direction[s] += 1.0
-            Ad = A[:, s] - Amu
-            gamma_max = 1.0
-        else:
-            direction = mu.copy()
-            direction[a] -= 1.0
-            Ad = Amu - A[:, a]
-            gamma_max = mu[a] / (1.0 - mu[a]) if mu[a] < 1.0 else 1.0
-        denom = float(direction @ Ad)
-        slope = float(grad @ direction)
-        if denom <= 0:
-            gamma = gamma_max
-        else:
-            gamma = min(gamma_max, max(0.0, -slope / (2.0 * denom)))
-        if gamma <= 0:
-            return CapacityResult(1.0 / energy, mu, energy, fw_gap, it, False)
-        mu = mu + gamma * direction
-        np.clip(mu, 0.0, None, out=mu)
-        mu /= mu.sum()
-        Amu = Amu + gamma * Ad
-        if it % 256 == 0:  # refresh accumulated roundoff
-            Amu = A @ mu
-    energy = float(mu @ Amu)
-    grad = 2.0 * Amu
-    fw_gap = float(grad @ mu - grad.min())
-    return CapacityResult(1.0 / energy if energy > CAP_INFINITE_ENERGY else math.inf,
-                          mu, energy, fw_gap, CAP_MAX_ITER, False, energy < CAP_INFINITE_ENERGY)
+    m, dmax = len(A), float(np.diag(A).max())
+    floor, e = CAP_INFINITE_ENERGY * max(1.0, dmax), math.frexp(dmax)[1]
+    A = np.ldexp(A, -e)  # exact: the largest variance moves into [1/2, 1)
+    mu = np.full(m, 1.0 / m)
+    support = np.arange(m)
+    steps, full, last = 0, False, math.inf
+    while True:
+        Amu = A @ mu
+        energy = math.ldexp(float(mu @ Amu), e)
+        gap = max(0.0, 2.0 * (energy - math.ldexp(float(Amu.min()), e)))
+        infinite = energy < floor
+        if infinite or gap <= tol * max(energy, 1e-300):
+            return CapacityResult(math.inf if infinite else 1.0 / energy, mu, energy, gap, steps, True, infinite)
+        if full:
+            add = int(np.argmin(Amu))
+            if not energy < last or mu[add] > 0:  # no descent left above roundoff
+                return CapacityResult(1.0 / energy, mu, energy, gap, steps, False)
+            last, support = energy, np.append(support, add)
+        z = _affine_min(A if len(support) == m else A[np.ix_(support, support)])
+        steps += 1
+        cur = mu[support]
+        full = bool((z > 0).all())
+        if not full:
+            neg = np.flatnonzero(z <= 0)
+            d = cur[neg] - z[neg]  # > 0 unless cur = z = 0 there: a blocked coordinate
+            ratio = np.divide(cur[neg], d, out=np.zeros(len(neg)), where=d > 0)
+            z = np.clip(cur + ratio.min() * (z - cur), 0.0, None)
+            z[neg[ratio <= ratio.min()]] = 0.0
+        mu = np.zeros(m)
+        mu[support] = z / z.sum()
+        support = support[z > 0]
 
 
 @dataclass
@@ -127,12 +124,10 @@ class MaxCorrResult:
 def _inv_sqrt(block: np.ndarray, ridge) -> tuple[np.ndarray, float]:
     w, v = np.linalg.eigh(block)
     wmax = max(float(w[-1]), 0.0)
+    singular = wmax <= 0 or w[0] <= 1e-12 * wmax
     if ridge is None:
-        if wmax <= 0 or w[0] <= 1e-12 * wmax:
-            ridge = 1e-10 * float(np.trace(block))
-        else:
-            ridge = 0.0
-    elif ridge == 0.0 and (wmax <= 0 or w[0] <= 1e-12 * wmax):
+        ridge = 1e-10 * float(np.trace(block)) if singular else 0.0
+    elif ridge == 0.0 and singular:
         raise NumericalError(
             "covariance block numerically singular; pass ridge (about 1e-10 * trace) to regularize"
         )
@@ -200,7 +195,8 @@ def bound_chain_report(K: np.ndarray, I1, I2, gff_model: bool = False, tol: floa
     diag = np.diag(K)
     norm = np.sqrt(np.outer(diag[i], diag[j]))
     block = K[np.ix_(i, j)]
-    max_norm_entry = float(np.abs(block / norm).max())
+    # a zero-variance coordinate is a.s. constant: its normalized entries are 0
+    max_norm_entry = float(np.abs(np.divide(block, norm, out=np.zeros_like(block), where=norm > 0)).max())
     cross = float(np.abs(block).max())
     global_max = float(np.abs(K).max())
     ratio = cross / global_max if global_max > 0 else 0.0

@@ -186,10 +186,7 @@ def plan_dense(cov: np.ndarray, base_seed: int, points=None) -> DensePlan:
     order = np.argsort(-w, kind="stable")
     w, v = np.clip(w[order], 0.0, None), v[:, order]
     # sign convention: largest-magnitude entry of each column positive
-    for k in range(v.shape[1]):
-        j = np.argmax(np.abs(v[:, k]))
-        if v[j, k] < 0:
-            v[:, k] = -v[:, k]
+    v = v * np.where(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0, -1.0, 1.0)
     factor = v * np.sqrt(w)
     err = np.abs(factor @ factor.T - rep).max()
     if err > DENSE_FACTOR_TOL * max(1.0, np.abs(rep).max()):

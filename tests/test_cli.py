@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sdlab import bootstrap, cli, mc
+from sdlab import bootstrap, cli, kernels, mc
 from sdlab.sampler import read_snapshot
 
 
@@ -286,6 +286,13 @@ def test_run_config_raises_config_error():
         cli.run_config(cli.ExperimentConfig.from_json(cfg.to_json().replace('"n": 500', '"n": 1')))
     with pytest.raises(cli.ConfigError, match="valid ids"):
         cli.default_config("thm9.9", 10, 0, 1)
+
+
+def test_polylog_model_takes_gamma_only():
+    # the constant c changed no covariance; a spec that names it is refused
+    assert cli.build_model({"family": "polylog", "gamma": 2.5, "d": 1}) == kernels.polylog_decay(2.5, 1)
+    with pytest.raises(cli.ConfigError, match="gamma only"):
+        cli.build_model({"family": "polylog", "c": 2.0, "gamma": 2.5})
 
 
 def test_bvn_subcommand(capsys):

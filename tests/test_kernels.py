@@ -20,7 +20,7 @@ FAMILIES = [
     kernels.bargmann_fock(2),
     kernels.cauchy(2.0, 2),
     kernels.monochromatic_wave(2),
-    kernels.polylog_decay(1.0, 3.5, 2),
+    kernels.polylog_decay(3.5, 2),
     kernels.iid_standard(2),
 ]
 
@@ -97,7 +97,7 @@ def test_symmetry_exact(model):
         assert kernels.eval_cov(model, x, y) == kernels.eval_cov(model, y, x)
 
 
-@pytest.mark.parametrize("model", [kernels.cauchy(1.5, 2), kernels.polylog_decay(1.0, 3.5, 2)],
+@pytest.mark.parametrize("model", [kernels.cauchy(1.5, 2), kernels.polylog_decay(3.5, 2)],
                          ids=["cauchy", "polylog"])
 def test_decay_nonincreasing_along_ray(model):
     radii = np.linspace(0.0, 60.0, 100)
@@ -128,7 +128,7 @@ def test_build_cov_cauchy_example():
 
 def test_build_cov_polylog_diagonal_convention():
     # normalized kernel: K(0,0) = 1, off-diagonal g(r)/g(0) = (log(e+r))^-gamma
-    m = kernels.polylog_decay(1.0, 3.5, 2)
+    m = kernels.polylog_decay(3.5, 2)
     got = kernels.build_cov_matrix(m, [(0, 0), (1, 0)])
     expect = np.log(np.e + 1.0) ** -3.5
     assert got[0, 0] == 1.0
@@ -317,6 +317,34 @@ def test_indefinite_matrix_is_one_model_error(gate):
         gate(INDEFINITE)
     assert str(exc.value) == ("covariance matrix is not PSD: clipped eigenvalue mass 1.000e+00 "
                               "exceeds 1e-06 of trace 2.000e+00")
+
+
+def test_psd_gate_passes_a_cholesky_matrix_unchanged():
+    rng = np.random.default_rng(18)
+    B = rng.standard_normal((12, 12))
+    K = B @ B.T
+    rep, clipped = kernels.repair_psd(K)
+    assert rep is K and clipped == 0.0
+    # a singular PSD matrix has no factor; the eigenvalue rule keeps it, with roundoff-sized mass
+    v = rng.standard_normal(12)
+    S = np.outer(v, v)
+    rep, clipped = kernels.repair_psd(S)
+    assert rep is S and 0.0 <= clipped <= 1e-12 * np.trace(S)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-16, 1e-14, 1e-12, -1e-14])
+def test_psd_gate_cholesky_accepts_only_what_the_eigenvalue_rule_keeps(jitter):
+    # a matrix with a Cholesky factor has lambda_min >= -n eps lambda_max, far above -PSD_REL_TOL lambda_max
+    rng = np.random.default_rng(7)
+    for rank in (3, 10, 29):
+        B = rng.standard_normal((30, rank))
+        K = B @ B.T + jitter * np.eye(30)
+        try:
+            np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            continue
+        w = np.linalg.eigvalsh(K)
+        assert w[0] >= -kernels.PSD_REL_TOL * max(w[-1], 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -274,6 +274,22 @@ def test_pa_negatively_correlated_pair():
 # --- interpolation formula -------------------------------------------------------
 
 
+def test_interp_tiny_variance_is_no_false_fail():
+    # variance 1e-300: the squared per-replicate products underflowed, so se was 0
+    # and the one-site case failed with slack -5e-305; the rescaled se is about 2e-302
+    rep = mc.verify_interp_formula(sampler.plan_dense(np.diag([1e-300, 1.0, 1.0]), 3), 4_000)
+    assert rep.verdict != mc.VERDICT_FAIL
+    assert all(s.verdict != mc.VERDICT_FAIL and s.se > 0 and math.isfinite(s.slack) for s in rep.sides)
+    assert rep.terms["lhs1"].se > 0
+
+
+def test_mean_se_rescale_is_exact():
+    # the power-of-two rescale changes no bit of a unit-scale estimate
+    x = np.random.default_rng(8).standard_normal(1001)
+    got = mc._mean_se(x)
+    assert got.value == float(np.mean(x)) and got.se == float(np.std(x, ddof=1)) / np.sqrt(1001)
+
+
 def test_interp_linear_and_max_cases():
     K = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]])
     plan = sampler.plan_dense(K, 31)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,85 @@ def test_capacity_infinite_flag():
     K = np.zeros((3, 3))
     res = measures.capacity(K)
     assert res.infinite and math.isinf(res.value)
+
+
+def _wishart(rng, n, rank):
+    B = rng.standard_normal((n, rank))
+    return B @ B.T / rank
+
+
+def _gff_ball(R):
+    pts = [(i, j, k) for i in range(-R, R + 1) for j in range(-R, R + 1) for k in range(-R, R + 1)
+           if i * i + j * j + k * k <= R * R]
+    return kernels.build_cov_matrix(kernels.gff(3), pts)
+
+
+def _agrees_with_oracle(res, want):
+    assert res.infinite == want.infinite
+    if want.infinite:
+        assert math.isinf(res.value)
+    else:
+        assert res.value == pytest.approx(want.value, rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("make", [
+    lambda rng: _wishart(rng, 24, 24),
+    lambda rng: _wishart(rng, 40, 60),
+    lambda rng: _wishart(rng, 12, 8),
+    lambda rng: _wishart(rng, 20, 15),
+    lambda rng: _gff_ball(2),
+    lambda rng: _gff_ball(4),
+    lambda rng: (lambda r: np.array([[1.0, r], [r, 1.0]]))(rng.uniform(-0.9, 0.9)),
+    lambda rng: np.eye(int(rng.integers(2, 30))),
+], ids=["wishart24", "wishart40", "wishart12-rank8", "wishart20-rank15", "gff-ball2", "gff-ball4",
+        "two-point", "identity"])
+def test_capacity_matches_frank_wolfe_oracle(seed, make):
+    K = make(np.random.default_rng(seed))
+    res = measures.capacity(K, tol=1e-10)
+    _agrees_with_oracle(res, oracles.capacity_fw_oracle(K, tol=1e-10))
+    assert res.converged and 0.0 <= res.gap <= 1e-10 * res.energy
+    assert abs(res.minimizer.sum() - 1.0) <= 1e-12 and (res.minimizer >= 0).all()
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_capacity_zero_energy_is_relative_to_the_variances(seed):
+    # 8 points in R^2 whose hull holds 0: scaled by 2**500 the roundoff floor of the
+    # energy is far above 1e-14, and the solve must still call it infinite
+    K = _wishart(np.random.default_rng(seed), 8, 2)
+    small = measures.capacity(K)
+    big = measures.capacity(K * 2.0**500)
+    assert big.infinite == small.infinite and big.converged
+    if not small.infinite:
+        assert big.value == pytest.approx(small.value * 2.0**-500, rel=1e-12)
+
+
+def test_capacity_gff_ball_settles_in_one_step():
+    # A^-1 1 is the equilibrium measure: nonnegative, so the first KKT solve is optimal
+    for R in (2, 4):
+        res = measures.capacity(_gff_ball(R), tol=1e-9)
+        assert res.iterations == 1 and res.converged
+
+
+@pytest.mark.parametrize("K, want", [
+    (np.ones((3, 3)), 1.0),
+    (np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0]), math.inf),
+    (np.zeros((3, 3)), math.inf),
+    (np.diag([0.0, 1.0, 2.0]), math.inf),
+    (_wishart(np.random.default_rng(30), 30, 5), math.inf),
+    (1e-300 * np.eye(3), math.inf),
+    (1e12 * np.eye(3), 3e-12),
+    (1e-310 * np.eye(3), math.inf),
+], ids=["all-ones", "pm1-rank-one", "zero", "diag012", "wishart30-rank5", "tiny-identity", "huge-identity",
+        "subnormal-identity"])
+def test_capacity_degenerate_matrices_match_oracle(K, want):
+    # singular KKT blocks: a zero-energy direction is infinite capacity, never a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = measures.capacity(K)
+    _agrees_with_oracle(res, oracles.capacity_fw_oracle(K))
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert res.converged and res.gap >= 0.0
 
 
 def test_capacity_certificate_bounds_suboptimality():
@@ -211,6 +291,16 @@ def test_chain_2x2_collapses_to_equalities():
     # caplower: sqrt(cap*cap)*minK = 2/(1.3) * 0.3 = 0.4615... > rho = 0.3?
     # no: caps are 2/(1+r) each only on the pair; on single points cap = 1
     assert rep.lower_bound == pytest.approx(0.3, abs=1e-9)
+
+
+def test_chain_zero_variance_site_passes():
+    # a zero-variance coordinate is a.s. constant: its normalized entries are 0, not 0/0
+    K = np.array([[0.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = measures.bound_chain_report(K, [0], [1])
+    assert rep.passed
+    assert rep.rho == 0.0 and rep.max_normalized_entry == 0.0 and rep.cross_over_global == 0.0
 
 
 def test_chain_gff_balls():

@@ -176,7 +176,7 @@ def test_circulant_torus_never_exceeds_the_power_of_two_rule(spacing):
 
 
 def test_circulant_polylog_embedding_feasible():
-    plan = sampler.plan_circulant(kernels.polylog_decay(1.0, 3.5, 1), sampler.Grid((128,)), 0)
+    plan = sampler.plan_circulant(kernels.polylog_decay(3.5, 1), sampler.Grid((128,)), 0)
     assert plan.clipped_fraction < 1e-6
 
 
