@@ -10,12 +10,15 @@ Families
 * ``iid_standard(d)``   identity covariance
 * ``explicit(matrix)``  user-supplied symmetric matrix on integer indices
 
-All kernels are evaluated through a single displacement-based code path, so
-symmetry K(x,y) == K(y,x) holds exactly.
+A stationary kernel depends on the displacement alone.  ``build_cov_matrix``
+ranks each axis's differences between its distinct coordinate values, keys
+each point pair by its ranks and runs ``cov_of_offsets`` once per distinct
+displacement x_i - x_j, then gathers the matrix; K(x,y) == K(y,x) exactly.
 
-GFF offsets are canonicalized to sorted absolute integer coordinates.  Each
-row becomes one int64 key in lexicographic row order (mixed radix, re-ranked
-before it could overflow), so one 1-d ``np.unique`` deduplicates them.  Each
+GFF offsets must be integers to 1e-8 (absolute); their sorted absolute
+coordinates become one int64 key per row in lexicographic order (mixed radix,
+re-ranked before it could overflow), deduplicated by a presence table when the
+largest key is below their number, else by one 1-d ``np.unique``.  Each
 distinct row is evaluated with one ``scipy.special.ive`` table per batch over
 its distinct |coordinate| values and reduced over the quadrature nodes on its
 own, so G_d(x) depends on x alone; ``gff_green`` is the same path on one row.
@@ -148,22 +151,22 @@ def _green_batch(offsets: np.ndarray, d: int) -> np.ndarray:
 
 def _lattice_rows(offsets: np.ndarray) -> np.ndarray:
     """Sorted absolute coordinates of each row as int64; DomainError off the lattice."""
-    r = np.round(offsets)
-    if not (np.allclose(offsets, r) and (np.abs(r) < 2.0**63).all()):  # also rejects nan, inf
+    r = np.round(offsets)  # absolute tolerance only: a relative one passes any fraction at large |x|
+    if not (np.allclose(offsets, r, rtol=0.0) and (np.abs(r) < 2.0**63).all()):  # also rejects nan, inf
         raise DomainError("gff is defined on integer lattice offsets (finite, below 2**63)")
     return np.sort(np.abs(r.astype(np.int64)), axis=1)
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 per row of a nonnegative (m, d) int64 array, in lexicographic row order.
+def _row_keys(cols) -> np.ndarray:
+    """One int64 per row of the nonnegative int64 columns ``cols`` (an iterator), in lexicographic order.
 
     Mixed radix over the columns.  Where the next column would carry the key past
     2**63, the running key is first replaced by its rank (below m), and the
     column too if that is not enough, so the key is exact for every input.
     """
-    key = rows[:, 0]
+    key = next(cols)
     bound = int(key.max(initial=0)) + 1  # every key < bound
-    for col in rows.T[1:]:
+    for col in cols:
         radix = int(col.max(initial=0)) + 1
         if bound * radix > 2**63:
             _, key = np.unique(key, return_inverse=True)
@@ -174,6 +177,20 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
         key = key * radix + col
         bound *= radix
     return key
+
+
+def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One index per distinct value of the nonnegative int64 ``key``, in ascending key order
+    (entries with one key are equal; any will do), and each entry's rank among them."""
+    bound = int(key.max(initial=-1)) + 1
+    if bound <= len(key):  # a presence table, no sort
+        rep = np.full(bound, -1, dtype=np.intp)
+        rep[key] = np.arange(len(key))
+        return rep[rep >= 0], np.cumsum(rep >= 0)[key] - 1
+    uniq, inverse = np.unique(key, return_inverse=True)
+    rep = np.empty(len(uniq), dtype=np.intp)
+    rep[inverse] = np.arange(len(key))
+    return rep, inverse
 
 
 def gff_green(offset, d: int = 3) -> float:
@@ -234,9 +251,7 @@ def cov_of_offsets(model: CovarianceModel, offsets: np.ndarray) -> np.ndarray:
         if offsets.shape[1] != model.dim:
             raise InputError(f"gff offsets must have {model.dim} coordinates, got {offsets.shape[1]}")
         canon = _lattice_rows(offsets)
-        keys, inverse = np.unique(_row_keys(canon), return_inverse=True)
-        rep = np.empty(len(keys), dtype=np.intp)
-        rep[inverse] = np.arange(len(canon))  # rows with one key are equal; any will do
+        rep, inverse = _distinct(_row_keys(iter(canon.T)))
         return _green_batch(canon[rep].astype(float), model.dim)[inverse]
     if model.family == "explicit":
         raise ModelError("explicit models are not stationary; use eval_cov on indices")
@@ -292,22 +307,29 @@ def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
     return 0.5 * (rep + rep.T), clipped
 
 
+def _axis_codes(col: np.ndarray) -> np.ndarray:
+    """Rank of col[i] - col[j] among the differences of the distinct values of ``col``, per pair (i, j)."""
+    vals, inv = np.unique(col, return_inverse=True)
+    _, code = np.unique(vals[:, None] - vals[None, :], return_inverse=True)
+    return np.take(code.reshape(len(vals), len(vals))[inv], inv, axis=1).ravel()
+
+
 def build_cov_matrix(model: CovarianceModel, points) -> np.ndarray:
-    """Covariance matrix on a finite point set, through the PSD gate ``repair_psd``."""
+    """Covariance matrix on a finite point set, through the PSD gate ``repair_psd``; a stationary
+    kernel runs once per distinct displacement x_i - x_j (see the module docstring)."""
     pts = [_as_point(p) for p in points]
     if not pts:
         raise InputError("point set is empty")
     if len(set(pts)) != len(pts):
         raise InputError("points must be distinct")
-    n = len(pts)
     if model.family == "explicit":
         idx = [int(p[0]) for p in pts]
         m = model.matrix[np.ix_(idx, idx)].astype(float)
-    else:
-        arr = np.asarray(pts, dtype=float)
-        diffs = arr[:, None, :] - arr[None, :, :]
-        m = cov_of_offsets(model, diffs.reshape(n * n, -1)).reshape(n, n)
-    return repair_psd(0.5 * (m + m.T))[0]
+        return repair_psd(0.5 * (m + m.T))[0]
+    arr = np.asarray(pts, dtype=float)
+    rep, inverse = _distinct(_row_keys(_axis_codes(col) for col in arr.T))
+    i, j = np.divmod(rep, len(arr))
+    return repair_psd(cov_of_offsets(model, arr[i] - arr[j])[inverse].reshape(len(arr), -1))[0]
 
 
 def export_cov_csv(matrix: np.ndarray, path) -> None:

@@ -49,13 +49,13 @@ class CapacityResult:
     infinite: bool = False
 
 
-def _affine_min(A: np.ndarray) -> np.ndarray:
-    """argmin z^T A z subject to sum(z) = 1: A^-1 1 normalized when A has a Cholesky factor, else
+def _affine_min(A: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+    """argmin z^T A z subject to sum(z) = 1: A^-1 1 normalized when A has a Cholesky factor (L), else
     the least-squares solution of the (consistent) KKT system [[A, 1], [1^T, 0]] (z, -energy) = (0, 1)."""
     k = len(A)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            y = cho_solve((np.linalg.cholesky(A), True), np.ones(k), check_finite=False)
+            y = cho_solve((np.linalg.cholesky(A) if L is None else L, True), np.ones(k), check_finite=False)
             if 0 < y.sum() < math.inf:
                 return y / y.sum()
     except np.linalg.LinAlgError:
@@ -79,10 +79,14 @@ def capacity(K: np.ndarray, I=None, tol: float = 1e-10) -> CapacityResult:
         raise InputError(f"tol must be finite and positive, got {tol}")
     K, idx = _checked(K, range(len(K)) if I is None else I)
     A = K[np.ix_(idx, idx)]
-    A, _ = repair_psd(0.5 * (A + A.T))
+    A = 0.5 * (A + A.T)
+    try:  # the PSD gate passes a matrix with a Cholesky factor; the factor serves the first solve
+        L = np.linalg.cholesky(np.ldexp(A, -math.frexp(float(np.diag(A).max()))[1]))
+    except np.linalg.LinAlgError:
+        L, A = None, repair_psd(A)[0]
     m, dmax = len(A), float(np.diag(A).max())
     floor, e = CAP_INFINITE_ENERGY * max(1.0, dmax), math.frexp(dmax)[1]
-    A = np.ldexp(A, -e)  # exact: the largest variance moves into [1/2, 1)
+    A = np.ldexp(A, -e)  # exact: the largest variance moves into [1/2, 1); L, if set, factors this A
     mu = np.full(m, 1.0 / m)
     support = np.arange(m)
     steps, full, last = 0, False, math.inf
@@ -98,7 +102,7 @@ def capacity(K: np.ndarray, I=None, tol: float = 1e-10) -> CapacityResult:
             if not energy < last or mu[add] > 0:  # no descent left above roundoff
                 return CapacityResult(1.0 / energy, mu, energy, gap, steps, False)
             last, support = energy, np.append(support, add)
-        z = _affine_min(A if len(support) == m else A[np.ix_(support, support)])
+        z = _affine_min(A, L) if steps == 0 else _affine_min(A[np.ix_(support, support)])
         steps += 1
         cur = mu[support]
         full = bool((z > 0).all())

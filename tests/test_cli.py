@@ -7,6 +7,8 @@ import pytest
 from sdlab import bootstrap, cli, kernels, mc
 from sdlab.sampler import read_snapshot
 
+import golden
+
 
 def run(argv):
     return cli.main(argv)
@@ -104,6 +106,7 @@ def test_verify_all_and_suite_write_identical_reports(tmp_path, capsys):
     summary = (tmp_path / "all" / "summary.csv").read_bytes()
     assert summary == (tmp_path / "suite" / "suite_smoke.csv").read_bytes()
     assert out.count("\ninterp,") == 2
+    assert golden.mismatches(tmp_path / "all") == []  # regenerate: PYTHONPATH=src python tests/golden.py
 
 
 def test_registry_covers_every_theorem():

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from sdlab import kernels, measures, sampler
-from sdlab.errors import DomainError, InputError, ModelError, ParameterError
+from sdlab.errors import DomainError, InputError, ModelError, ParameterError, SdlabError
 
 import oracles
 
@@ -260,7 +262,7 @@ def test_gff_large_coordinate_needs_no_table_up_to_it():
 def test_gff_row_keys_order_rows_lexicographically():
     rows = np.array([[0, 99, 5], [2**62, 0, 7], [0, 99, 5], [1, 2**62, 2**62], [0, 0, 2**62]],
                     dtype=np.int64)
-    keys = kernels._row_keys(rows)
+    keys = kernels._row_keys(iter(rows.T))
     assert keys.dtype == np.int64
     order = sorted(range(len(rows)), key=lambda i: tuple(rows[i]))
     assert [tuple(rows[i]) for i in np.argsort(keys, kind="stable")] == [tuple(rows[i]) for i in order]
@@ -282,7 +284,7 @@ def test_build_cov_gff_ball6_equals_parent_assembly():
 
 
 @pytest.mark.parametrize("offset", [(0.5, 0, 0), (0, 0, 2.25), (np.nan, 0, 0), (np.inf, 1, 1), (-np.inf, 0, 0),
-                                    (2.0**63, 0, 0)])
+                                    (2.0**63, 0, 0), (100000.5, 0, 0), (0, -60000.4, 0)])
 def test_gff_green_rejects_off_lattice_offsets(offset):
     with pytest.raises(DomainError):
         kernels.gff_green(offset, 3)
@@ -291,7 +293,8 @@ def test_gff_green_rejects_off_lattice_offsets(offset):
 
 
 def test_gff_green_integer_offsets_unchanged():
-    for off in [(0, 0, 0), (1, 0, 0), (-2, 3, 1), (0, 0, 10**6), (np.int64(4), 1, -1), (2.0, 1.0, 0.0)]:
+    for off in [(0, 0, 0), (1, 0, 0), (-2, 3, 1), (0, 0, 10**6), (np.int64(4), 1, -1), (2.0, 1.0, 0.0),
+                (3 + 1e-12, 0, 0), (0, 10**6 - 2e-9, 0)]:
         expect = oracles.green_reference(np.array([off], dtype=float), 3)[0]
         assert kernels.gff_green(off, 3) == expect
 
@@ -379,3 +382,101 @@ def test_isotropic_kernels_accept_lower_dimensional_points():
 def test_gff_green_shares_the_offsets_cache():
     val = kernels.gff_green((2, -1, 0), 3)
     assert kernels.cov_of_offsets(kernels.gff(3), np.array([[0.0, 2.0, 1.0]]))[0] == val
+
+
+# ---------------------------------------------------------------------------
+# build_cov_matrix: one kernel evaluation per distinct displacement, equal to the
+# pairwise assembly bit for bit
+
+
+def _grid(spacing, side, d=2):
+    return [tuple(spacing * c for c in p) for p in itertools.product(range(side), repeat=d)]
+
+
+def _float_points(seed, n, d):
+    return [tuple(p) for p in np.random.default_rng(seed).normal(scale=3.0, size=(n, d))]
+
+
+ISOTROPIC = [kernels.bargmann_fock(2), kernels.cauchy(1.5, 2), kernels.monochromatic_wave(2),
+             kernels.polylog_decay(3.5, 2)]
+ASSEMBLY_CASES = {
+    "gff_ball2": (kernels.gff(3), lambda: _ball(2)),
+    "gff_ball4": (kernels.gff(3), lambda: _ball(4)),
+    "gff_ball6": (kernels.gff(3), lambda: _ball(6)),
+    "gff_maxcorr_pair": (kernels.gff(3), lambda: _ball(4) + _ball(4, shift=12)),
+    "gff_d4_ball2": (kernels.gff(4), lambda: _ball(2, d=4)),
+    "gff_single": (kernels.gff(3), lambda: [(3, -1, 2)]),
+    "gff_1e6_apart": (kernels.gff(3), lambda: [(0, 0, 0), (10**6, 0, 0)]),
+    "iid_grid": (kernels.iid_standard(2), lambda: _grid(0.5, 6)),
+    **{f"{m.family}_grid": (m, lambda: _grid(0.5, 24)) for m in ISOTROPIC},
+    **{f"{m.family}_float": (m, lambda: _float_points(60, 60, 2)) for m in ISOTROPIC},
+    # 60 float points in d = 8: the per-axis difference ranks need _row_keys' re-ranking
+    "cauchy_d8_rerank": (kernels.cauchy(1.5, 8), lambda: _float_points(8, 60, 8)),
+}
+
+
+@pytest.mark.parametrize("name", list(ASSEMBLY_CASES))
+def test_build_cov_matrix_equals_the_pairwise_assembly(name):
+    model, points = ASSEMBLY_CASES[name]
+    pts = points()
+    got = kernels.build_cov_matrix(model, pts)
+    assert np.array_equal(got, oracles.cov_matrix_reference(model, pts))
+    assert np.array_equal(got, got.T)  # so the gathered matrix needs no symmetrizing
+
+
+def _pair_keys(pts):
+    return kernels._row_keys(kernels._axis_codes(col) for col in np.asarray(pts, dtype=float).T)
+
+
+def test_assembly_cases_reach_both_dedupe_branches_and_the_re_ranking():
+    # a lattice ball's keys fit a presence table; float points' keys go through np.unique
+    for pts, table in [(_ball(6), True), (_grid(0.5, 24), True), (_float_points(60, 60, 2), False)]:
+        key = _pair_keys(pts)
+        assert (int(key.max()) < len(key)) == table
+    codes = [kernels._axis_codes(col) for col in np.asarray(_float_points(8, 60, 8)).T]
+    assert math.prod(int(c.max()) + 1 for c in codes) > 2**63
+
+
+@pytest.mark.parametrize("pts", [_ball(4), _float_points(3, 40, 3), [(0, 0, 0)]], ids=["ball4", "float", "single"])
+def test_distinct_presence_table_and_unique_agree(pts):
+    key = _pair_keys(pts)
+    for shift in (0, 2**40):  # the shifted keys exceed their count: np.unique's branch
+        rep, inverse = kernels._distinct(key + shift)
+        expect_uniq, expect_inverse = np.unique(key, return_inverse=True)
+        assert np.array_equal(inverse, expect_inverse.ravel())
+        assert np.array_equal(key[rep], expect_uniq)
+
+
+@pytest.mark.parametrize("model, pts", [
+    (kernels.gff(3), [(0, 0, 0), (0.5, 0, 0)]),
+    (kernels.gff(3), [(0, 0, 0), (60000.4, 0, 0)]),
+    (kernels.gff(3), [(0, 0), (1, 0)]),
+    (kernels.gff(3), [(0, 0, 0, 0), (1, 0, 0, 0)]),
+    (kernels.gff(3), [(0, 0, 0), (np.nan, 0, 0)]),
+    (kernels.gff(3), []),
+    (kernels.gff(3), [(0, 0, 0), (1, 2, 3), (0, 0, 0)]),
+    (kernels.bargmann_fock(2), []),
+    (kernels.bargmann_fock(2), [(0.5, 1.0), (0.5, 1.0)]),
+    (kernels.cauchy(1.5, 2), [(0.0, 0.0), (np.inf, 0.0)]),
+], ids=["half", "60000.4", "d2", "d4", "nan", "gff_empty", "gff_duplicate", "bf_empty", "bf_duplicate",
+        "cauchy_inf"])
+def test_build_cov_matrix_errors_match_the_pairwise_assembly(model, pts):
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which the PSD gate rejects
+        with pytest.raises(SdlabError) as expect:
+            oracles.cov_matrix_reference(model, pts)
+        with pytest.raises(type(expect.value), match=re.escape(str(expect.value))):
+            kernels.build_cov_matrix(model, pts)
+
+
+def test_build_cov_matrix_memory_does_not_grow_with_the_coordinate_span():
+    import tracemalloc
+
+    pts = [(0, 0, 0), (10**6, 0, 0)]
+    tracemalloc.start()
+    try:
+        got = kernels.build_cov_matrix(kernels.gff(3), pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, oracles.cov_matrix_reference(kernels.gff(3), pts))
+    assert peak < 16 * 2**20

@@ -156,6 +156,15 @@ def test_capacity_gff_ball_settles_in_one_step():
         assert res.iterations == 1 and res.converged
 
 
+def test_capacity_factors_the_full_matrix_once(monkeypatch):
+    # the PSD gate's Cholesky factor serves the first KKT solve
+    K = _gff_ball(4)
+    calls, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
+    res = measures.capacity(K, tol=1e-9)
+    assert res.iterations == 1 and calls == [len(K)]
+
+
 @pytest.mark.parametrize("K, want", [
     (np.ones((3, 3)), 1.0),
     (np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0]), math.inf),
