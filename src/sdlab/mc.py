@@ -31,7 +31,7 @@ from scipy import special
 from . import analytic, measures
 from .errors import InputError, ParameterError, PreconditionError
 from .events import EventSpec, compile_event
-from .sampler import DensePlan, Grid, SamplerPlan, plan_decomposed
+from .sampler import BANK_ROWS, DensePlan, Grid, SamplerPlan, plan_decomposed
 
 VERDICT_PASS = "pass"
 VERDICT_NOISE = "pass-within-noise"
@@ -120,7 +120,7 @@ class InequalityReport:
 _CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _CACHE_MAX = 8
-CHUNK = 256
+CHUNK = BANK_ROWS  # replicates per draw: one block of the dense noise bank
 
 
 def _check_replicates(n) -> None:
@@ -231,16 +231,22 @@ def _allowance(name, diff: float, se: float, allowance: float) -> SideCheck:
     return SideCheck(name, diff, se, allowance, slack, VERDICT_PASS if slack >= 0 else VERDICT_FAIL)
 
 
-def _cross_range(plan, A1: EventSpec, A2: EventSpec) -> tuple[float, float, float]:
-    """Min, max and max-abs of the cross covariance between the two supports."""
+# a cross covariance within SIGN_FLOOR times the largest variance on the two
+# supports has no sign, so the sign gates read K and 4^j K alike
+SIGN_FLOOR = 1e-12
+
+
+def _cross_range(plan, A1: EventSpec, A2: EventSpec) -> tuple[float, float, float, float]:
+    """Min, max and max-abs of the cross covariance between the two supports, and the sign floor."""
     block = plan.cov_block(A1.support, A2.support)
     kmin, kmax = float(block.min()), float(block.max())
-    return kmin, kmax, max(abs(kmin), abs(kmax))
+    var = max(float(np.diag(plan.cov_block(A.support, A.support)).max()) for A in (A1, A2))
+    return kmin, kmax, max(abs(kmin), abs(kmax)), SIGN_FLOOR * var
 
 
-def _mixed_sign(theorem_id, plan, n, kmin, kmax, note):
+def _mixed_sign(theorem_id, plan, n, kmin, kmax, floor, note):
     """A not-applicable report when the cross covariance takes both signs, else None."""
-    if kmin < -1e-12 and kmax > 1e-12:
+    if kmin < -floor and kmax > floor:
         return _report(theorem_id, {}, [], {"min_cross": kmin, "max_cross": kmax},
                        plan.base_seed, n, VERDICT_NA, (note,))
 
@@ -266,12 +272,12 @@ def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: floa
     """
     if eps1 <= 0 or eps2 <= 0:
         raise ParameterError("sprinkling parameters must be positive")
-    kmin, _, kappa = _cross_range(plan, A1, A2)
+    kmin, _, kappa, floor = _cross_range(plan, A1, A2)
     notes = []
     if constant_mode == "proof-36":
         c_up, c_down = 36.0, 36.0
     elif constant_mode == "positive-1":
-        if kmin < -1e-12:
+        if kmin < -floor:
             return _report("thm1.1", {}, [], {"kappa": kappa, "min_cross": kmin}, plan.base_seed, n,
                            VERDICT_NA, ("cross-covariance sign check failed; c=1 branch inapplicable",))
         c_up, c_down = 1.0, 0.0
@@ -304,10 +310,10 @@ def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: floa
 @_timed
 def verify_threshold_cov(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """Cov[T_A1, T_A2] between min and max cross-covariance (sign-definite case)."""
-    kmin, kmax, kabs = _cross_range(plan, A1, A2)
-    if na := _mixed_sign("prop2.2", plan, n, kmin, kmax, "mixed-sign cross covariance: hypothesis unmet"):
+    kmin, kmax, kabs, floor = _cross_range(plan, A1, A2)
+    if na := _mixed_sign("prop2.2", plan, n, kmin, kmax, floor, "mixed-sign cross covariance: hypothesis unmet"):
         return na
-    lo, hi = (kmin, kabs) if kmin >= -1e-12 else (-kabs, kmax)
+    lo, hi = (kmin, kabs) if kmin >= -floor else (-kabs, kmax)
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     est = _cov(t1, t2)
     sides = [_lower("cov>=lower", est.value, est.se, lo), _upper("cov<=upper", est.value, est.se, hi)]
@@ -394,12 +400,12 @@ def verify_hoeffding(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport
 @_timed
 def verify_positive_association(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """P[A1 and A2] - P[A1] P[A2] signed according to the cross-covariance sign."""
-    kmin, kmax, _ = _cross_range(plan, A1, A2)
-    if na := _mixed_sign("pa", plan, n, kmin, kmax, "mixed-sign cross covariance"):
+    kmin, kmax, _, floor = _cross_range(plan, A1, A2)
+    if na := _mixed_sign("pa", plan, n, kmin, kmax, floor, "mixed-sign cross covariance"):
         return na
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     gap, joint, i1, i2 = _gap(t1, t2, 0.0, 0.0)
-    if kmin >= -1e-12:
+    if kmin >= -floor:
         side = _lower("gap>=0", gap.value, gap.se, 0.0)
     else:  # slack -gap, not 0.0 - gap, so a zero gap keeps its signed-zero slack
         side = _side("gap<=0", gap.value, gap.se, 0.0, -gap.value)

@@ -21,6 +21,16 @@ of the other rows, evaluation order and thread count.  A batch builds one
 Philox generator and re-keys it for each replicate (key (base_seed,
 replicate), counter 0, empty buffer); being counter-based, the re-keyed
 generator gives exactly the stream of a fresh generator with that key.
+
+Dense plans read their noise from a per-process bank, so plans that share a
+seed draw each stream once.  The bank holds blocks of ``BANK_ROWS``
+replicates (r // BANK_ROWS, aligned with mc.CHUNK) keyed by (base_seed,
+block), each at the widest width asked of it so far; a narrower request
+slices the block, a wider one redraws it at the new width.  This rests on the
+prefix property of the stream: the first k normals of (base_seed, r) do not
+depend on how many are drawn (the ziggurat consumes the stream sequentially,
+its rejection branch included), so a sliced row equals the row drawn at that
+width.  The bank evicts least recently used blocks beyond ``BANK_BYTES``.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ import json
 import math
 import numbers
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -46,16 +58,30 @@ SPECTRUM_CLIP_LIMIT = 1e-6
 # CirculantPlan._FFT_BLOCK replicates of the whole torus, so no larger
 PADDINGS = (2, 4)
 _UINT64 = 0xFFFFFFFFFFFFFFFF
+BANK_ROWS = 256  # replicates per dense noise bank block; mc.CHUNK is one block
+# 16 MiB holds the `sdlab verify` default n = 1e5 at up to 20 normals per
+# replicate (a pair draw on 10 sites), so every dense plan of one seed re-reads
+# the streams the first one drew
+BANK_BYTES = 16 * 2**20
+
+
+def _replicate_indices(replicates) -> range | list[int]:
+    """The indices checked to be integers in [0, 2**64): a range as given, anything else as a list."""
+    if isinstance(replicates, range):
+        reps, ends = replicates, (replicates[0], replicates[-1]) if replicates else ()
+    else:
+        try:
+            reps = ends = [operator.index(r) for r in replicates]
+        except TypeError:
+            raise ParameterError("replicate indices must be integers") from None
+    if ends and (min(ends) < 0 or max(ends) > _UINT64):
+        raise ParameterError(f"replicate indices must lie in [0, 2**64), got {min(ends)}..{max(ends)}")
+    return reps
 
 
 def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normal noise of ``shape`` per replicate, stacked; row k keyed by (base_seed, replicates[k])."""
-    try:
-        reps = [operator.index(r) for r in replicates]
-    except TypeError:
-        raise ParameterError("replicate indices must be integers") from None
-    if reps and (min(reps) < 0 or max(reps) > _UINT64):
-        raise ParameterError(f"replicate indices must lie in [0, 2**64), got {min(reps)}..{max(reps)}")
+    reps = _replicate_indices(replicates)
     out = np.empty((len(reps),) + shape)
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
@@ -68,6 +94,59 @@ def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
         bits.state = state
         gen.standard_normal(out=out[k])
     return out
+
+
+class _NoiseBank:
+    """Dense-plan noise by block of BANK_ROWS replicates, keyed by (base_seed, block).
+
+    A block holds every replicate of the block at the widest width asked of it
+    so far; least recently used blocks go once the bank holds more than
+    ``max_bytes``.  Blocks are read-only and shared by every caller.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._blocks: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._nbytes = 0
+        self._lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._blocks.clear()
+            self._nbytes = 0
+
+    def block(self, base_seed: int, b: int, width: int) -> np.ndarray:
+        """Noise of replicates b*BANK_ROWS .. (b+1)*BANK_ROWS - 1, at least ``width`` columns."""
+        key = (base_seed, b)
+        with self._lock:
+            blk = self._blocks.get(key)
+            if blk is not None and blk.shape[1] >= width:
+                self._blocks.move_to_end(key)
+                return blk
+        blk = _noise(base_seed, range(b * BANK_ROWS, (b + 1) * BANK_ROWS), (width,))
+        blk.flags.writeable = False
+        with self._lock:
+            old = self._blocks.pop(key, None)
+            self._nbytes += blk.nbytes - (0 if old is None else old.nbytes)
+            self._blocks[key] = blk
+            while self._nbytes > self.max_bytes:
+                self._nbytes -= self._blocks.popitem(last=False)[1].nbytes
+        return blk
+
+    def noise(self, base_seed: int, reps: range | list[int], width: int):
+        """(lo, hi, z) per run of consecutive positions in one block: z[k] holds the
+        noise of replicate reps[lo + k] (checked indices), in at least ``width`` columns."""
+        if not reps:
+            return
+        reps = np.fromiter(reps, dtype=np.uint64, count=len(reps))
+        blocks = reps // BANK_ROWS
+        cuts = [0, *(np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist(), len(reps)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            rows = (reps[lo:hi] % BANK_ROWS).astype(np.intp)
+            yield lo, hi, self.block(base_seed, int(blocks[lo]), width)[rows]
+
+
+_BANK = _NoiseBank(BANK_BYTES)
 
 
 def _digest(*parts) -> str:
@@ -152,13 +231,23 @@ class DensePlan(SamplerPlan):
         product (a gemm ``z @ factor.T`` rounds differently)."""
         return (self.factor @ z[..., None])[..., 0]
 
+    def _draws(self, replicates, copies: int) -> list[np.ndarray]:
+        """``copies`` independent draws per replicate: copy c applies the factor to
+        normals c*m .. (c+1)*m - 1 of the replicate's stream, read from the bank."""
+        m = self.factor.shape[1]
+        reps = _replicate_indices(replicates)
+        outs = [np.empty((len(reps), m)) for _ in range(copies)]
+        for lo, hi, z in _BANK.noise(self.base_seed, reps, copies * m):
+            for c, out in enumerate(outs):
+                out[lo:hi] = self._apply(z[:, c * m : (c + 1) * m])
+        return outs
+
     def draw_batch(self, replicates) -> np.ndarray:
-        return self._apply(_noise(self.base_seed, replicates, self.factor.shape[1:]))
+        return self._draws(replicates, 1)[0]
 
     def draw_pair_batch(self, replicates) -> tuple[np.ndarray, np.ndarray]:
         """Two independent copies per replicate from one stream (X, X')."""
-        z = _noise(self.base_seed, replicates, (2,) + self.factor.shape[1:])
-        return self._apply(z[:, 0]), self._apply(z[:, 1])
+        return tuple(self._draws(replicates, 2))
 
     def cov_block(self, pts1, pts2) -> np.ndarray:
         i = [self.index[tuple(p)] for p in pts1]
@@ -173,8 +262,9 @@ def plan_dense(cov: np.ndarray, base_seed: int, points=None) -> DensePlan:
     """Factor a covariance matrix for seeded sampling.
 
     The factor L has columns ordered by descending eigenvalue with zero
-    columns on degenerate directions, so LL^T reproduces the repaired matrix
-    to machine precision and samples lie in the column space of the input.
+    columns on degenerate directions and zero rows on sites of variance 0,
+    so LL^T reproduces the repaired matrix to machine precision and samples
+    lie in the column space of the input.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -188,6 +278,8 @@ def plan_dense(cov: np.ndarray, base_seed: int, points=None) -> DensePlan:
     # sign convention: largest-magnitude entry of each column positive
     v = v * np.where(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0, -1.0, 1.0)
     factor = v * np.sqrt(w)
+    # a PSD matrix with K_ii = 0 has row i zero: the site is a.s. 0, not eigh's roundoff
+    factor[np.diag(rep) == 0.0] = 0.0
     err = np.abs(factor @ factor.T - rep).max()
     if err > DENSE_FACTOR_TOL * max(1.0, np.abs(rep).max()):
         raise ModelError(f"factorization residual {err:.2e} above tolerance")

@@ -388,6 +388,7 @@ def test_criterion_10_determinism(tmp_path):
     def run_suite(out, workers):
         with mc._CACHE_LOCK:
             mc._CACHE.clear()
+        sampler._BANK.clear()
         code = cli.main(["suite", "smoke", "--out", str(out), "--seed", "5",
                         "--workers", str(workers)])
         assert code == 0

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sdlab import bootstrap, cli, kernels, mc
+from sdlab import bootstrap, cli, kernels, mc, sampler
 from sdlab.sampler import read_snapshot
 
 import golden
@@ -17,6 +17,7 @@ def run(argv):
 def clear_cache():
     with mc._CACHE_LOCK:
         mc._CACHE.clear()
+    sampler._BANK.clear()
 
 
 def test_config_roundtrip_exact():
@@ -107,6 +108,27 @@ def test_verify_all_and_suite_write_identical_reports(tmp_path, capsys):
     assert summary == (tmp_path / "suite" / "suite_smoke.csv").read_bytes()
     assert out.count("\ninterp,") == 2
     assert golden.mismatches(tmp_path / "all") == []  # regenerate: PYTHONPATH=src python tests/golden.py
+
+
+DENSE_IDS = tuple(tid for tid, spec in cli.THEOREMS.items() if "grid" not in spec.defaults)
+
+
+def test_cold_single_verifies_match_a_warm_verify_all(tmp_path):
+    """Sharing noise across dense plans changes no report: each dense id verified alone
+    from cold caches matches its report from one verify-all.  The verify-all runs on the
+    noise bank the last single run left; that run, cor2.6, plans one site, so the suite's
+    wider plans ask the bank for more columns than its blocks hold."""
+    singles = {}
+    for tid in sorted(DENSE_IDS, key=lambda t: t == "cor2.6"):
+        clear_cache()
+        assert run(["verify", tid, "-n", "2000", "--seed", "4", "--out", str(tmp_path / tid)]) == 0
+        (path,) = (tmp_path / tid).glob("*.json")
+        singles[tid] = _report_minus_meta(path)
+    with mc._CACHE_LOCK:
+        mc._CACHE.clear()
+    assert run(["verify-all", "-n", "2000", "--seed", "4", "--out", str(tmp_path / "all")]) == 0
+    for tid in DENSE_IDS:
+        assert _report_minus_meta(tmp_path / "all" / f"{tid.replace('.', '_')}.json") == singles[tid], tid
 
 
 def test_registry_covers_every_theorem():

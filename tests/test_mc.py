@@ -29,6 +29,7 @@ def single_events(level=0.0):
 def clear_cache():
     with mc._CACHE_LOCK:
         mc._CACHE.clear()
+    sampler._BANK.clear()
 
 
 Q = lambda x: special.ndtr(-x)  # noqa: E731  upper Gaussian tail
@@ -271,6 +272,43 @@ def test_pa_negatively_correlated_pair():
     assert rep.terms["joint"].value == 0.0
 
 
+def test_pa_tiny_scale_negative_cross_is_no_false_fail():
+    # an absolute sign floor of 1e-12 read the cross covariance -5e-151 as nonnegative, so
+    # pa checked gap >= 0 and failed at slack -0.0855, se 0.0056
+    plan = sampler.plan_dense(np.array([[1e-150, -5e-151], [-5e-151, 1e-150]]), 3)
+    rep = mc.verify_positive_association(plan, *single_events(0.0), 4_000)
+    assert [s.name for s in rep.sides] == ["gap<=0"]
+    assert rep.verdict != mc.VERDICT_FAIL
+
+
+def _sign_gated(j: int):
+    """Reports whose sides hang on a cross-covariance sign gate, for K scaled by 4^j and
+    every level and sprinkle by 2^j: the law of each event, and its draws, stay the same."""
+    k, u = 4.0**j, 2.0**j
+    neg = sampler.plan_dense(k * np.array([[1.0, -0.5], [-0.5, 1.0]]), 5)
+    pos = sampler.plan_dense(k * np.array([[1.0, 0.3], [0.3, 1.0]]), 5)
+    mixed = sampler.plan_dense(k * np.array([[1.0, 0.4, -0.3], [0.4, 1.0, 0.0], [-0.3, 0.0, 1.0]]), 5)
+    A1, A2 = single_events(0.5 * u)
+    B2 = events.AllAbove(((1,), (2,)), 0.5 * u)
+    n = 4_000
+    reps = [
+        mc.verify_positive_association(neg, A1, A2, n),
+        mc.verify_positive_association(pos, A1, A2, n),
+        mc.verify_positive_association(mixed, A1, B2, n),
+        mc.verify_threshold_cov(neg, A1, A2, n),
+        mc.verify_threshold_cov(mixed, A1, B2, n),
+        mc.verify_sprinkled(neg, A1, A2, 0.5 * u, 0.5 * u, n, constant_mode="positive-1"),
+        mc.verify_sprinkled(pos, A1, A2, 0.5 * u, 0.5 * u, n, constant_mode="positive-1"),
+    ]
+    return [(r.theorem_id, r.verdict, [(s.name, s.verdict) for s in r.sides]) for r in reps]
+
+
+@pytest.mark.parametrize("j", [-250, -200, -100, -20, 20, 100, 200, 250])
+def test_sign_gates_are_scale_invariant(j):
+    """Scaling K by 4^j and the levels by 2^j keeps every unit-scale verdict, for j in [-250, 250]."""
+    assert _sign_gated(j) == _sign_gated(0)
+
+
 # --- interpolation formula -------------------------------------------------------
 
 
@@ -281,6 +319,17 @@ def test_interp_tiny_variance_is_no_false_fail():
     assert rep.verdict != mc.VERDICT_FAIL
     assert all(s.verdict != mc.VERDICT_FAIL and s.se > 0 and math.isfinite(s.slack) for s in rep.sides)
     assert rep.terms["lhs1"].se > 0
+
+
+def test_interp_zero_variance_site_is_no_false_fail():
+    # eigh left about 1e-16 in the factor row of the variance-0 site 1, so case 0, the
+    # sample covariance of X0 and X1, had slack -2.8e-16 at se 1.1e-17
+    K = np.array([[4.0, 0, -4, -2], [0, 0, 0, 0], [-4, 0, 17, 9], [-2, 0, 9, 11]])
+    plan = sampler.plan_dense(K, 0)
+    assert np.all(plan.factor[1] == 0.0)
+    rep = mc.verify_interp_formula(plan, 4_000)
+    assert rep.verdict == mc.VERDICT_PASS
+    assert rep.terms["lhs0"].value == 0.0
 
 
 def test_mean_se_rescale_is_exact():

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -75,6 +77,85 @@ def test_torus_noise_matches_fresh_philox_streams(base_seed):
     w = sampler._noise(base_seed, STREAM_REPLICATES, (64, 64))
     ref = np.stack([oracles.philox_normals(base_seed, r, (64, 64)) for r in STREAM_REPLICATES])
     assert np.array_equal(w, ref)
+
+
+def test_philox_normals_prefix_property():
+    """The first k normals of a stream do not depend on how many are drawn: the noise
+    bank serves a narrower request by slicing a wider block.  Some replicates must reach
+    the ziggurat's rejection branch, which reads more than one 64-bit word per normal."""
+    width, rejected = 8, 0
+    for r in range(2000):
+        gen = np.random.Generator(np.random.Philox(key=np.array([3, r], dtype=np.uint64)))
+        wide = gen.standard_normal(width)
+        assert np.array_equal(wide, oracles.philox_normals(3, r, width))
+        st = gen.bit_generator.state
+        rejected += 4 * st["state"]["counter"][0] - 4 + st["buffer_pos"] > width  # words drawn
+        for k in range(1, width):
+            assert np.array_equal(wide[:k], oracles.philox_normals(3, r, k))
+    assert rejected > 0
+
+
+def test_dense_draws_do_not_depend_on_the_bank_state():
+    """Narrow, wide and pair draws of one seed give the same rows whatever the bank held before."""
+    narrow = sampler.plan_dense(_random_cov(2, 0), 21)
+    wide = sampler.plan_dense(_random_cov(5, 1), 21)
+    reps = [700, 3, 255, 256, 2**64 - 1, 3]
+    draws = [lambda: narrow.draw_batch(reps), lambda: narrow.draw_pair_batch(reps),
+             lambda: wide.draw_batch(reps), lambda: wide.draw_pair_batch(reps)]
+    cold = []
+    for draw in draws:
+        sampler._BANK.clear()
+        cold.append(draw())
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]):
+        sampler._BANK.clear()
+        for k in order:
+            assert np.array_equal(draws[k](), cold[k])
+    for k, r in enumerate(reps):
+        z = oracles.philox_normals(21, r, (2, 5))
+        assert np.array_equal(cold[2][k], wide.factor @ z[0])
+        assert np.array_equal(cold[3][0][k], wide.factor @ z[0])
+        assert np.array_equal(cold[3][1][k], wide.factor @ z[1])
+
+
+def test_noise_bank_evicts_least_recently_used_blocks():
+    block_bytes = sampler.BANK_ROWS * 4 * 8
+    bank = sampler._NoiseBank(3 * block_bytes)
+    for b in range(4):
+        bank.block(7, b, 4)
+    assert list(bank._blocks) == [(7, 1), (7, 2), (7, 3)]
+    assert bank._nbytes == 3 * block_bytes
+    bank.block(7, 1, 2)  # served by the width-4 block, now most recently used
+    bank.block(7, 4, 4)
+    assert list(bank._blocks) == [(7, 3), (7, 1), (7, 4)]
+    wider = bank.block(7, 3, 8)  # redrawn at width 8: two blocks' bytes, so (7, 1) goes
+    assert wider.shape == (sampler.BANK_ROWS, 8) and not wider.flags.writeable
+    assert list(bank._blocks) == [(7, 4), (7, 3)]
+    assert bank._nbytes == 3 * block_bytes
+    assert np.array_equal(wider, sampler._noise(7, range(3 * sampler.BANK_ROWS, 4 * sampler.BANK_ROWS), (8,)))
+
+
+def test_noise_bank_under_threads(monkeypatch):
+    """Threads draw three widths through one small bank that must evict: every draw equals
+    its value from a fresh bank, and the byte count matches the blocks held."""
+    plans = [sampler.plan_dense(_random_cov(d, d), 4) for d in (1, 3, 6)]
+    reps = range(0, 8 * sampler.BANK_ROWS, 3)
+    expected = []
+    for plan in plans:
+        monkeypatch.setattr(sampler, "_BANK", sampler._NoiseBank(sampler.BANK_BYTES))
+        expected.append(plan.draw_batch(reps))
+    bank = sampler._NoiseBank(5 * sampler.BANK_ROWS * 6 * 8)  # five of the widest blocks
+    monkeypatch.setattr(sampler, "_BANK", bank)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(plans[k % 3].draw_batch, reps) for k in range(24)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        assert np.array_equal(got, expected[k % 3])
+    assert bank._nbytes == sum(b.nbytes for b in bank._blocks.values()) <= bank.max_bytes
 
 
 @pytest.mark.parametrize("replicates", [[0, -1], [2**64], [1.5]], ids=["negative", "2**64", "float"])
