@@ -3,13 +3,19 @@
 Connectivity is nearest-neighbor (2d adjacency) on Z^d.  Thresholds follow the
 orientation {X + u in A} = {T_A(X) <= u}: crossing events store the level minus
 the maximin (bottleneck) value, the largest site value u at which {X >= u}
-joins source and sink.  It is found by bisection on each replicate's sorted
-values, labelling a whole batch of replicates per step; being a site value, it
-does not depend on how ties are ordered.
+joins source and sink.  It is found in three steps over a batch of replicates:
+a path lower bound (the best source path that a few level-by-level sweeps
+find, itself a site value), one ``ndimage.label`` call at the next sorted
+value above the bound, which settles every replicate that does not cross
+there, and bisection on each remaining replicate's sorted values, labelling
+only those replicates per step.  Being a site value, the result does not
+depend on how ties are ordered, nor on how good the bound was.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -17,6 +23,12 @@ from scipy import ndimage
 
 from .errors import InputError, SpecError
 from .kernels import Point
+
+
+def _check_real(name: str, v) -> None:
+    """A finite real number, not a bool; stored as given, so configs round-trip."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise InputError(f"{name} must be a finite real number, got {v!r}")
 
 
 def _norm_sites(sites) -> tuple[Point, ...]:
@@ -35,6 +47,7 @@ class AllAbove:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", _norm_sites(self.sites))
+        _check_real("level", self.level)
 
     @property
     def support(self) -> tuple[Point, ...]:
@@ -50,6 +63,7 @@ class AnyAbove:
 
     def __post_init__(self):
         object.__setattr__(self, "sites", _norm_sites(self.sites))
+        _check_real("level", self.level)
 
     @property
     def support(self) -> tuple[Point, ...]:
@@ -72,8 +86,11 @@ class BoxCrossing:
             raise InputError("box corners must have equal dimension")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise InputError("box must have lo <= hi")
+        if isinstance(self.axis, bool) or not isinstance(self.axis, numbers.Integral):
+            raise InputError(f"axis must be an integer, got {self.axis!r}")
         if not (0 <= self.axis < len(self.lo)):
             raise InputError("axis outside box dimension")
+        _check_real("level", self.level)
 
     @property
     def support(self) -> tuple[Point, ...]:
@@ -98,8 +115,11 @@ class AnnulusCrossing:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(int(c) for c in self.center))
-        if self.r_outer <= self.r_inner:
-            raise InputError("outer radius must exceed inner radius")
+        _check_real("r_inner", self.r_inner)
+        _check_real("r_outer", self.r_outer)
+        if not 0 <= self.r_inner < self.r_outer:
+            raise InputError(f"radii must satisfy 0 <= r_inner < r_outer, got {self.r_inner!r} and {self.r_outer!r}")
+        _check_real("level", self.level)
 
     @property
     def support(self) -> tuple[Point, ...]:
@@ -161,7 +181,10 @@ def event_from_dict(d: dict) -> EventSpec:
 
 
 # ---------------------------------------------------------------------------
-# compiled events: crossing thresholds by bisection over batched labelling
+# compiled events: crossing thresholds from a path lower bound, confirmed by
+# batched labelling
+
+PATH_PASSES = 3  # outward-and-back sweeps of the path lower bound; BENCH_23.json has the sweep
 
 
 class CompiledEvent:
@@ -170,6 +193,14 @@ class CompiledEvent:
     A crossing event lays its support out in its bounding box, with boolean
     source and sink masks there, and a structuring element that links the box
     axes only, so one ``ndimage.label`` call labels a whole stack of replicates.
+
+    For the path lower bound it orders its support sites by breadth-first
+    level from the source, and keeps for each level padded neighbour tables
+    into the level below (outward sweeps), the level above (back sweeps) and
+    the level itself.  A crossing threshold is the bound when labelling at the
+    next sorted value above it finds no crossing, and bisection between the
+    two otherwise.  ``thresholds_batch`` only reads what ``__init__`` built,
+    so one compiled event serves any number of threads.
     """
 
     def __init__(self, spec: EventSpec, index):
@@ -208,6 +239,77 @@ class CompiledEvent:
             raise SpecError("crossing event has an empty source or sink face")
         self.structure = np.zeros((3,) * (len(self.shape) + 1), dtype=bool)
         self.structure[1] = cross
+        self._compile_levels(pts - corner)
+
+    def _compile_levels(self, local: np.ndarray) -> None:
+        """Sites ordered by BFS level from the source, and each level's sweep tables."""
+        m = len(local)
+        pos = np.full(self.shape, m, dtype=np.intp)  # m: no site; row m of V holds -inf
+        pos.flat[self.flat] = np.arange(m)
+        nbr = np.full((m, 2 * local.shape[1]), m, dtype=np.intp)
+        for ax in range(local.shape[1]):
+            for side, step in enumerate((-1, 1)):
+                q = local.copy()
+                q[:, ax] += step
+                inbox = (q[:, ax] >= 0) & (q[:, ax] < self.shape[ax])
+                nbr[inbox, 2 * ax + side] = pos[tuple(q[inbox].T)]
+        depth = np.full(m + 1, -1, dtype=np.intp)  # -1: unreached, and the sentinel
+        frontier, k = np.flatnonzero(self.src.flat[self.flat]), 0
+        while frontier.size:
+            depth[frontier] = k
+            frontier = np.unique(nbr[frontier])
+            frontier = frontier[(frontier < m) & (depth[frontier] < 0)]
+            k += 1
+        # rows of V: reached sites by level, then unreached ones, then the sentinel
+        key = np.where(depth[:m] < 0, k, depth[:m])
+        self._order = np.argsort(key, kind="stable")
+        starts = np.searchsorted(key[self._order], np.arange(k + 1))
+        self._sources = int(starts[1])
+        rank = np.empty(m + 1, dtype=np.intp)
+        rank[self._order], rank[m] = np.arange(m), m
+        row_nbr, nbr_depth = rank[nbr[self._order]], depth[nbr[self._order]]
+
+        def steps(level: int, toward: int):
+            """Relaxations of ``level``: from its neighbours on level + toward, then
+            from its neighbours on the level itself, each table padded with the sentinel."""
+            a, b = int(starts[level]), int(starts[level + 1])
+            out = []
+            for keep in (nbr_depth[a:b] == level + toward, nbr_depth[a:b] == level):
+                width = int(keep.sum(axis=1).max())
+                if width:
+                    t = np.sort(np.where(keep, row_nbr[a:b], m), axis=1)  # the sentinel sorts last
+                    out.append((a, b, t[:, :width]))
+            return out
+
+        self._sweeps = tuple(step for lv in range(1, k) for step in steps(lv, -1)) + tuple(
+            step for lv in range(k - 1, 0, -1) for step in steps(lv, 1))
+        self._sink_rows = rank[np.flatnonzero(self.snk.flat[self.flat])]
+
+    def _path_bound(self, vals: np.ndarray) -> np.ndarray:
+        """A lower bound on each replicate's maximin value, itself a site value.
+
+        V starts as the field on the source and -inf elsewhere; each sweep sets
+        V = max(V, min(x, max V[neighbours])) level by level, so every V is the
+        minimum of the field along a real path from the source.
+        """
+        x = np.ascontiguousarray(vals[:, self._order].T)
+        V = np.full((x.shape[0] + 1, x.shape[1]), -np.inf)
+        V[:self._sources] = x[:self._sources]
+        for _ in range(PATH_PASSES):
+            for a, b, t in self._sweeps:
+                g = V[t].max(axis=1)
+                np.minimum(g, x[a:b], out=g)
+                np.maximum(V[a:b], g, out=V[a:b])
+        return V[self._sink_rows].max(axis=0)
+
+    def _crossed(self, box: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Whether {box >= u} joins source and sink, replicate by replicate."""
+        labels, count = ndimage.label(box >= u.reshape((-1,) + (1,) * len(self.shape)), self.structure)
+        # labels never link two replicates, so one source table serves all
+        on_src = np.zeros(count + 1, dtype=bool)
+        on_src[labels[:, self.src]] = True
+        on_src[0] = False
+        return on_src[labels[:, self.snk]].any(axis=1)
 
     def thresholds_batch(self, values_matrix: np.ndarray) -> np.ndarray:
         vals = values_matrix[:, self.cols]
@@ -216,27 +318,27 @@ class CompiledEvent:
         if self.kind == "AnyAbove":
             return self.level - vals.max(axis=1)
         # The maximin value is the largest site value u at which {vals >= u}
-        # joins source and sink.  The smallest site value always does (a box
-        # and a lattice ball are connected), so bisect every replicate at once
-        # on the index into its sorted values.
-        reps = vals.shape[0]
-        box = np.full((reps,) + self.shape, -np.inf)
-        box.reshape(reps, -1)[:, self.flat] = vals
+        # joins source and sink.  Keep a crossing at ordered[lo] and none at
+        # ordered[hi]: lo starts at the last sorted index of the path bound (a
+        # value of the row), the first probe is the next value above it, and the
+        # replicates that cross there bisect.  The result is the last sorted
+        # index of the maximin value whatever the bound, as bisection alone gives.
+        reps, m = vals.shape
         ordered = np.sort(vals, axis=1)
         rows = np.arange(reps)
-        lo = np.zeros(reps, dtype=np.intp)  # crossing at ordered[lo]
-        hi = np.full(reps, vals.shape[1], dtype=np.intp)  # none at ordered[hi]
-        while (hi - lo > 1).any():
-            mid = (lo + hi) // 2
-            u = ordered[rows, mid].reshape((reps,) + (1,) * len(self.shape))
-            labels, count = ndimage.label(box >= u, self.structure)
-            # labels never link two replicates, so one source table serves all
-            on_src = np.zeros(count + 1, dtype=bool)
-            on_src[labels[:, self.src]] = True
-            on_src[0] = False
-            crossed = on_src[labels[:, self.snk]].any(axis=1)
-            lo = np.where(crossed, mid, lo)
-            hi = np.where(crossed, hi, mid)
+        lo = (ordered <= self._path_bound(vals)[:, None]).sum(axis=1) - 1
+        hi = np.full(reps, m, dtype=np.intp)
+        probe = lo + 1
+        todo = np.flatnonzero(probe < hi)
+        box = np.full((reps,) + self.shape, -np.inf)
+        box.reshape(reps, -1)[:, self.flat] = vals
+        while todo.size:
+            mid = probe[todo]
+            crossed = self._crossed(box[todo] if todo.size < reps else box, ordered[todo, mid])
+            lo[todo] = np.where(crossed, mid, lo[todo])
+            hi[todo] = np.where(crossed, hi[todo], mid)
+            todo = todo[hi[todo] - lo[todo] > 1]
+            probe = (lo + hi) // 2
         return self.level - ordered[rows, lo]
 
 

@@ -314,11 +314,17 @@ def verify_threshold_cov(plan, A1, A2, n: int, workers: int = 1) -> InequalityRe
     if na := _mixed_sign("prop2.2", plan, n, kmin, kmax, floor, "mixed-sign cross covariance: hypothesis unmet"):
         return na
     lo, hi = (kmin, kabs) if kmin >= -floor else (-kabs, kmax)
+    consts = {"lower": lo, "upper": hi, "min_cross": kmin, "max_cross": kmax}
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
+    # A threshold of positive variance that is one float on every replicate lost
+    # the field to the level's rounding unit: the draws cannot test the bounds.
+    if any(t.min() == t.max() and np.diag(plan.cov_block(A.support, A.support)).max() > 0
+           for A, t in ((A1, t1), (A2, t2))):
+        return _report("prop2.2", {}, [], consts, plan.base_seed, n, VERDICT_NA,
+                       ("thresholds constant in floating point: the field's sd is below the level's rounding unit",))
     est = _cov(t1, t2)
     sides = [_lower("cov>=lower", est.value, est.se, lo), _upper("cov<=upper", est.value, est.se, hi)]
-    return _report("prop2.2", {"cov": est}, sides,
-                   {"lower": lo, "upper": hi, "min_cross": kmin, "max_cross": kmax}, plan.base_seed, n)
+    return _report("prop2.2", {"cov": est}, sides, consts, plan.base_seed, n)
 
 
 HOEFFDING_BINS = 256  # histogram bins per axis of the integration box

@@ -6,6 +6,8 @@ import pytest
 from sdlab import bootstrap, events, kernels
 from sdlab.errors import DomainError, InputError, ParameterError
 
+import golden
+
 
 # --- decay functions -----------------------------------------------------------
 
@@ -352,6 +354,12 @@ def test_decay_table_exact_monotone_in_level():
     p_low = (T <= -0.8).mean(axis=1)
     p_high = (T <= -0.2).mean(axis=1)
     assert np.all(p_low <= p_high)
+
+
+def test_crossing_estimates_match_golden():
+    # the 32 x 32 hcross and the R = 4, 8, 16 one-arm table at n = 512, seed 11;
+    # regenerate: PYTHONPATH=src python tests/golden.py
+    assert golden.crossing_mismatches() == []
 
 
 def test_crossing_thresholds_are_read_only():

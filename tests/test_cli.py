@@ -287,6 +287,19 @@ def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files.values())
 
 
+@pytest.mark.parametrize("level", [None, "x", float("nan"), float("inf"), True])
+def test_pa_event_level_must_be_a_finite_real(tmp_path, capsys, level):
+    # null ended in a TypeError traceback, "x" in a numpy _UFuncNoLoopError, NaN reported pass
+    ev = {"kind": "all_above", "sites": [[0]], "level": level}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_malformed("pa", events=[ev, {**ev, "sites": [[1]]}])))
+    assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "level must be a finite real number" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_*.json"))
+
+
 def test_non_finite_explicit_config_exits_1(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_malformed("cor2.6", model={"family": "explicit", "matrix": [[float("inf")]]})))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlab import events
+from sdlab import events, kernels, sampler
 from sdlab.errors import InputError, SpecError
 
 import oracles
@@ -94,6 +94,14 @@ def test_union_find_matches_enumeration_all_small_grids():
                 assert t == -oracles.grid_maximin(field.T, axis=0)
 
 
+def crossing_ends(spec):
+    """Source and sink sites of a crossing event, as the oracles read them."""
+    if isinstance(spec, events.BoxCrossing):
+        return ([p for p in spec.support if p[spec.axis] == spec.lo[spec.axis]],
+                [p for p in spec.support if p[spec.axis] == spec.hi[spec.axis]])
+    return oracles.annulus_ends(spec.support, spec.center, spec.r_inner)
+
+
 @pytest.mark.parametrize("spec", [
     events.AnnulusCrossing((0, 0), 0.0, 2.0), events.AnnulusCrossing((0, 0), 0.0, 3.0),
     events.AnnulusCrossing((1, -2), 1.0, 2.5), events.AnnulusCrossing((0, 0), 1.0, 3.0),
@@ -101,11 +109,7 @@ def test_union_find_matches_enumeration_all_small_grids():
     events.BoxCrossing((0, 0, 0), (1, 2, 2), 2), events.BoxCrossing((-3,), (4,), 0),
 ])
 def test_threshold_matches_enumeration_beyond_2d_boxes(spec):
-    if isinstance(spec, events.BoxCrossing):
-        src = [p for p in spec.support if p[spec.axis] == spec.lo[spec.axis]]
-        snk = [p for p in spec.support if p[spec.axis] == spec.hi[spec.axis]]
-    else:
-        src, snk = oracles.annulus_ends(spec.support, spec.center, spec.r_inner)
+    src, snk = crossing_ends(spec)
     idx = {p: k for k, p in enumerate(spec.support)}
     ce = events.compile_event(spec, idx)
     rng = np.random.default_rng(17)
@@ -113,6 +117,102 @@ def test_threshold_matches_enumeration_beyond_2d_boxes(spec):
     got = ce.thresholds_batch(fields)
     for vals, t in zip(fields, got):
         assert t == -oracles.support_maximin(vals, spec.support, src, snk)
+
+
+@st.composite
+def crossing_specs(draw):
+    """Boxes in d = 1-3 along any axis, and annuli in d = 2, 3 with r_inner 0 or > 0, off-centre."""
+    level = draw(st.sampled_from([0.0, -0.0, 0.5]))
+    d = draw(st.integers(1, 3))
+    if d == 1 or draw(st.booleans()):
+        lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+        ext = [draw(st.integers(1, {1: 12, 2: 7, 3: 4}[d])) for _ in range(d)]
+        return events.BoxCrossing(lo, tuple(a + e - 1 for a, e in zip(lo, ext)), draw(st.integers(0, d - 1)), level)
+    r_outer = draw(st.floats(0.5, {2: 4.5, 3: 2.5}[d]))
+    r_inner = draw(st.one_of(st.just(0.0), st.floats(0.5, r_outer).filter(lambda r: r < r_outer)))
+    return events.AnnulusCrossing(tuple(draw(st.integers(-3, 3)) for _ in range(d)), r_inner, r_outer, level)
+
+
+def field_stack(kind: str, seed: int, reps: int, m: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "floats":
+        return rng.normal(size=(reps, m))
+    if kind == "ties":
+        return rng.integers(-2, 3, size=(reps, m)).astype(float)
+    if kind == "signed-zeros":
+        return rng.choice([-0.0, 0.0, 1.0, -1.0], size=(reps, m), p=[0.35, 0.35, 0.15, 0.15])
+    return np.full((reps, m), rng.choice([-0.0, 0.0, 1.5]))  # constant
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(crossing_specs(), st.sampled_from(["floats", "ties", "signed-zeros", "constant"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 9))
+def test_crossing_thresholds_equal_bisection_bit_for_bit(spec, kind, seed, reps):
+    idx = {p: k for k, p in enumerate(spec.support)}
+    ce = events.compile_event(spec, idx)
+    vals = field_stack(kind, seed, reps, len(idx))
+    got, ref = ce.thresholds_batch(vals), oracles.bisection_thresholds(ce, vals)
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    if len(idx) <= 12:
+        src, snk = crossing_ends(spec)
+        for row, t in zip(vals, got):
+            assert t == spec.level - oracles.support_maximin(row, spec.support, src, snk)
+
+
+def _bf_stack(spec, spacing, seed=5, n=2048):
+    pts = np.array(spec.support)
+    grid = sampler.Grid(tuple(int(s) for s in np.ptp(pts, axis=0) + 1), spacing, tuple(int(c) for c in pts.min(axis=0)))
+    plan = sampler.plan_circulant(kernels.bargmann_fock(2), grid, seed)
+    return plan, [plan.draw_batch(range(a, a + 256)) for a in range(0, n, 256)]
+
+
+@pytest.mark.parametrize("spec, spacing", [
+    (events.BoxCrossing((0, 0), (31, 31), 0), 0.5),  # the crossing workload's 32 x 32 hcross
+    (events.AnnulusCrossing((0, 0), 0.0, 16), 1.0),  # its R = 16 one-arm
+])
+def test_crossing_thresholds_on_bargmann_fock_equal_bisection(spec, spacing):
+    plan, stacks = _bf_stack(spec, spacing)
+    ce = events.compile_event(spec, plan.index)
+    settled = 0
+    for draws in stacks:
+        got = ce.thresholds_batch(draws)
+        assert np.array_equal(got, oracles.bisection_thresholds(ce, draws))
+        settled += int(np.sum(spec.level - ce._path_bound(draws[:, ce.cols]) == got))
+    assert 0 < settled < 2048  # both the confirming labelling and the bisection decide replicates
+
+
+def serpentine(width: int, turns: int, seed: int = 0) -> np.ndarray:
+    """field[x, y] of a box whose one high route from x = 0 to x = width - 1 runs along
+    rows 0, 2, ..., 2 * turns, alternately rightward and leftward (``turns`` even, so the
+    last row runs rightward); every other site is low."""
+    rng = np.random.default_rng(seed)
+    field = -1.0 - rng.uniform(size=(width, 2 * turns + 1))
+    for r in range(turns + 1):
+        y = 2 * r
+        field[1:width - 1, y] = 2.0 + rng.uniform(size=width - 2)
+        if r < turns:  # the step down to the next row, at the end this row runs to
+            field[width - 2 if r % 2 == 0 else 1, y + 1] = 2.0 + rng.uniform()
+    field[0, 0] = 2.0 + rng.uniform()
+    field[width - 1, 2 * turns] = 2.0 + rng.uniform()
+    return field
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+def test_serpentine_bound_is_strict_and_bisection_decides(extra):
+    # each outward-and-back pass follows the route through two of its turns
+    field = serpentine(9, 2 * events.PATH_PASSES + extra)
+    spec = events.BoxCrossing((0, 0), (field.shape[0] - 1, field.shape[1] - 1), 0)
+    idx = {p: k for k, p in enumerate(spec.support)}
+    vals = np.array([[field[p] for p in spec.support]])
+    ce = events.compile_event(spec, idx)
+    route_min = field[field > 0].min()
+    assert ce._path_bound(vals)[0] < route_min  # the sweeps cannot follow every turn
+    probes = []
+    crossed = ce._crossed
+    ce._crossed = lambda box, u: probes.append(u.copy()) or crossed(box, u)
+    got = ce.thresholds_batch(vals)
+    assert got[0] == -route_min == oracles.bisection_thresholds(ce, vals)[0]
+    assert len(probes) > 1  # the confirming labelling crossed, so the bisection ran
 
 
 def test_occurs_iff_threshold_below_shift():
@@ -240,6 +340,44 @@ def test_event_serialization_roundtrip():
 def test_event_from_dict_rejects_malformed_input(d):
     with pytest.raises(InputError):
         events.event_from_dict(d)
+
+
+@pytest.mark.parametrize("d", [
+    {"kind": "box_crossing", "lo": [0, 0], "hi": [3, 3], "axis": True},
+    {"kind": "box_crossing", "lo": [0, 0], "hi": [3, 3], "axis": 0.5},
+    {"kind": "box_crossing", "lo": [0, 0], "hi": [3, 3], "axis": "0"},
+])
+def test_box_crossing_axis_must_be_an_int(d):
+    # true and 0.5 passed the range check and ended in an IndexError in compile_event
+    with pytest.raises(InputError, match="axis must be an integer"):
+        events.event_from_dict(d)
+
+
+@pytest.mark.parametrize("r_inner, r_outer", [
+    (-np.inf, 3.0), (-1.0, 3.0), (np.nan, 3.0), (0.0, np.inf), (0.0, np.nan), (True, 3.0), (0.0, "3"),
+])
+def test_annulus_radii_must_be_finite_and_ordered(r_inner, r_outer):
+    # r_inner = -inf was accepted
+    with pytest.raises(InputError, match="r_inner|r_outer"):
+        events.AnnulusCrossing((0, 0), r_inner, r_outer)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (events.AllAbove, (((0,),),)), (events.AnyAbove, (((0,),),)),
+    (events.BoxCrossing, ((0, 0), (1, 1), 0)), (events.AnnulusCrossing, ((0, 0), 0.0, 2.0)),
+])
+@pytest.mark.parametrize("level", [None, "x", np.nan, -np.inf, False])
+def test_event_level_must_be_a_finite_real(cls, args, level):
+    with pytest.raises(InputError, match="level must be a finite real number"):
+        cls(*args, level)
+
+
+def test_event_numbers_keep_their_type():
+    for d in ({"kind": "all_above", "sites": [[0]], "level": 1},
+              {"kind": "box_crossing", "lo": [0, 0], "hi": [2, 2], "axis": np.int64(1), "level": np.float32(0.5)},
+              {"kind": "annulus_crossing", "center": [0, 0], "r_inner": 0, "r_outer": 3, "level": -2}):
+        back = events.event_to_dict(events.event_from_dict(d))
+        assert back == d and [type(v) for v in back.values()] == [type(v) for v in d.values()]
 
 
 def test_event_to_dict_rejects_unknown_type():

@@ -190,6 +190,16 @@ def test_threshold_cov_mixed_sign_na():
     assert rep.verdict == mc.VERDICT_NA
 
 
+def test_threshold_cov_below_rounding_unit_is_not_applicable():
+    # sd 1e-150 under level 1: every T = 1 - X rounds to 1.0, so the sample covariance
+    # was 0 with se 0 and the lower bound 5e-301 made slack -5e-301 a fail
+    plan = sampler.plan_dense(np.array([[1e-300, 5e-301], [5e-301, 1e-300]]), 3)
+    rep = mc.verify_threshold_cov(plan, *single_events(1.0), 4_000)
+    assert rep.verdict == mc.VERDICT_NA
+    assert rep.sides == [] and "rounding unit" in rep.notes[0]
+    assert rep.constants["lower"] == 5e-301
+
+
 def test_threshold_cov_bf_grid():
     grid = sampler.Grid((16, 16), 0.5)
     plan = sampler.plan_circulant(kernels.bargmann_fock(2), grid, 9)
