@@ -333,16 +333,31 @@ class ClosureResult:
     n_d: int
 
 
-def _check_closure_args(n_d, c) -> None:
+def _closure_args(g: DecayFunction, delta: float, n_d, c, h_prime) -> tuple[DecayFunction | HFromG, float]:
+    """h' (h when None) and the scanned c', once n_d, c and the subcritical conditions pass."""
     _check_count("n_d", n_d)
     if not (math.isfinite(c) and c > 0):
         raise ParameterError(f"c must be finite and positive, got {c!r}")
+    cond = check_subcritical_conditions(g, delta, h_prime)
+    if not cond.verdict:
+        raise ParameterError("subcritical conditions fail: " + "; ".join(cond.diagnostics))
+    return HFromG(g, delta) if h_prime is None else h_prime, cond.c_prime
+
+
+def _ratio_floor(n_d: int, c: float, cp: float) -> float:
+    """log (4 n_d^4 c c')^{-1}, the ratio condition's bound on log h'(r)^2 / h'(5r)."""
+    return -math.log(4.0 * n_d**4 * c * cp)
+
+
+def _p1_ceiling(hp, n_d: int, c: float, cp: float, log_R0: float) -> float:
+    """2 n_d^2 c c' h'(25 R0), the largest p1 the closure admits."""
+    return 2.0 * n_d**2 * c * cp * math.exp(float(hp.log_value(log_R0 + math.log(25.0))))
 
 
 def _min_log_R0(hp, n_d: int, c: float, cp: float) -> float:
     """Smallest log r from which h'(r)^2 / h'(5r) <= (4 n_d^4 c c')^{-1}, by
     geometric scan and bisection on the decreasing tail of the ratio."""
-    thresh_log = -math.log(4.0 * n_d**4 * c * cp)
+    thresh_log = _ratio_floor(n_d, c, cp)
 
     def sq(logr):
         return 2.0 * hp.log_value(logr) - hp.log_value(logr + LOG5)
@@ -368,15 +383,9 @@ def _min_log_R0(hp, n_d: int, c: float, cp: float) -> float:
 def find_closure(g: DecayFunction, delta: float, n_d: int, c: float = 36.0,
                  h_prime: DecayFunction | HFromG | None = None) -> ClosureResult:
     """Smallest admissible log R0 plus the matching p1 ceiling, with the scanned c'."""
-    _check_closure_args(n_d, c)
-    cond = check_subcritical_conditions(g, delta, h_prime)
-    if not cond.verdict:
-        raise ParameterError("closure impossible: " + "; ".join(cond.diagnostics))
-    hp = HFromG(g, delta) if h_prime is None else h_prime
-    cp = cond.c_prime
+    hp, cp = _closure_args(g, delta, n_d, c, h_prime)
     log_R0 = _min_log_R0(hp, n_d, c, cp)
-    p1_max = 2.0 * n_d**2 * c * cp * math.exp(float(hp.log_value(log_R0 + math.log(25.0))))
-    return ClosureResult(log_R0, min(1.0, p1_max), cp, n_d)
+    return ClosureResult(log_R0, min(1.0, _p1_ceiling(hp, n_d, c, cp, log_R0)), cp, n_d)
 
 
 @dataclass
@@ -411,15 +420,11 @@ def run_recursion(g: DecayFunction, delta: float, n_d: int, c: float, R0: float 
     """
     if not 0.0 <= p1 <= 1.0:
         raise ParameterError("p1 must be a probability")
-    _check_closure_args(n_d, c)
     _check_count("n_steps", n_steps)
-    cond = check_subcritical_conditions(g, delta, h_prime)
-    if not cond.verdict:
-        raise ParameterError("subcritical conditions fail: " + "; ".join(cond.diagnostics))
+    hp, cp = _closure_args(g, delta, n_d, c, h_prime)
     log_R0 = _log_R0(R0, log_R0)
     h = HFromG(g, delta)
-    hp = h if h_prime is None else h_prime
-    cp = c_prime if c_prime is not None else cond.c_prime
+    cp = c_prime if c_prime is not None else cp
     if not (math.isfinite(cp) and cp > 0):
         raise ParameterError(f"c' must be finite and positive, got {cp!r}")
     M = 2.0 * n_d**2 * c * cp
@@ -427,8 +432,7 @@ def run_recursion(g: DecayFunction, delta: float, n_d: int, c: float, R0: float 
 
     scales = log_R0 + np.arange(0, n_steps + 2) * LOG5
     sq = 2.0 * np.asarray(hp.log_value(scales)) - np.asarray(hp.log_value(scales + LOG5))
-    thresh_log = -math.log(4.0 * n_d**4 * c * cp)
-    r0_ok = bool(np.all(sq <= thresh_log + 1e-12))
+    r0_ok = bool(np.all(sq <= _ratio_floor(n_d, c, cp) + 1e-12))
     log_R0_min = None
     if not r0_ok:
         log_R0_min = _min_log_R0(hp, n_d, c, cp)
@@ -436,7 +440,7 @@ def run_recursion(g: DecayFunction, delta: float, n_d: int, c: float, R0: float 
             f"ratio condition h'(r)^2/h'(5r) <= 1/(4 n_d^4 c c') fails at some scale >= R0; "
             f"minimal log R0 = {log_R0_min:.6g}"
         )
-    p1_cap = M * math.exp(float(hp.log_value(log_R0 + math.log(25.0))))
+    p1_cap = _p1_ceiling(hp, n_d, c, cp, log_R0)
     base_ok = p1 <= p1_cap * (1.0 + 1e-12)
     if not base_ok:
         failures.append(f"initial bound fails: p1 = {p1:.3e} above ceiling {p1_cap:.3e}")
@@ -477,6 +481,8 @@ class CrossingEstimate:
 
 
 def _crossing_event(kind: str, R_sites: int, aspect: float):
+    if R_sites < 2:
+        raise ParameterError("grid too small: R must span at least two sites")
     if kind == "annulus":
         return AnnulusCrossing((0,) * 2, R_sites, 2 * R_sites)
     if kind == "one_arm":
@@ -498,6 +504,22 @@ def _support_grid(events, spacing: float) -> Grid:
     return Grid(tuple(int(s) for s in hi - lo + 1), spacing, tuple(int(o) for o in lo))
 
 
+def _crossing_estimates(model, event, radii, spacing: float, ell: float, n: int, seed: int, workers: int,
+                        **finite) -> tuple[np.ndarray, list[mc.TermEstimate]]:
+    """Thresholds of event(R in sites) per radius R on one circulant plan over the supports' bounding
+    box, and P_ell from each; spacing, ell, the radii and the ``finite`` numbers must be finite."""
+    if model.dim != 2:
+        raise ParameterError("crossing drivers are implemented for d = 2")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ParameterError(f"spacing must be finite and > 0, got {spacing!r}")
+    for name, v in (("ell", ell), *(("R", r) for r in radii), *finite.items()):
+        if not math.isfinite(v):
+            raise ParameterError(f"{name} must be finite, got {v!r}")
+    events = tuple(event(int(round(r / spacing))) for r in radii)
+    T = mc.event_thresholds(plan_circulant(model, _support_grid(events, spacing), seed), events, n, workers)
+    return T, [mc._mean_se((t <= ell).astype(float)) for t in T]
+
+
 def estimate_crossing(model, spacing: float, ell: float, R: float, kind: str, n: int,
                       seed: int, aspect: float = 5.0, workers: int = 1) -> CrossingEstimate:
     """P_ell of an annulus / one-arm / box-crossing event at level 0 for f + ell.
@@ -506,16 +528,9 @@ def estimate_crossing(model, spacing: float, ell: float, R: float, kind: str, n:
     which makes the estimate exactly nondecreasing in ell replicate by
     replicate.
     """
-    if model.dim != 2:
-        raise ParameterError("crossing drivers are implemented for d = 2")
-    R_sites = int(round(R / spacing))
-    if R_sites < 2:
-        raise ParameterError("grid too small: R must span at least two sites")
-    event = _crossing_event(kind, R_sites, aspect)
-    plan = plan_circulant(model, _support_grid((event,), spacing), seed)
-    T = mc.event_thresholds(plan, (event,), n, workers)[0]
-    est = mc._mean_se((T <= ell).astype(float))
-    return CrossingEstimate(est.value, est.se, n, R, ell, kind, T)
+    T, (est,) = _crossing_estimates(model, lambda m: _crossing_event(kind, m, aspect), (R,), spacing, ell, n,
+                                    seed, workers, aspect=aspect)
+    return CrossingEstimate(est.value, est.se, n, R, ell, kind, T[0])
 
 
 @dataclass
@@ -545,14 +560,11 @@ def subcritical_decay_table(model, ell: float, R_values, n: int, seed: int,
     Rs = sorted(float(r) for r in R_values)
     if not Rs:
         raise InputError("need at least one radius")
-    events = tuple(AnnulusCrossing((0, 0), 0.0, int(round(r / spacing))) for r in Rs)
-    plan = plan_circulant(model, _support_grid(events, spacing), seed)
-    T = mc.event_thresholds(plan, events, n, workers)
-    ests = [(T[k] <= ell).astype(float) for k in range(len(Rs))]
+    T, ests = _crossing_estimates(model, lambda m: AnnulusCrossing((0, 0), 0.0, m), Rs, spacing, ell, n, seed,
+                                  workers)
     rows = []
     env_scale = None
-    for r, e in zip(Rs, ests):
-        t = mc._mean_se(e)
+    for r, t in zip(Rs, ests):
         env = float("nan")
         if h_prime is not None:
             val = math.exp(float(h_prime.log_value(math.log(max(r, 1.0 + 1e-9)))))

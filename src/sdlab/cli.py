@@ -245,6 +245,14 @@ def _out_dir(args) -> str:
     return out
 
 
+def _write(args, name: str, text: str) -> str:
+    """Write ``text`` to the file ``name`` of the output directory; return its path."""
+    path = os.path.join(_out_dir(args), name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
 def _json_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
@@ -297,15 +305,9 @@ def cmd_negbound(args) -> int:
                           f"got {args.u_step} and {args.u_max}")
     u = np.arange(args.u_step, args.u_max + 1e-12, args.u_step)
     table = analytic.neg_bound_scan(args.kappa, u)
-    lines = ["u,r,exponent"]
-    for uu, r, ex in table.rows():
-        lines.append(f"{uu:.6g},{r:.17g},{ex:.12g}")
-    text = "\n".join(lines) + "\n"
+    text = "u,r,exponent\n" + "".join(f"{uu:.6g},{r:.17g},{ex:.12g}\n" for uu, r, ex in table.rows())
     if args.file:
-        path = os.path.join(_out_dir(args), args.file)
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
+        print(f"wrote {_write(args, args.file, text)}")
     else:
         sys.stdout.write(text)
     try:
@@ -325,15 +327,20 @@ def _read_matrix(path: str) -> np.ndarray:
         raise ConfigError(f"--matrix {path!r} is not a readable numeric CSV: {exc}") from None
 
 
-def cmd_capacity(args) -> int:
+def _solver_input(args, shifts) -> tuple[np.ndarray, list[list[int]]]:
+    """The --matrix CSV with no index sets, else the model's covariance on the lattice balls of
+    radius --ball shifted by each of ``shifts`` along axis 0, with each ball's indices."""
     if args.matrix:
-        K = _read_matrix(args.matrix)
-        idx = _numbers("--set", args.set, int) if args.set else None
-    else:
-        model = build_model({"family": args.model, "d": args.d})
-        pts = lattice_ball((0,) * args.d, args.ball)
-        K = kernels.build_cov_matrix(model, pts)
-        idx = None
+        return _read_matrix(args.matrix), []
+    model = build_model({"family": args.model, "d": args.d})
+    ball = lattice_ball((0,) * args.d, args.ball)
+    K = kernels.build_cov_matrix(model, [(p[0] + s, *p[1:]) for s in shifts for p in ball])
+    return K, [list(range(k * len(ball), (k + 1) * len(ball))) for k in range(len(shifts))]
+
+
+def cmd_capacity(args) -> int:
+    K, balls = _solver_input(args, (0,))
+    idx = balls[0] if balls else (_numbers("--set", args.set, int) if args.set else None)
     res = measures.capacity(K, idx, tol=args.tol)
     print(json.dumps({
         "capacity": res.value, "energy": res.energy, "gap": res.gap,
@@ -344,19 +351,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_maxcorr(args) -> int:
-    if args.matrix:
-        K = _read_matrix(args.matrix)
-        i1 = _numbers("--i1", args.i1, int)
-        i2 = _numbers("--i2", args.i2, int)
-    else:
-        model = build_model({"family": args.model, "d": args.d})
-        p1 = list(lattice_ball((0,) * args.d, args.ball))
-        shiftv = (args.dist,) + (0,) * (args.d - 1)
-        p2 = [tuple(a + b for a, b in zip(p, shiftv)) for p in p1]
-        pts = p1 + p2
-        K = kernels.build_cov_matrix(model, pts)
-        i1 = list(range(len(p1)))
-        i2 = list(range(len(p1), len(pts)))
+    K, balls = _solver_input(args, (0, args.dist))
+    i1, i2 = balls or (_numbers("--i1", args.i1, int), _numbers("--i2", args.i2, int))
     res = measures.max_corr(K, i1, i2, None if args.ridge < 0 else args.ridge)
     print(json.dumps({"rho": res.rho, "ridge": res.ridge}, sort_keys=True))
     return 0
@@ -384,9 +380,7 @@ def cmd_verify(args) -> int:
         if args.model:
             config = dataclasses.replace(config, model={"family": args.model, "d": args.d})
     report = run_config(config)
-    out = os.path.join(_out_dir(args), f"{config.theorem.replace('.', '_')}_{config.hash}.json")
-    with open(out, "w") as fh:
-        fh.write(_report_json(report, config))
+    out = _write(args, f"{config.theorem.replace('.', '_')}_{config.hash}.json", _report_json(report, config))
     print(f"{config.theorem}: {report.verdict} (slack={report.slack:.4g}, se={report.se:.4g}) -> {out}")
     return _exit_code([report.verdict])
 
@@ -394,18 +388,14 @@ def cmd_verify(args) -> int:
 def _run_suite(args, n: int, csv_name: str) -> int:
     """Run every theorem's desk instance once; one report per id plus a CSV summary."""
     rows, verdicts = [], []
-    out_dir = _out_dir(args)
     for tid in THEOREMS:
         config = default_config(tid, n, args.seed, args.workers)
         report = run_config(config)
-        with open(os.path.join(out_dir, f"{tid.replace('.', '_')}.json"), "w") as fh:
-            fh.write(_report_json(report, config))
+        _write(args, f"{tid.replace('.', '_')}.json", _report_json(report, config))
         rows.append(f"{tid},{report.slack:.10g},{report.se:.10g},{report.verdict}")
         verdicts.append(report.verdict)
         print(rows[-1])
-    path = os.path.join(out_dir, csv_name)
-    with open(path, "w") as fh:
-        fh.write("theorem_id,slack,se,verdict\n" + "\n".join(rows) + "\n")
+    path = _write(args, csv_name, "theorem_id,slack,se,verdict\n" + "\n".join(rows) + "\n")
     print(f"wrote {path}: {verdicts.count(mc.VERDICT_FAIL)} fail verdicts")
     return _exit_code(verdicts)
 
@@ -420,13 +410,9 @@ def cmd_suite(args) -> int:
 
 def cmd_schedule(args) -> int:
     sched = bootstrap.sprinkle_schedule(args.R0, args.delta, args.ell_prime, args.n_max, log_R0=args.log_R0)
-    path = os.path.join(_out_dir(args), "schedule.csv")
-    with open(path, "w") as fh:
-        fh.write("n,ell\n")
-        for i, v in enumerate(sched.levels, start=1):
-            fh.write(f"{i},{v:.17g}\n")
+    text = "n,ell\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(sched.levels, 1))
     print(json.dumps({"ell_inf_lower": sched.ell_inf_lower, "tail_bound": sched.tail_bound}, sort_keys=True))
-    print(f"wrote {path}")
+    print(f"wrote {_write(args, 'schedule.csv', text)}")
     return 0
 
 
@@ -451,9 +437,7 @@ def cmd_run_recursion(args) -> int:
         "q_first": rep.q[0], "q_last": rep.q[-1], "failures": rep.failures,
         "ell_inf_lower": sched.ell_inf_lower,
     }
-    path = os.path.join(_out_dir(args), "recursion_certificate.json")
-    with open(path, "w") as fh:
-        json.dump(cert, fh, sort_keys=True, indent=1, default=_json_default)
+    _write(args, "recursion_certificate.json", json.dumps(cert, sort_keys=True, indent=1, default=_json_default))
     print(json.dumps(cert, sort_keys=True, default=_json_default))
     return 0 if rep.verdict else 2
 
@@ -472,12 +456,9 @@ def cmd_decay_table(args) -> int:
     hp = bootstrap.decay_from_string(args.h_prime) if args.h_prime else None
     table = bootstrap.subcritical_decay_table(model, args.ell, _numbers("--Rs", args.Rs), args.n, args.seed,
                                               h_prime=hp, spacing=args.spacing, workers=args.workers)
-    path = os.path.join(_out_dir(args), "decay_table.csv")
-    with open(path, "w") as fh:
-        fh.write("R,estimate,se,envelope\n")
-        for row in table.rows:
-            fh.write(f"{row.R:.6g},{row.estimate:.10g},{row.se:.10g},{row.envelope:.10g}\n")
-    print(f"wrote {path} (monotone in R: {table.monotone_in_R})")
+    text = "R,estimate,se,envelope\n" + "".join(
+        f"{r.R:.6g},{r.estimate:.10g},{r.se:.10g},{r.envelope:.10g}\n" for r in table.rows)
+    print(f"wrote {_write(args, 'decay_table.csv', text)} (monotone in R: {table.monotone_in_R})")
     return 0
 
 
@@ -490,6 +471,16 @@ def make_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
     seeded.add_argument("--workers", type=int, default=1)
+    solver = argparse.ArgumentParser(add_help=False)  # a CSV matrix, else a model on a lattice ball
+    solver.add_argument("--matrix", default=None, help="CSV covariance matrix")
+    solver.add_argument("--model", default="gff")
+    solver.add_argument("--d", type=int, default=3)
+    solver.add_argument("--ball", type=float, default=4.0)
+    closure = argparse.ArgumentParser(add_help=False)
+    closure.add_argument("--R0", type=float, default=None)
+    closure.add_argument("--log-R0", dest="log_R0", type=float, default=None)
+    closure.add_argument("--delta", type=float, default=0.25)
+    closure.add_argument("--ell-prime", dest="ell_prime", type=float, default=-1.0)
 
     sp = sub.add_parser("sample", parents=[out], help="write a field snapshot")
     sp.add_argument("--seed", type=int, default=0)
@@ -514,22 +505,14 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--file", default=None)
     sp.set_defaults(fn=cmd_negbound)
 
-    sp = sub.add_parser("capacity", parents=[out], help="simplex-energy capacity of an index set")
-    sp.add_argument("--matrix", default=None, help="CSV covariance matrix")
+    sp = sub.add_parser("capacity", parents=[out, solver], help="simplex-energy capacity of an index set")
     sp.add_argument("--set", default=None, help="comma-separated indices into the matrix")
-    sp.add_argument("--model", default="gff")
-    sp.add_argument("--d", type=int, default=3)
-    sp.add_argument("--ball", type=float, default=4.0)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.set_defaults(fn=cmd_capacity)
 
-    sp = sub.add_parser("maxcorr", parents=[out], help="maximum correlation coefficient between blocks")
-    sp.add_argument("--matrix", default=None)
+    sp = sub.add_parser("maxcorr", parents=[out, solver], help="maximum correlation coefficient between blocks")
     sp.add_argument("--i1", default=None)
     sp.add_argument("--i2", default=None)
-    sp.add_argument("--model", default="gff")
-    sp.add_argument("--d", type=int, default=3)
-    sp.add_argument("--ball", type=float, default=4.0)
     sp.add_argument("--dist", type=int, default=12)
     sp.add_argument("--ridge", type=float, default=-1.0, help="negative means automatic")
     sp.set_defaults(fn=cmd_maxcorr)
@@ -554,27 +537,19 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bootstrap", help="multi-scale recursion tools")
     boot = sp.add_subparsers(dest="boot_cmd", required=True)
 
-    bp = boot.add_parser("schedule", parents=[out])
-    bp.add_argument("--R0", type=float, default=None)
-    bp.add_argument("--log-R0", dest="log_R0", type=float, default=None)
-    bp.add_argument("--delta", type=float, default=0.25)
-    bp.add_argument("--ell-prime", dest="ell_prime", type=float, default=-1.0)
+    bp = boot.add_parser("schedule", parents=[out, closure])
     bp.add_argument("--n-max", dest="n_max", type=int, default=1000)
     bp.set_defaults(fn=cmd_schedule)
 
-    bp = boot.add_parser("run-recursion", parents=[out])
+    bp = boot.add_parser("run-recursion", parents=[out, closure])
     bp.add_argument("--g", default="polylog:3.5")
     bp.add_argument("--h-prime", dest="h_prime", default=None)
-    bp.add_argument("--delta", type=float, default=0.25)
     bp.add_argument("--d", type=int, default=2)
     bp.add_argument("--n-d", dest="n_d", type=int, default=None)
     bp.add_argument("--c", type=float, default=36.0)
-    bp.add_argument("--R0", type=float, default=None)
-    bp.add_argument("--log-R0", dest="log_R0", type=float, default=None)
     bp.add_argument("--p1", type=float, default=None,
                     help="default: the closure's ceiling, or 1e-6 with --R0/--log-R0")
     bp.add_argument("--n-steps", dest="n_steps", type=int, default=40)
-    bp.add_argument("--ell-prime", dest="ell_prime", type=float, default=-1.0)
     bp.set_defaults(fn=cmd_run_recursion)
 
     bp = boot.add_parser("crossing", parents=[out, seeded])

@@ -39,35 +39,27 @@ def _norm_sites(sites) -> tuple[Point, ...]:
 
 
 @dataclass(frozen=True)
-class AllAbove:
+class _SiteEvent:
+    """An event on a fixed index set of sites at one level; its support is the sites."""
+
+    sites: tuple[Point, ...]
+    level: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "sites", _norm_sites(self.sites))
+        _check_real("level", self.level)
+
+    @property
+    def support(self) -> tuple[Point, ...]:
+        return self.sites
+
+
+class AllAbove(_SiteEvent):
     """Every site of a fixed index set lies in the excursion set {X >= level}."""
 
-    sites: tuple[Point, ...]
-    level: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "sites", _norm_sites(self.sites))
-        _check_real("level", self.level)
-
-    @property
-    def support(self) -> tuple[Point, ...]:
-        return self.sites
-
-
-@dataclass(frozen=True)
-class AnyAbove:
+class AnyAbove(_SiteEvent):
     """At least one site of the index set lies in {X >= level}."""
-
-    sites: tuple[Point, ...]
-    level: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "sites", _norm_sites(self.sites))
-        _check_real("level", self.level)
-
-    @property
-    def support(self) -> tuple[Point, ...]:
-        return self.sites
 
 
 @dataclass(frozen=True)
@@ -214,7 +206,7 @@ class CompiledEvent:
             raise InputError(f"sample does not cover support site {exc.args[0]}") from None
         self.level = spec.level
         self.kind = type(spec).__name__
-        if isinstance(spec, (AllAbove, AnyAbove)):
+        if isinstance(spec, _SiteEvent):
             return
         pts = np.asarray(support)
         corner = pts.min(axis=0)

@@ -120,7 +120,6 @@ class InequalityReport:
 _CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _CACHE_MAX = 8
-CHUNK = BANK_ROWS  # replicates per draw: one block of the dense noise bank
 
 
 def _check_replicates(n) -> None:
@@ -143,7 +142,7 @@ def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.n
             return _CACHE[key]
     compiled = [compile_event(s, plan.index) for s in specs]
     out = np.empty((len(specs), n))
-    blocks = [(a, min(a + CHUNK, n)) for a in range(0, n, CHUNK)]
+    blocks = [(a, min(a + BANK_ROWS, n)) for a in range(0, n, BANK_ROWS)]  # one draw block each
 
     def work(block):
         a, b = block
@@ -168,9 +167,11 @@ def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.n
 def _mean_se(x: np.ndarray) -> TermEstimate:
     """Mean and standard error, on x scaled exactly by 2^-e so that squares of tiny terms do not underflow."""
     n = len(x)
+    if n < 2:  # one term has no spread: a standard error of 0 would make any gap a fail
+        raise ParameterError("an estimate needs two terms for its standard error: n >= 4 for a paired one")
     e = np.frexp(np.abs(x).max(initial=0.0))[1]
     y = np.ldexp(x, -e)
-    sd = float(np.ldexp(np.std(y, ddof=1), e)) if n > 1 else 0.0
+    sd = float(np.ldexp(np.std(y, ddof=1), e))
     return TermEstimate(float(np.ldexp(np.mean(y), e)), sd / np.sqrt(n), n)
 
 
@@ -236,12 +237,16 @@ def _allowance(name, diff: float, se: float, allowance: float) -> SideCheck:
 SIGN_FLOOR = 1e-12
 
 
+def _max_var(plan, *events: EventSpec) -> float:
+    """The largest variance on the events' supports."""
+    return max(float(np.diag(plan.cov_block(A.support, A.support)).max()) for A in events)
+
+
 def _cross_range(plan, A1: EventSpec, A2: EventSpec) -> tuple[float, float, float, float]:
     """Min, max and max-abs of the cross covariance between the two supports, and the sign floor."""
     block = plan.cov_block(A1.support, A2.support)
     kmin, kmax = float(block.min()), float(block.max())
-    var = max(float(np.diag(plan.cov_block(A.support, A.support)).max()) for A in (A1, A2))
-    return kmin, kmax, max(abs(kmin), abs(kmax)), SIGN_FLOOR * var
+    return kmin, kmax, max(abs(kmin), abs(kmax)), SIGN_FLOOR * _max_var(plan, A1, A2)
 
 
 def _mixed_sign(theorem_id, plan, n, kmin, kmax, floor, note):
@@ -254,6 +259,8 @@ def _mixed_sign(theorem_id, plan, n, kmin, kmax, floor, note):
 def _cov(a: np.ndarray, b: np.ndarray) -> TermEstimate:
     """Unbiased sample covariance of paired replicates, with its SE."""
     n = len(a)
+    if n < 3:  # both terms of n = 2 are equal, so their spread says nothing
+        raise ParameterError("a covariance estimate needs n >= 3 replicates")
     return _mean_se((a - a.mean()) * (b - b.mean()) * (n / (n - 1)))
 
 
@@ -270,8 +277,8 @@ def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: floa
     "positive-1" requires cross-covariances >= 0 and then uses c=1 for the
     upward side and c=0 for the downward side.
     """
-    if eps1 <= 0 or eps2 <= 0:
-        raise ParameterError("sprinkling parameters must be positive")
+    if not (eps1 > 0 and eps2 > 0):  # written so that NaN fails
+        raise ParameterError(f"sprinkling parameters must be positive, got {eps1!r} and {eps2!r}")
     kmin, _, kappa, floor = _cross_range(plan, A1, A2)
     notes = []
     if constant_mode == "proof-36":
@@ -318,8 +325,7 @@ def verify_threshold_cov(plan, A1, A2, n: int, workers: int = 1) -> InequalityRe
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     # A threshold of positive variance that is one float on every replicate lost
     # the field to the level's rounding unit: the draws cannot test the bounds.
-    if any(t.min() == t.max() and np.diag(plan.cov_block(A.support, A.support)).max() > 0
-           for A, t in ((A1, t1), (A2, t2))):
+    if any(t.min() == t.max() and _max_var(plan, A) > 0 for A, t in ((A1, t1), (A2, t2))):
         return _report("prop2.2", {}, [], consts, plan.base_seed, n, VERDICT_NA,
                        ("thresholds constant in floating point: the field's sd is below the level's rounding unit",))
     est = _cov(t1, t2)
@@ -358,8 +364,7 @@ def verify_hoeffding(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport
     HOEFFDING_REACH whose budget is at most HOEFFDING_BUDGET.  At k = 64 the
     box covers the 42-sd reach of both tails, so its budget is 0.
     """
-    sig1 = float(np.sqrt(np.diag(plan.cov_block(A1.support, A1.support)).max()))
-    sig2 = float(np.sqrt(np.diag(plan.cov_block(A2.support, A2.support)).max()))
+    sig1, sig2 = float(np.sqrt(_max_var(plan, A1))), float(np.sqrt(_max_var(plan, A2)))
     m1 = _tail_bound_fn(A1.level, len(A1.support), sig1)
     m2 = _tail_bound_fn(A2.level, len(A2.support), sig2)
     lo1, hi1 = A1.level - 42.0 * sig1, A1.level + 42.0 * sig1
@@ -487,8 +492,8 @@ def verify_interp_formula(plan: DensePlan, n: int) -> InequalityReport:
 def verify_finite_range(model, grid: Grid, radius: float, A1, A2, eps: float, n: int,
                         base_seed: int = 0, workers: int = 1) -> InequalityReport:
     """Sprinkled decoupling with the moving-average error 3 max|I| exp(-eps^2/(8 sigma^2))."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not eps > 0:  # written so that NaN fails
+        raise ParameterError(f"eps must be positive, got {eps!r}")
     plan = plan_decomposed(model, grid, radius, base_seed)
     p1 = np.asarray(A1.support, dtype=float) * grid.spacing
     p2 = np.asarray(A2.support, dtype=float) * grid.spacing
@@ -525,8 +530,8 @@ def _rho_of(plan, A1, A2) -> float:
 @_timed
 def verify_sdi2(plan, A1, A2, eps: float, n: int, workers: int = 1) -> InequalityReport:
     """One-sided sprinkling against exp(-eps^2 / (8 |K|_inf rho^2))."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not eps > 0:  # written so that NaN fails
+        raise ParameterError(f"eps must be positive, got {eps!r}")
     rho = _rho_of(plan, A1, A2)
     kinf = plan.max_abs_cov()
     bound = float(np.exp(-(eps**2) / (8.0 * kinf * rho**2))) if rho > 0 else 0.0
@@ -570,8 +575,8 @@ def verify_sdi3(plan, A1, A2, delta1: float, delta2: float, n: int, workers: int
 @_timed
 def verify_isoperimetric(plan, A, eps: float, n: int, workers: int = 1) -> InequalityReport:
     """P[X+eps in A] >= Phi(Phi^{-1}(P[X in A]) + eps / sqrt(|K|_inf))."""
-    if eps < 0:
-        raise ParameterError("eps must be nonnegative")
+    if not eps >= 0:  # written so that NaN fails
+        raise ParameterError(f"eps must be nonnegative, got {eps!r}")
     (t,) = event_thresholds(plan, (A,), n, workers)
     p0, pe = _mean_se((t <= 0).astype(float)), _mean_se((t <= eps).astype(float))
     if p0.value <= 0.0 or p0.value >= 1.0:

@@ -145,7 +145,8 @@ def max_corr(K: np.ndarray, I1, I2, ridge: float | None = None) -> MaxCorrResult
     ridge=None applies 1e-10 * trace only when a block is near singular;
     an explicit ridge=0.0 on a singular block raises instead.  An explicit
     ridge must be finite and >= 0.  A block whose variances are all zero
-    gives rho = 0 with zero directions and no ridge.
+    gives rho = 0 with zero directions and no ridge.  The matrix on I1 and I2
+    passes the PSD gate ``repair_psd``: an indefinite one raises ModelError.
     """
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
         raise InputError(f"ridge must be finite and >= 0, got {ridge}")
@@ -153,10 +154,11 @@ def max_corr(K: np.ndarray, I1, I2, ridge: float | None = None) -> MaxCorrResult
     A = K[np.ix_(i, i)]
     B = K[np.ix_(j, j)]
     C = K[np.ix_(i, j)]
-    if not (A.diagonal().any() and B.diagonal().any()):
-        # a block with zero variances is a.s. constant; PSD forces C = 0, so rho = 0
-        if C.any():
-            raise InputError("a zero-variance block has nonzero cross covariance: not a covariance")
+    constant = not (A.diagonal().any() and B.diagonal().any())
+    if constant and C.any():  # a block with zero variances is a.s. constant; PSD forces C = 0
+        raise InputError("a zero-variance block has nonzero cross covariance: not a covariance")
+    repair_psd(K[np.ix_(np.r_[i, j], np.r_[i, j])])  # the PSD gate: ModelError if indefinite
+    if constant:
         return MaxCorrResult(0.0, np.zeros(len(i)), np.zeros(len(j)), 0.0)
     Ai, ra = _inv_sqrt(A, ridge)
     Bi, rb = _inv_sqrt(B, ridge)

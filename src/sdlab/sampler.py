@@ -22,10 +22,11 @@ Philox generator and re-keys it for each replicate (key (base_seed,
 replicate), counter 0, empty buffer); being counter-based, the re-keyed
 generator gives exactly the stream of a fresh generator with that key.
 
-Dense plans read their noise from a per-process bank, so plans that share a
-seed draw each stream once.  The bank holds blocks of ``BANK_ROWS``
-replicates (r // BANK_ROWS, aligned with mc.CHUNK) keyed by (base_seed,
-block), each at the widest width asked of it so far; a narrower request
+Every plan draws a batch by its runs within one block of ``BANK_ROWS``
+replicates (block r // BANK_ROWS; mc asks for one block per draw).  Dense
+plans read their noise from a per-process bank, so plans that share a seed
+draw each stream once.  The bank keys blocks by (base_seed, block), each at
+the widest width asked of it so far; a narrower request
 slices the block, a wider one redraws it at the new width.  This rests on the
 prefix property of the stream: the first k normals of (base_seed, r) do not
 depend on how many are drawn (the ziggurat consumes the stream sequentially,
@@ -54,11 +55,11 @@ from .kernels import Point, cov_of_offsets, repair_psd
 
 DENSE_FACTOR_TOL = 1e-8
 SPECTRUM_CLIP_LIMIT = 1e-6
-# torus extent over box extent, tried in order; each FFT block holds
-# CirculantPlan._FFT_BLOCK replicates of the whole torus, so no larger
+# torus extent over box extent, tried in order; each draw block holds
+# BANK_ROWS replicates of the whole torus, so no larger
 PADDINGS = (2, 4)
 _UINT64 = 0xFFFFFFFFFFFFFFFF
-BANK_ROWS = 256  # replicates per dense noise bank block; mc.CHUNK is one block
+BANK_ROWS = 256  # replicates per draw block, in the noise bank and in each draw of mc
 # 16 MiB holds the `sdlab verify` default n = 1e5 at up to 20 normals per
 # replicate (a pair draw on 10 sites), so every dense plan of one seed re-reads
 # the streams the first one drew
@@ -94,6 +95,18 @@ def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
         bits.state = state
         gen.standard_normal(out=out[k])
     return out
+
+
+def _runs(reps: range | list[int]):
+    """(lo, hi, rows) per run of consecutive positions whose replicates (checked
+    indices) lie in one block: rows holds reps[lo:hi] as offsets in that block."""
+    if not reps:
+        return
+    reps = np.fromiter(reps, dtype=np.uint64, count=len(reps))
+    blocks = reps // BANK_ROWS
+    cuts = [0, *(np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist(), len(reps)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        yield lo, hi, (reps[lo:hi] % BANK_ROWS).astype(np.intp)
 
 
 class _NoiseBank:
@@ -132,18 +145,6 @@ class _NoiseBank:
             while self._nbytes > self.max_bytes:
                 self._nbytes -= self._blocks.popitem(last=False)[1].nbytes
         return blk
-
-    def noise(self, base_seed: int, reps: range | list[int], width: int):
-        """(lo, hi, z) per run of consecutive positions in one block: z[k] holds the
-        noise of replicate reps[lo + k] (checked indices), in at least ``width`` columns."""
-        if not reps:
-            return
-        reps = np.fromiter(reps, dtype=np.uint64, count=len(reps))
-        blocks = reps // BANK_ROWS
-        cuts = [0, *(np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist(), len(reps)]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            rows = (reps[lo:hi] % BANK_ROWS).astype(np.intp)
-            yield lo, hi, self.block(base_seed, int(blocks[lo]), width)[rows]
 
 
 _BANK = _NoiseBank(BANK_BYTES)
@@ -237,7 +238,8 @@ class DensePlan(SamplerPlan):
         m = self.factor.shape[1]
         reps = _replicate_indices(replicates)
         outs = [np.empty((len(reps), m)) for _ in range(copies)]
-        for lo, hi, z in _BANK.noise(self.base_seed, reps, copies * m):
+        for lo, hi, rows in _runs(reps):
+            z = _BANK.block(self.base_seed, reps[lo] // BANK_ROWS, copies * m)[rows]
             for c, out in enumerate(outs):
                 out[lo:hi] = self._apply(z[:, c * m : (c + 1) * m])
         return outs
@@ -299,7 +301,6 @@ class CirculantPlan(SamplerPlan):
     torus filtered by the half-spectrum of ``sqrt_spectrum``."""
 
     mode = "circulant"
-    _FFT_BLOCK = 512  # replicates per FFT batch, bounds the transient working set
 
     def __init__(self, model, grid: Grid, torus_shape, sqrt_spectrum, clipped_fraction, base_seed):
         self.model = model
@@ -319,16 +320,13 @@ class CirculantPlan(SamplerPlan):
 
     def _filter_noise(self, replicates) -> list[np.ndarray]:
         """Box values of irfftn(rfftn(w) * f) for each filter f, all from one noise w per replicate."""
-        reps = list(replicates)
-        shape = self.torus_shape
-        axes = tuple(range(1, len(shape) + 1))
+        reps = _replicate_indices(replicates)
+        axes = tuple(range(1, len(self.torus_shape) + 1))
         outs = [np.empty((len(reps), self.npoints)) for _ in self._filters]
-        for lo in range(0, len(reps), self._FFT_BLOCK):
-            block = reps[lo : lo + self._FFT_BLOCK]
-            w = _noise(self.base_seed, block, shape)
-            wf = np.fft.rfftn(w, axes=axes)
+        for lo, hi, _ in _runs(reps):
+            wf = np.fft.rfftn(_noise(self.base_seed, reps[lo:hi], self.torus_shape), axes=axes)
             for out, f in zip(outs, self._filters):
-                out[lo : lo + len(block)] = self._box_irfftn(wf * f).reshape(len(block), -1)
+                out[lo:hi] = self._box_irfftn(wf * f).reshape(hi - lo, -1)
         return outs
 
     def _box_irfftn(self, a: np.ndarray) -> np.ndarray:
@@ -416,8 +414,8 @@ class DecomposedPlan(CirculantPlan):
 def plan_decomposed(model, grid: Grid, radius: float, base_seed: int) -> DecomposedPlan:
     if model.family not in ("bargmann_fock", "cauchy"):
         raise ParameterError("moving-average decomposition supports bargmann_fock and cauchy")
-    if radius < grid.spacing:
-        raise ParameterError(f"truncation radius {radius} smaller than one grid cell {grid.spacing}")
+    if not radius >= grid.spacing:  # written so that NaN fails
+        raise ParameterError(f"truncation radius {radius} is not at least one grid cell {grid.spacing}")
     base = plan_circulant(model, grid, base_seed)
     return DecomposedPlan(base, radius)
 

@@ -338,6 +338,20 @@ def test_crossing_drivers_need_two_replicates(n):
         bootstrap.subcritical_decay_table(model, -0.5, [4, 8], n, 7)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_crossing_drivers_refuse_non_finite_numbers(value):
+    # each ended in a ValueError or OverflowError traceback, and a NaN ell in estimate 0.0
+    model = kernels.bargmann_fock(2)
+    crossing = {"spacing": 1.0, "ell": 0.0, "R": 6.0, "kind": "hcross", "n": 200, "seed": 3, "aspect": 1.0}
+    decay = {"ell": -0.5, "R_values": [4, 8], "n": 200, "seed": 7, "spacing": 1.0}
+    for driver, kwargs in ((bootstrap.estimate_crossing, crossing), (bootstrap.subcritical_decay_table, decay)):
+        for name in ("spacing", "ell", "R", "R_values", "aspect"):
+            if name in kwargs:
+                bad = [4, value] if name == "R_values" else value
+                with pytest.raises(ParameterError, match="must be finite"):
+                    driver(model, **{**kwargs, name: bad})
+
+
 def test_decay_table_monotone_and_envelope():
     model = kernels.bargmann_fock(2)
     table = bootstrap.subcritical_decay_table(model, -0.5, [4, 8], 400, 7,

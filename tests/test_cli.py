@@ -1,10 +1,15 @@
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdlab import bootstrap, cli, kernels, mc, sampler
+from sdlab.errors import SdlabError
 from sdlab.sampler import read_snapshot
 
 import golden
@@ -270,6 +275,18 @@ def test_verify_theorem_choices_omit_none(capsys):
     (["negbound", "--u-step", "inf"], "--u-step must be finite and > 0"),
     (["negbound", "--u-step", "-1"], "--u-step must be finite and > 0"),
     (["negbound", "--u-max", "0.5"], "got 1.0 and 0.5"),
+    (["bootstrap", "crossing", "--R", "nan"], "R must be finite, got nan"),
+    (["bootstrap", "crossing", "--R", "inf"], "R must be finite, got inf"),
+    (["bootstrap", "crossing", "--spacing", "nan"], "spacing must be finite and > 0"),
+    (["bootstrap", "crossing", "--spacing", "inf"], "spacing must be finite and > 0"),
+    (["bootstrap", "crossing", "--spacing", "0"], "spacing must be finite and > 0"),
+    (["bootstrap", "crossing", "--aspect", "inf"], "aspect must be finite"),
+    (["bootstrap", "crossing", "--aspect", "nan"], "aspect must be finite"),
+    (["bootstrap", "crossing", "--ell", "nan"], "ell must be finite"),
+    (["bootstrap", "decay-table", "--Rs", "8,nan"], "R must be finite, got nan"),
+    (["bootstrap", "decay-table", "--Rs", "inf"], "R must be finite, got inf"),
+    (["bootstrap", "decay-table", "--spacing", "nan"], "spacing must be finite and > 0"),
+    (["bootstrap", "decay-table", "--ell", "nan"], "ell must be finite"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):
@@ -298,6 +315,38 @@ def test_pa_event_level_must_be_a_finite_real(tmp_path, capsys, level):
     assert err.startswith("error: ") and "level must be a finite real number" in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*_*.json"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thm1.1", "--eps", "nan"], "sprinkling parameters must be positive"),
+    (["prop1.8", "--eps", "nan"], "eps must be positive"),
+    (["thm1.7", "--eps", "nan"], "eps must be positive"),
+    (["cor2.6", "--eps", "nan"], "eps must be nonnegative"),
+])
+def test_nan_sprinkle_exits_1(tmp_path, capsys, argv, message):
+    # thm1.1, prop1.8 and cor2.6 failed at NaN slack and thm1.7 gave a verdict
+    assert run(["verify", *argv, "-n", "200", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_prop1_8_nan_radius_config_exits_1(tmp_path, capsys):
+    # a NaN radius passed `radius < spacing` and prop1.8 passed with slack 66.8
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_malformed("prop1.8", radius=float("nan"))))
+    assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "truncation radius nan is not at least one grid cell" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_*.json"))
+
+
+def test_maxcorr_gates_the_matrix_like_capacity(tmp_path, capsys):
+    # maxcorr printed rho 1.0 and exited 0 on a matrix that capacity refused
+    path = tmp_path / "k.csv"
+    np.savetxt(path, [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]], delimiter=",")
+    for argv in (["capacity"], ["maxcorr", "--i1", "0", "--i2", "1,2"]):
+        assert run([*argv, "--matrix", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: covariance matrix is not PSD")
 
 
 def test_non_finite_explicit_config_exits_1(tmp_path, capsys):
@@ -525,3 +574,44 @@ def test_kept_options_parse():
     for cmd in (["negbound"], ["capacity"], ["maxcorr"], ["bootstrap", "schedule"],
                 ["bootstrap", "run-recursion"]):
         assert parser.parse_args([*cmd, "--out", "x"]).out == "x"
+
+
+DENSE_IDS = tuple(t for t, s in cli.THEOREMS.items() if "grid" not in s.defaults)
+
+
+@st.composite
+def dense_configs(draw):
+    """A dense theorem id on B B^T with some sites zeroed, scaled by 4^j, with levels and
+    sprinkles at the scale of the field or unscaled."""
+    d = draw(st.integers(1, 5))
+    B = np.array(draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=d * d, max_size=d * d))).reshape(d, d)
+    B[np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))] = 0.0
+    j = draw(st.integers(-500, 500))
+    K = np.ldexp(B @ B.T, 2 * j)
+    scale = math.ldexp(1.0, j) if draw(st.booleans()) else 1.0
+
+    def event():
+        sites = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+        kind = draw(st.sampled_from(["all_above", "any_above"]))
+        level = draw(st.sampled_from([0.0, 0.5, -1.0, 2.0])) * scale
+        return {"kind": kind, "sites": [[i] for i in sites], "level": level}
+
+    return cli.ExperimentConfig(
+        theorem=draw(st.sampled_from(DENSE_IDS)), model={"family": "explicit", "matrix": K.tolist()},
+        events=(event(), event()), eps=(draw(st.sampled_from([0.25, 1.0, 3.0])) * scale,),
+        n=draw(st.sampled_from([2, 3, 4, 16, 64])), seed=draw(st.integers(0, 3)),
+        constant_mode=draw(st.sampled_from(["proof-36", "positive-1"])))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(dense_configs())
+def test_dense_ids_end_in_a_report_or_a_typed_error(config):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # thm1.1's overlapping-supports note
+            report = cli.run_config(config)
+    except SdlabError:
+        return
+    for s in (*report.sides, report) if report.sides else ():
+        assert math.isfinite(s.slack) and math.isfinite(s.se), s
+        assert not (s.verdict == mc.VERDICT_FAIL and s.se == 0), s

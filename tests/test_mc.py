@@ -573,3 +573,55 @@ def test_cached_thresholds_are_read_only():
         T[0, :] = 0.0
     again = mc.event_thresholds(plan, events, 500)
     assert again is T and np.array_equal(again, before)
+
+
+# --- NaN parameters -------------------------------------------------------------
+# each check is written so that NaN fails it: a NaN sprinkle gave a fail of NaN
+# slack, or a verdict on an event no replicate can meet, and a NaN radius a pass
+
+NAN = float("nan")
+
+
+def test_thm1_1_nan_sprinkle_is_a_parameter_error():
+    for eps1, eps2 in ((NAN, 0.5), (0.5, NAN)):
+        with pytest.raises(ParameterError, match="sprinkling parameters must be positive"):
+            mc.verify_sprinkled(iid_plan(), *block_events(), eps1, eps2, 100)
+
+
+def test_thm1_7_nan_sprinkle_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="eps must be positive"):
+        mc.verify_sdi2(iid_plan(), *block_events(), NAN, 100)
+
+
+def test_cor2_6_nan_sprinkle_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="eps must be nonnegative"):
+        mc.verify_isoperimetric(iid_plan(), block_events()[0], NAN, 100)
+
+
+def bf_blocks():
+    return (kernels.bargmann_fock(2), sampler.Grid((24, 24), 0.5),
+            events.BoxCrossing((0, 0), (4, 4)), events.BoxCrossing((19, 19), (23, 23)))
+
+
+def test_prop1_8_nan_sprinkle_is_a_parameter_error():
+    model, grid, A1, A2 = bf_blocks()
+    with pytest.raises(ParameterError, match="eps must be positive"):
+        mc.verify_finite_range(model, grid, 1.5, A1, A2, NAN, 100)
+
+
+def test_prop1_8_nan_radius_is_a_parameter_error():
+    model, grid, A1, A2 = bf_blocks()
+    with pytest.raises(ParameterError, match="truncation radius nan is not at least one grid cell"):
+        mc.verify_finite_range(model, grid, NAN, A1, A2, 1.0, 100)
+
+
+def test_estimates_from_one_term_are_parameter_errors():
+    # at n = 2 or 3 a paired estimate has one pair, and at n = 2 both covariance
+    # terms are equal: each had se 0, so any negative slack was a fail
+    A1, A2 = single_events()
+    for n in (2, 3):
+        with pytest.raises(ParameterError, match="two terms"):
+            mc.verify_sprinkled(pair_plan(), A1, A2, 0.5, 0.5, n)
+    with pytest.raises(ParameterError, match="needs n >= 3"):
+        mc.verify_threshold_cov(pair_plan(), A1, A2, 2)
+    assert mc.verify_threshold_cov(pair_plan(), A1, A2, 3).sides

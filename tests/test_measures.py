@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdlab import kernels, measures
-from sdlab.errors import InputError, NumericalError
+from sdlab.errors import InputError, ModelError, NumericalError
 
 import oracles
 
@@ -264,11 +264,20 @@ def test_max_corr_directions_achieve_rho():
 
 
 def test_max_corr_singular_block_advises_ridge():
-    K = np.array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.1], [0.2, 0.1, 1.0]])
+    K = np.array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]])  # PSD of rank 2: X0 = X1
     with pytest.raises(NumericalError):
         measures.max_corr(K, [0, 1], [2], ridge=0.0)
     res = measures.max_corr(K, [0, 1], [2])  # automatic ridge
     assert 0.0 <= res.rho <= 1.0 and res.ridge > 0
+
+
+def test_max_corr_rejects_an_indefinite_matrix():
+    # X0 would correlate 0.9 with X1 and X2 while they correlate -0.9: rho came out 1.0
+    K = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    with pytest.raises(ModelError, match="not PSD"):
+        measures.max_corr(K, [0], [1, 2])
+    with pytest.raises(InputError, match="zero-variance block"):  # checked before the PSD gate
+        measures.max_corr(np.array([[0.0, 1.0], [1.0, 1.0]]), [0], [1])
 
 
 def test_max_corr_bounded_by_one():
