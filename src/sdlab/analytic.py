@@ -19,6 +19,7 @@ from .errors import DomainError
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ceiling for the decay constant in any Gaussian-error sprinkled bound: 1/(3-2*sqrt(2))
 NEG_BOUND_CEIL = 1.0 / (3.0 - 2.0 * math.sqrt(2.0))
+SLACK_TOL = 1e-12  # roundoff allowance of the two-dimensional checks
 
 
 def std_cdf(u):
@@ -102,7 +103,7 @@ class SlackReport:
     kappa: float | None = None
 
 
-def check_2dcase_sprinkled(rho: float, u: float, v: float, eps: float, tol: float = 1e-12) -> SlackReport:
+def check_2dcase_sprinkled(rho: float, u: float, v: float, eps: float) -> SlackReport:
     """Phi_rho(u,v) <= Phi(u) Phi(v+eps) + exp(-eps^2/(8 rho^2)) for rho in (0,1]."""
     if not 0.0 < rho <= 1.0:
         raise DomainError("sprinkled 2d check requires rho in (0,1]")
@@ -110,21 +111,21 @@ def check_2dcase_sprinkled(rho: float, u: float, v: float, eps: float, tol: floa
         raise DomainError("eps must be nonnegative")
     lhs = bivariate_cdf(rho, u, v)
     rhs = float(special.ndtr(u) * special.ndtr(v + eps)) + math.exp(-(eps**2) / (8.0 * rho**2))
-    return SlackReport(lhs, rhs, rhs - lhs, rhs - lhs >= -tol)
+    return SlackReport(lhs, rhs, rhs - lhs, rhs - lhs >= -SLACK_TOL)
 
 
 def errorless_kappa(rho: float, u: float, v: float) -> float:
     return 2.0 + max(0.0, -max(u, v)) / math.sqrt(1.0 - rho * rho)
 
 
-def check_2dcase_errorless(rho: float, u: float, v: float, tol: float = 1e-12) -> SlackReport:
+def check_2dcase_errorless(rho: float, u: float, v: float) -> SlackReport:
     """Phi_rho(u,v) <= Phi(u+kappa rho) Phi(v+kappa rho) for rho in [0,1)."""
     if not 0.0 <= rho < 1.0:
         raise DomainError("errorless 2d check requires rho in [0,1)")
     kappa = errorless_kappa(rho, u, v)
     lhs = bivariate_cdf(rho, u, v)
     rhs = float(special.ndtr(u + kappa * rho) * special.ndtr(v + kappa * rho))
-    return SlackReport(lhs, rhs, rhs - lhs, rhs - lhs >= -tol, kappa=kappa)
+    return SlackReport(lhs, rhs, rhs - lhs, rhs - lhs >= -SLACK_TOL, kappa=kappa)
 
 
 @dataclass(frozen=True)

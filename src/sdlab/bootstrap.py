@@ -68,9 +68,6 @@ class DecayFunction:
             return np.where(expo > 709.0, -np.inf, val)
         raise ParameterError(f"unknown decay family {self.family!r}")
 
-    def value(self, r):
-        return np.exp(self.log_value(np.log(np.asarray(r, dtype=float))))
-
 
 def polylog(gamma: float, c: float = 1.0) -> DecayFunction:
     return DecayFunction("polylog", c=c, gamma=gamma)

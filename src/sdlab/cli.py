@@ -232,8 +232,7 @@ def run_config(config: ExperimentConfig) -> mc.InequalityReport:
 
 def _report_json(report: mc.InequalityReport, config: ExperimentConfig) -> str:
     d = report.to_dict()
-    spec = THEOREMS.get(report.theorem_id)
-    d["title"] = spec.title if spec else report.theorem_id
+    d["title"] = THEOREMS[report.theorem_id].title
     d["config_hash"] = config.hash
     d["meta"]["timestamp"] = time.time()
     return json.dumps(d, sort_keys=True, indent=1)
@@ -251,14 +250,6 @@ def _write(args, name: str, text: str) -> str:
     with open(path, "w") as fh:
         fh.write(text)
     return path
-
-
-def _json_default(o):
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    raise TypeError(f"not serializable: {type(o)}")
 
 
 def _numbers(option: str, text: str | None, kind=float) -> list:
@@ -346,7 +337,7 @@ def cmd_capacity(args) -> int:
         "capacity": res.value, "energy": res.energy, "gap": res.gap,
         "iterations": res.iterations, "converged": res.converged,
         "infinite": res.infinite,
-    }, sort_keys=True, default=_json_default))
+    }, sort_keys=True))
     return 0
 
 
@@ -437,8 +428,8 @@ def cmd_run_recursion(args) -> int:
         "q_first": rep.q[0], "q_last": rep.q[-1], "failures": rep.failures,
         "ell_inf_lower": sched.ell_inf_lower,
     }
-    _write(args, "recursion_certificate.json", json.dumps(cert, sort_keys=True, indent=1, default=_json_default))
-    print(json.dumps(cert, sort_keys=True, default=_json_default))
+    _write(args, "recursion_certificate.json", json.dumps(cert, sort_keys=True, indent=1))
+    print(json.dumps(cert, sort_keys=True))
     return 0 if rep.verdict else 2
 
 

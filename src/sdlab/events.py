@@ -14,6 +14,7 @@ depend on how ties are ordered, nor on how good the bound was.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
@@ -86,10 +87,7 @@ class BoxCrossing:
 
     @property
     def support(self) -> tuple[Point, ...]:
-        ranges = [range(a, b + 1) for a, b in zip(self.lo, self.hi)]
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        coords = np.stack([m.ravel() for m in mesh], axis=1)
-        return tuple(tuple(int(v) for v in row) for row in coords)
+        return tuple(itertools.product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi))))
 
 
 @dataclass(frozen=True)

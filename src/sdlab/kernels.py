@@ -302,9 +302,12 @@ def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
     if w[0] >= -PSD_REL_TOL * max(wmax, 1.0):
         return mat, clipped
     w, v = np.linalg.eigh(mat)
-    wc = np.clip(w, 0.0, None)
-    rep = (v * wc) @ v.T
-    return 0.5 * (rep + rep.T), clipped
+    return _symmetrized((v * np.clip(w, 0.0, None)) @ v.T), clipped
+
+
+def _symmetrized(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^T) / 2 without overflow, so a finite matrix stays finite; an exactly symmetric one as given."""
+    return mat if np.array_equal(mat, mat.T) else 0.5 * mat + 0.5 * mat.T
 
 
 def _axis_codes(col: np.ndarray) -> np.ndarray:
@@ -324,8 +327,7 @@ def build_cov_matrix(model: CovarianceModel, points) -> np.ndarray:
         raise InputError("points must be distinct")
     if model.family == "explicit":
         idx = [int(p[0]) for p in pts]
-        m = model.matrix[np.ix_(idx, idx)].astype(float)
-        return repair_psd(0.5 * (m + m.T))[0]
+        return repair_psd(model.matrix[np.ix_(idx, idx)].astype(float))[0]  # symmetric: explicit() checks it
     arr = np.asarray(pts, dtype=float)
     rep, inverse = _distinct(_row_keys(_axis_codes(col) for col in arr.T))
     i, j = np.divmod(rep, len(arr))

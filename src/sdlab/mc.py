@@ -18,10 +18,8 @@ count.
 from __future__ import annotations
 
 import functools
-import threading
 import time
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +29,7 @@ from scipy import special
 from . import analytic, measures
 from .errors import InputError, ParameterError, PreconditionError
 from .events import EventSpec, compile_event
-from .sampler import BANK_ROWS, DensePlan, Grid, SamplerPlan, plan_decomposed
+from .sampler import BANK_BYTES, BANK_ROWS, DensePlan, Grid, SamplerPlan, _Store, plan_decomposed
 
 VERDICT_PASS = "pass"
 VERDICT_NOISE = "pass-within-noise"
@@ -115,11 +113,10 @@ class InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# threshold engine with a small cross-call cache
+# threshold engine with a cross-call cache, bounded in bytes like the noise bank
 
-_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-_CACHE_MAX = 8
+_CACHE = _Store(BANK_BYTES)
+_CACHE_LOCK = _CACHE.lock
 
 
 def _check_replicates(n) -> None:
@@ -129,17 +126,14 @@ def _check_replicates(n) -> None:
 
 
 def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.ndarray:
-    """Threshold matrix of shape (len(specs), n) over replicates 0..n-1.
-
-    The matrix is read-only: the cache hands the same array to every caller.
-    """
+    """Threshold matrix of shape (len(specs), n) over replicates 0..n-1; read-only, as the
+    cache hands the same array to every caller."""
     _check_replicates(n)
     specs = tuple(specs)
     key = (plan.fingerprint, specs, int(n))
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            _CACHE.move_to_end(key)
-            return _CACHE[key]
+    hit = _CACHE.get(key)
+    if hit is not None:
+        return hit
     compiled = [compile_event(s, plan.index) for s in specs]
     out = np.empty((len(specs), n))
     blocks = [(a, min(a + BANK_ROWS, n)) for a in range(0, n, BANK_ROWS)]  # one draw block each
@@ -156,12 +150,7 @@ def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.n
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, blocks))
-    out.flags.writeable = False
-    with _CACHE_LOCK:
-        _CACHE[key] = out
-        while len(_CACHE) > _CACHE_MAX:
-            _CACHE.popitem(last=False)
-    return out
+    return _CACHE.put(key, out)
 
 
 def _mean_se(x: np.ndarray) -> TermEstimate:

@@ -15,9 +15,10 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import InputError, NumericalError
-from .kernels import repair_psd
+from .kernels import _symmetrized, repair_psd
 
 CAP_INFINITE_ENERGY = 1e-14
+CHAIN_TOL = 1e-9  # roundoff allowance of each bound_chain_report check
 
 
 def _checked(K, *index_sets):
@@ -79,7 +80,7 @@ def capacity(K: np.ndarray, I=None, tol: float = 1e-10) -> CapacityResult:
         raise InputError(f"tol must be finite and positive, got {tol}")
     K, idx = _checked(K, range(len(K)) if I is None else I)
     A = K[np.ix_(idx, idx)]
-    A = 0.5 * (A + A.T)
+    A = _symmetrized(A)
     try:  # the PSD gate passes a matrix with a Cholesky factor; the factor serves the first solve
         L = np.linalg.cholesky(np.ldexp(A, -math.frexp(float(np.diag(A).max()))[1]))
     except np.linalg.LinAlgError:
@@ -194,7 +195,7 @@ class ChainReport:
     passed: bool = True
 
 
-def bound_chain_report(K: np.ndarray, I1, I2, gff_model: bool = False, tol: float = 1e-9) -> ChainReport:
+def bound_chain_report(K: np.ndarray, I1, I2, gff_model: bool = False) -> ChainReport:
     """Evaluate 1 >= rho >= max normalized |K| >= cross/global, plus capacity bounds."""
     K, i, j = _checked(K, I1, I2)
     mc = max_corr(K, i, j)
@@ -214,17 +215,17 @@ def bound_chain_report(K: np.ndarray, I1, I2, gff_model: bool = False, tol: floa
     upper = caps * cross if gff_model and np.isfinite(caps) else None
     gap_slack = 2.0 * (c1.gap + c2.gap)
     checks = [
-        ChainCheck("rho<=1", mc.rho, 1.0, 1.0 - mc.rho, mc.rho <= 1.0 + tol),
+        ChainCheck("rho<=1", mc.rho, 1.0, 1.0 - mc.rho, mc.rho <= 1.0 + CHAIN_TOL),
         ChainCheck("normalized<=rho", max_norm_entry, mc.rho, mc.rho - max_norm_entry,
-                   max_norm_entry <= mc.rho + tol),
+                   max_norm_entry <= mc.rho + CHAIN_TOL),
         ChainCheck("ratio<=normalized", ratio, max_norm_entry, max_norm_entry - ratio,
-                   ratio <= max_norm_entry + tol),
+                   ratio <= max_norm_entry + CHAIN_TOL),
         ChainCheck("caplower<=rho", lower, mc.rho, mc.rho - lower,
-                   lower <= mc.rho + tol + gap_slack),
+                   lower <= mc.rho + CHAIN_TOL + gap_slack),
     ]
     if upper is not None:
         checks.append(ChainCheck("rho<=capupper", mc.rho, upper, upper - mc.rho,
-                                 mc.rho <= upper + tol + gap_slack))
+                                 mc.rho <= upper + CHAIN_TOL + gap_slack))
     return ChainReport(
         rho=mc.rho,
         max_normalized_entry=max_norm_entry,

@@ -25,13 +25,12 @@ generator gives exactly the stream of a fresh generator with that key.
 Every plan draws a batch by its runs within one block of ``BANK_ROWS``
 replicates (block r // BANK_ROWS; mc asks for one block per draw).  Dense
 plans read their noise from a per-process bank, so plans that share a seed
-draw each stream once.  The bank keys blocks by (base_seed, block), each at
-the widest width asked of it so far; a narrower request
-slices the block, a wider one redraws it at the new width.  This rests on the
-prefix property of the stream: the first k normals of (base_seed, r) do not
-depend on how many are drawn (the ziggurat consumes the stream sequentially,
-its rejection branch included), so a sliced row equals the row drawn at that
-width.  The bank evicts least recently used blocks beyond ``BANK_BYTES``.
+draw each stream once: block (base_seed, b) is kept at the widest width asked
+of it so far; a narrower request slices it, a wider one redraws it.  Slicing
+rests on the prefix property of the stream: the first k normals of (base_seed,
+r) do not depend on how many are drawn (the ziggurat consumes the stream
+sequentially, its rejection branch included).  The bank and mc's threshold
+cache are each a ``_Store`` of read-only arrays, bounded at ``BANK_BYTES``.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ _UINT64 = 0xFFFFFFFFFFFFFFFF
 BANK_ROWS = 256  # replicates per draw block, in the noise bank and in each draw of mc
 # 16 MiB holds the `sdlab verify` default n = 1e5 at up to 20 normals per
 # replicate (a pair draw on 10 sites), so every dense plan of one seed re-reads
-# the streams the first one drew
+# the streams the first one drew; mc's threshold cache has the same bound
 BANK_BYTES = 16 * 2**20
 
 
@@ -109,45 +108,49 @@ def _runs(reps: range | list[int]):
         yield lo, hi, (reps[lo:hi] % BANK_ROWS).astype(np.intp)
 
 
-class _NoiseBank:
-    """Dense-plan noise by block of BANK_ROWS replicates, keyed by (base_seed, block).
-
-    A block holds every replicate of the block at the widest width asked of it
-    so far; least recently used blocks go once the bank holds more than
-    ``max_bytes``.  Blocks are read-only and shared by every caller.
-    """
+class _Store:
+    """Read-only arrays by key, shared by every caller; least recently used entries go
+    beyond ``max_bytes``, and an array larger than that is handed back and not kept."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
-        self._blocks: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self.lock = threading.RLock()  # reentrant: a caller holding it may still call clear()
+        self._entries: OrderedDict = OrderedDict()
         self._nbytes = 0
-        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            return self._entries.get(key)
+
+    def put(self, key, arr: np.ndarray) -> np.ndarray:
+        arr.flags.writeable = False
+        with self.lock:
+            old = self._entries.pop(key, None)
+            self._nbytes -= 0 if old is None else old.nbytes
+            if arr.nbytes <= self.max_bytes:
+                self._entries[key] = arr
+                self._nbytes += arr.nbytes
+            while self._nbytes > self.max_bytes:
+                self._nbytes -= self._entries.popitem(last=False)[1].nbytes
+        return arr
 
     def clear(self) -> None:
-        with self._lock:
-            self._blocks.clear()
+        with self.lock:
+            self._entries.clear()
             self._nbytes = 0
 
-    def block(self, base_seed: int, b: int, width: int) -> np.ndarray:
-        """Noise of replicates b*BANK_ROWS .. (b+1)*BANK_ROWS - 1, at least ``width`` columns."""
-        key = (base_seed, b)
-        with self._lock:
-            blk = self._blocks.get(key)
-            if blk is not None and blk.shape[1] >= width:
-                self._blocks.move_to_end(key)
-                return blk
-        blk = _noise(base_seed, range(b * BANK_ROWS, (b + 1) * BANK_ROWS), (width,))
-        blk.flags.writeable = False
-        with self._lock:
-            old = self._blocks.pop(key, None)
-            self._nbytes += blk.nbytes - (0 if old is None else old.nbytes)
-            self._blocks[key] = blk
-            while self._nbytes > self.max_bytes:
-                self._nbytes -= self._blocks.popitem(last=False)[1].nbytes
-        return blk
+
+_BANK = _Store(BANK_BYTES)
 
 
-_BANK = _NoiseBank(BANK_BYTES)
+def _bank_block(base_seed: int, b: int, width: int) -> np.ndarray:
+    """Noise of replicates b*BANK_ROWS .. (b+1)*BANK_ROWS - 1, at least ``width`` columns."""
+    blk = _BANK.get((base_seed, b))
+    if blk is None or blk.shape[1] < width:
+        blk = _BANK.put((base_seed, b), _noise(base_seed, range(b * BANK_ROWS, (b + 1) * BANK_ROWS), (width,)))
+    return blk
 
 
 def _digest(*parts) -> str:
@@ -239,7 +242,7 @@ class DensePlan(SamplerPlan):
         reps = _replicate_indices(replicates)
         outs = [np.empty((len(reps), m)) for _ in range(copies)]
         for lo, hi, rows in _runs(reps):
-            z = _BANK.block(self.base_seed, reps[lo] // BANK_ROWS, copies * m)[rows]
+            z = _bank_block(self.base_seed, reps[lo] // BANK_ROWS, copies * m)[rows]
             for c, out in enumerate(outs):
                 out[lo:hi] = self._apply(z[:, c * m : (c + 1) * m])
         return outs

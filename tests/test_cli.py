@@ -359,6 +359,14 @@ def test_non_finite_explicit_config_exits_1(tmp_path, capsys):
     assert not list(tmp_path.glob("*_*.json"))
 
 
+def test_explicit_config_near_the_float_limit_is_verified(tmp_path, capsys):
+    # symmetrizing as 0.5 * (m + m.T) overflowed this finite matrix to inf: "must be finite", exit 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_malformed("cor2.6", n=2000, model={"family": "explicit", "matrix": [[1.7e308]]})))
+    assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "cor2.6: pass" in capsys.readouterr().out
+
+
 def test_verify_gff_on_one_dimensional_sites_exits_1(tmp_path, capsys):
     # the desk sites of thm1.1 are 1-d; G_3 of a 1-d offset is no covariance of the model
     assert run(["verify", "thm1.1", "--model", "gff", "--d", "3", "-n", "200", "--out", str(tmp_path)]) == 1
@@ -404,12 +412,31 @@ def test_negbound_csv(tmp_path, capsys):
     assert float(last[2]) == pytest.approx(5.941477610288, abs=1e-9)
 
 
+def test_negbound_without_file_writes_the_csv_to_stdout(tmp_path, capsys):
+    argv = ["negbound", "--kappa", "0.3", "--u-max", "10"]
+    assert run([*argv, "--file", "nb.csv", "--out", str(tmp_path / "file")]) == 0
+    capsys.readouterr()
+    assert run([*argv, "--out", str(tmp_path / "stdout")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "file" / "nb.csv").read_text()
+    assert not (tmp_path / "stdout").exists()
+
+
 def test_capacity_subcommand_matrix(tmp_path, capsys):
     m = tmp_path / "k.csv"
     np.savetxt(m, np.eye(4), delimiter=",")
     assert run(["capacity", "--matrix", str(m)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["capacity"] == pytest.approx(4.0, abs=1e-8)
+
+
+def test_capacity_of_a_matrix_near_the_float_limit(tmp_path, capsys):
+    # symmetrizing as 0.5 * (A + A.T) overflowed: capacity 0.0 at energy inf, exit 0
+    m = tmp_path / "big.csv"
+    np.savetxt(m, np.diag([1.7e308, 1.7e308]), delimiter=",", fmt="%.17g")
+    assert run(["capacity", "--matrix", str(m)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["energy"] == pytest.approx(0.85e308, rel=1e-15)
+    assert out["capacity"] == pytest.approx(2.0 / 1.7e308, rel=1e-12)
 
 
 def test_maxcorr_subcommand_matrix(tmp_path, capsys):

@@ -161,6 +161,22 @@ def test_explicit_requires_symmetry():
         kernels.explicit(np.array([[1.0, 0.2], [0.1, 1.0]]))
 
 
+def test_eval_cov_on_an_explicit_model_reads_the_matrix():
+    K = np.array([[2.0, 0.5, -0.25], [0.5, 1.0, 0.0], [-0.25, 0.0, 3.0]])
+    m = kernels.explicit(K)
+    for i, j in itertools.product(range(3), repeat=2):
+        assert kernels.eval_cov(m, i, (j,)) == K[i, j]
+    for i, j in ((3, 0), (0, 3), (-1, 0)):
+        with pytest.raises(InputError, match="outside explicit matrix of size 3"):
+            kernels.eval_cov(m, i, j)
+
+
+def test_wave_d3_is_sin_r_over_r():
+    r = np.linspace(0.01, 50.0, 97)
+    got = [kernels.eval_cov(kernels.monochromatic_wave(3), (0.0,) * 3, (float(x), 0.0, 0.0)) for x in r]
+    assert got == pytest.approx(np.sin(r) / r, rel=1e-13, abs=1e-14)
+
+
 def test_export_csv_roundtrip(tmp_path):
     m = kernels.build_cov_matrix(kernels.bargmann_fock(2), [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)])
     path = tmp_path / "cov.csv"
@@ -333,6 +349,30 @@ def test_psd_gate_passes_a_cholesky_matrix_unchanged():
     S = np.outer(v, v)
     rep, clipped = kernels.repair_psd(S)
     assert rep is S and 0.0 <= clipped <= 1e-12 * np.trace(S)
+
+
+def test_psd_gate_clips_a_slightly_indefinite_matrix():
+    # diag(1, 1, -1e-8) in a rotated basis: the gate clips the negative eigenvalue
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    K = (Q * [1.0, 1.0, -1e-8]) @ Q.T
+    K = np.triu(K) + np.triu(K, 1).T  # exactly symmetric
+    rep, clipped = kernels.repair_psd(K)
+    assert np.array_equal(rep, rep.T)
+    assert clipped == pytest.approx(1e-8, rel=1e-6)
+    assert kernels.repair_psd(rep)[0] is rep  # PSD: the gate keeps it
+    # both gates take the indefinite matrix through the same repair
+    assert np.array_equal(sampler.plan_dense(K, 0).cov, rep)
+    cap = measures.capacity(K)
+    assert cap.converged and cap.value == pytest.approx(measures.capacity(rep).value, rel=1e-9)
+
+
+def test_psd_gate_clip_near_the_float_limit_stays_finite():
+    # the repaired matrix was symmetrized as 0.5 * (rep + rep.T), which overflowed to inf
+    a, b = 1.2e308, 1e306
+    c = math.sqrt(a) * math.sqrt(b) * (1 + 5e-7)  # eigenvalues about 1.2e308 and -1e300
+    rep, clipped = kernels.repair_psd(np.array([[a, c], [c, b]]))
+    assert np.isfinite(rep).all() and np.array_equal(rep, rep.T) and clipped > 0
+    assert kernels.repair_psd(rep)[0] is rep
 
 
 @pytest.mark.parametrize("jitter", [0.0, 1e-16, 1e-14, 1e-12, -1e-14])

@@ -575,6 +575,20 @@ def test_cached_thresholds_are_read_only():
     assert again is T and np.array_equal(again, before)
 
 
+def test_thresholds_above_the_cache_bound_come_back_read_only_and_are_not_kept(monkeypatch):
+    clear_cache()
+    plan, evs = iid_plan(), block_events()
+    store = sampler._Store(2 * 500 * 8)  # holds one 2 x 500 matrix; a 2 x 501 one is above the bound
+    monkeypatch.setattr(mc, "_CACHE", store)
+    small = mc.event_thresholds(plan, evs, 500)
+    big = mc.event_thresholds(plan, evs, 501)
+    assert not big.flags.writeable
+    assert list(store._entries) == [(plan.fingerprint, evs, 500)]
+    again = mc.event_thresholds(plan, evs, 501)
+    assert again is not big and np.array_equal(again, big)
+    assert mc.event_thresholds(plan, evs, 500) is small
+
+
 # --- NaN parameters -------------------------------------------------------------
 # each check is written so that NaN fails it: a NaN sprinkle gave a fail of NaN
 # slack, or a verdict on an event no replicate can meet, and a NaN radius a pass

@@ -117,19 +117,20 @@ def test_dense_draws_do_not_depend_on_the_bank_state():
         assert np.array_equal(cold[3][1][k], wide.factor @ z[1])
 
 
-def test_noise_bank_evicts_least_recently_used_blocks():
+def test_noise_bank_evicts_least_recently_used_blocks(monkeypatch):
     block_bytes = sampler.BANK_ROWS * 4 * 8
-    bank = sampler._NoiseBank(3 * block_bytes)
+    bank = sampler._Store(3 * block_bytes)
+    monkeypatch.setattr(sampler, "_BANK", bank)
     for b in range(4):
-        bank.block(7, b, 4)
-    assert list(bank._blocks) == [(7, 1), (7, 2), (7, 3)]
+        sampler._bank_block(7, b, 4)
+    assert list(bank._entries) == [(7, 1), (7, 2), (7, 3)]
     assert bank._nbytes == 3 * block_bytes
-    bank.block(7, 1, 2)  # served by the width-4 block, now most recently used
-    bank.block(7, 4, 4)
-    assert list(bank._blocks) == [(7, 3), (7, 1), (7, 4)]
-    wider = bank.block(7, 3, 8)  # redrawn at width 8: two blocks' bytes, so (7, 1) goes
+    sampler._bank_block(7, 1, 2)  # served by the width-4 block, now most recently used
+    sampler._bank_block(7, 4, 4)
+    assert list(bank._entries) == [(7, 3), (7, 1), (7, 4)]
+    wider = sampler._bank_block(7, 3, 8)  # redrawn at width 8: two blocks' bytes, so (7, 1) goes
     assert wider.shape == (sampler.BANK_ROWS, 8) and not wider.flags.writeable
-    assert list(bank._blocks) == [(7, 4), (7, 3)]
+    assert list(bank._entries) == [(7, 4), (7, 3)]
     assert bank._nbytes == 3 * block_bytes
     assert np.array_equal(wider, sampler._noise(7, range(3 * sampler.BANK_ROWS, 4 * sampler.BANK_ROWS), (8,)))
 
@@ -141,9 +142,9 @@ def test_noise_bank_under_threads(monkeypatch):
     reps = range(0, 8 * sampler.BANK_ROWS, 3)
     expected = []
     for plan in plans:
-        monkeypatch.setattr(sampler, "_BANK", sampler._NoiseBank(sampler.BANK_BYTES))
+        monkeypatch.setattr(sampler, "_BANK", sampler._Store(sampler.BANK_BYTES))
         expected.append(plan.draw_batch(reps))
-    bank = sampler._NoiseBank(5 * sampler.BANK_ROWS * 6 * 8)  # five of the widest blocks
+    bank = sampler._Store(5 * sampler.BANK_ROWS * 6 * 8)  # five of the widest blocks
     monkeypatch.setattr(sampler, "_BANK", bank)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -155,7 +156,7 @@ def test_noise_bank_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     for k, got in enumerate(results):
         assert np.array_equal(got, expected[k % 3])
-    assert bank._nbytes == sum(b.nbytes for b in bank._blocks.values()) <= bank.max_bytes
+    assert bank._nbytes == sum(b.nbytes for b in bank._entries.values()) <= bank.max_bytes
 
 
 @pytest.mark.parametrize("replicates", [[0, -1], [2**64], [1.5]], ids=["negative", "2**64", "float"])
