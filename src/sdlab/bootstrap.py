@@ -140,6 +140,11 @@ def _tail_decreasing(vals: np.ndarray, k: int = 10) -> bool:
     return bool(np.all(np.diff(tail) < 0))
 
 
+def _log_square_ratio(hp, log_r):
+    """log h'(r)^2 / h'(5r) at log r, the quantity of the closure's ratio condition."""
+    return 2.0 * np.asarray(hp.log_value(log_r)) - np.asarray(hp.log_value(log_r + LOG5))
+
+
 def check_subcritical_conditions(g: DecayFunction, delta: float,
                                  h_prime: DecayFunction | HFromG | None = None) -> ConditionsReport:
     """Check h -> 0, sup h/h'(25 r) < inf (reported as c'), h'(r)^2/h'(5r) -> 0.
@@ -154,9 +159,7 @@ def check_subcritical_conditions(g: DecayFunction, delta: float,
     logs = np.arange(2, _K_MAX + 1, dtype=float) * LOG2
     lh = h.log_value(logs)
     lhp25 = hp.log_value(logs + math.log(25.0))
-    lhp = hp.log_value(logs)
-    lhp5 = hp.log_value(logs + LOG5)
-    if h_prime is not None and np.any(np.diff(lhp) >= 0):
+    if h_prime is not None and np.any(np.diff(hp.log_value(logs)) >= 0):
         raise InputError("h' candidate must be decreasing")
     diags: list[str] = []
 
@@ -183,7 +186,7 @@ def check_subcritical_conditions(g: DecayFunction, delta: float,
         diags.append("h(r)/h'(25r) grows along the scan; no finite c'")
     c_prime = float(np.exp(log_ratio.max())) if ratio_bounded else None
 
-    sq = 2.0 * lhp - lhp5
+    sq = _log_square_ratio(hp, logs)
     finite = np.isfinite(sq)
     sq_ok = bool(finite.sum() >= 3) and _tail_decreasing(sq[finite], k=min(10, finite.sum())) \
         and sq[finite][-1] < sq[finite][0]
@@ -355,22 +358,18 @@ def _min_log_R0(hp, n_d: int, c: float, cp: float) -> float:
     """Smallest log r from which h'(r)^2 / h'(5r) <= (4 n_d^4 c c')^{-1}, by
     geometric scan and bisection on the decreasing tail of the ratio."""
     thresh_log = _ratio_floor(n_d, c, cp)
-
-    def sq(logr):
-        return 2.0 * hp.log_value(logr) - hp.log_value(logr + LOG5)
-
     lo = 2.0 * LOG2
-    if sq(lo) <= thresh_log:
+    if _log_square_ratio(hp, lo) <= thresh_log:
         return lo
     hi = lo
-    while sq(hi) > thresh_log:
+    while _log_square_ratio(hp, hi) > thresh_log:
         hi *= 2.0
         if hi > _LOG_R_CAP:
             raise ParameterError("no admissible R0 below the scan cap")
     lo_b = hi / 2.0
     for _ in range(200):
         mid = 0.5 * (lo_b + hi)
-        if sq(mid) > thresh_log:
+        if _log_square_ratio(hp, mid) > thresh_log:
             lo_b = mid
         else:
             hi = mid
@@ -428,7 +427,7 @@ def run_recursion(g: DecayFunction, delta: float, n_d: int, c: float, R0: float 
     failures: list[str] = []
 
     scales = log_R0 + np.arange(0, n_steps + 2) * LOG5
-    sq = 2.0 * np.asarray(hp.log_value(scales)) - np.asarray(hp.log_value(scales + LOG5))
+    sq = _log_square_ratio(hp, scales)
     r0_ok = bool(np.all(sq <= _ratio_floor(n_d, c, cp) + 1e-12))
     log_R0_min = None
     if not r0_ok:

@@ -218,7 +218,7 @@ def default_config(theorem: str, n: int, seed: int, workers: int) -> ExperimentC
 
 
 def run_config(config: ExperimentConfig) -> mc.InequalityReport:
-    """Validate the config against its theorem's registry entry, then verify."""
+    """Validate the config against its theorem's registry entry, then verify; wall_time_s times the run."""
     spec = _theorem(config.theorem)
     if isinstance(config.n, bool) or not isinstance(config.n, int) or config.n < 2:
         raise ConfigError(f"n must be an integer >= 2, got {config.n!r}")
@@ -227,7 +227,10 @@ def run_config(config: ExperimentConfig) -> mc.InequalityReport:
     events = tuple(event_from_dict(d) for d in config.events)
     if len(events) < spec.n_events:
         raise ConfigError(f"{config.theorem} reads {spec.n_events} events; the config has {len(events)}")
-    return spec.run(config, events)
+    t0 = time.perf_counter()
+    report = spec.run(config, events)
+    report.wall_time_s = time.perf_counter() - t0
+    return report
 
 
 def _report_json(report: mc.InequalityReport, config: ExperimentConfig) -> str:

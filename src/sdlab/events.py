@@ -24,6 +24,7 @@ from scipy import ndimage
 
 from .errors import InputError, SpecError
 from .kernels import Point
+from .sampler import _columns
 
 
 def _check_real(name: str, v) -> None:
@@ -198,10 +199,7 @@ class CompiledEvent:
         support = spec.support
         if len(support) == 0:
             raise SpecError("event has empty support")
-        try:
-            self.cols = np.array([index[p] for p in support], dtype=np.intp)
-        except KeyError as exc:
-            raise InputError(f"sample does not cover support site {exc.args[0]}") from None
+        self.cols = _columns(index, support)
         self.level = spec.level
         self.kind = type(spec).__name__
         if isinstance(spec, _SiteEvent):

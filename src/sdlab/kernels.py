@@ -66,12 +66,12 @@ class CovarianceModel:
     def __post_init__(self):
         if self.family == "gff" and self.dim < 3:
             raise DomainError(f"gff requires dimension >= 3, got d={self.dim}")
-        if self.family == "cauchy" and self.alpha <= 0:
-            raise ParameterError(f"cauchy requires alpha > 0, got {self.alpha}")
+        if self.family == "cauchy" and not 0 < self.alpha < math.inf:  # written so that NaN fails
+            raise ParameterError(f"cauchy requires a finite alpha > 0, got {self.alpha}")
         if self.family == "monochromatic_wave" and self.dim < 2:
             raise DomainError("monochromatic_wave requires dimension >= 2")
-        if self.family == "polylog_decay" and self.gamma <= 0:
-            raise ParameterError(f"polylog_decay requires gamma > 0, got {self.gamma}")
+        if self.family == "polylog_decay" and not 0 < self.gamma < math.inf:  # written so that NaN fails
+            raise ParameterError(f"polylog_decay requires a finite gamma > 0, got {self.gamma}")
         if self.family == "explicit":
             m = self.matrix
             if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -292,17 +292,27 @@ def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError:
         w = np.linalg.eigvalsh(mat)
     wmax = max(w[-1], 0.0)
-    clipped = float(-w[w < 0].sum()) if (w < 0).any() else 0.0
-    tr = float(np.trace(mat))
-    if clipped > PSD_CLIP_LIMIT * max(tr, 1e-300):
+    # clipped mass and trace in one scale 2^e, so that neither overflows; exact otherwise
+    e = _exponent(mat)
+    clipped = float(-np.ldexp(w[w < 0], -e).sum()) if (w < 0).any() else 0.0
+    tr = float(np.trace(np.ldexp(mat, -e)))
+    if clipped > PSD_CLIP_LIMIT * max(tr, math.ldexp(1e-300, -e)):
+        with np.errstate(over="ignore"):  # for the message only: a trace past the float range reads inf
+            clipped, tr = np.ldexp((clipped, tr), e)
         raise ModelError(
             f"covariance matrix is not PSD: clipped eigenvalue mass {clipped:.3e} "
             f"exceeds {PSD_CLIP_LIMIT:.0e} of trace {tr:.3e}"
         )
+    clipped = math.ldexp(clipped, e)
     if w[0] >= -PSD_REL_TOL * max(wmax, 1.0):
         return mat, clipped
     w, v = np.linalg.eigh(mat)
     return _symmetrized((v * np.clip(w, 0.0, None)) @ v.T), clipped
+
+
+def _exponent(x) -> int:
+    """The exponent e of the largest magnitude in ``x`` (0 if none): ldexp(x, -e) lies in (-1, 1), exactly."""
+    return int(np.frexp(np.abs(x).max(initial=0.0))[1])
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray:

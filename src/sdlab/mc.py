@@ -17,8 +17,7 @@ count.
 
 from __future__ import annotations
 
-import functools
-import time
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,8 +26,9 @@ import numpy as np
 from scipy import special
 
 from . import analytic, measures
-from .errors import InputError, ParameterError, PreconditionError
+from .errors import InputError, NumericalError, ParameterError, PreconditionError
 from .events import EventSpec, compile_event
+from .kernels import _exponent, _gauss_legendre_panels
 from .sampler import BANK_BYTES, BANK_ROWS, DensePlan, Grid, SamplerPlan, _Store, plan_decomposed
 
 VERDICT_PASS = "pass"
@@ -38,7 +38,9 @@ VERDICT_NA = "not-applicable"
 
 
 def classify(slack: float, se: float) -> str:
-    """fail only when slack < -3 combined standard errors."""
+    """fail only when slack < -3 combined standard errors; a NaN is a defect, never a verdict."""
+    if math.isnan(slack) or math.isnan(se):
+        raise NumericalError(f"a side has slack {slack!r} and standard error {se!r}: no verdict reads a NaN")
     if slack >= 0:
         return VERDICT_PASS
     if slack >= -3.0 * se:
@@ -158,7 +160,7 @@ def _mean_se(x: np.ndarray) -> TermEstimate:
     n = len(x)
     if n < 2:  # one term has no spread: a standard error of 0 would make any gap a fail
         raise ParameterError("an estimate needs two terms for its standard error: n >= 4 for a paired one")
-    e = np.frexp(np.abs(x).max(initial=0.0))[1]
+    e = _exponent(x)
     y = np.ldexp(x, -e)
     sd = float(np.ldexp(np.std(y, ddof=1), e))
     return TermEstimate(float(np.ldexp(np.mean(y), e)), sd / np.sqrt(n), n)
@@ -179,20 +181,9 @@ def _gap(t1: np.ndarray, t2: np.ndarray, e1: float, e2: float) -> tuple[TermEsti
 
 
 # ---------------------------------------------------------------------------
-# verifier spine: a verifier is wrapped in @_timed, which stamps wall_time_s.
-# It builds classified sides with _upper or _lower (_side for any other slack),
-# pass-or-fail sides with _allowance, and returns _report(...).
-
-
-def _timed(verify):
-    """Stamp the report's wall time over the whole verifier call."""
-    @functools.wraps(verify)
-    def run(*args, **kwargs):
-        t0 = time.perf_counter()
-        rep = verify(*args, **kwargs)
-        rep.wall_time_s = time.perf_counter() - t0
-        return rep
-    return run
+# verifier spine: a verifier builds classified sides with _upper or _lower
+# (_side for any other slack), pass-or-fail sides with _allowance, and returns
+# _report(...); cli.run_config stamps the report's wall_time_s.
 
 
 def _report(theorem_id, terms, sides, constants, seed, n, verdict=VERDICT_PASS, notes=()):
@@ -218,7 +209,7 @@ def _lower(name, est: float, se: float, bound: float) -> SideCheck:
 def _allowance(name, diff: float, se: float, allowance: float) -> SideCheck:
     """|difference| <= allowance: pass or fail only, the noise is already in the allowance."""
     slack = allowance - diff
-    return SideCheck(name, diff, se, allowance, slack, VERDICT_PASS if slack >= 0 else VERDICT_FAIL)
+    return SideCheck(name, diff, se, allowance, slack, classify(slack, 0.0))
 
 
 # a cross covariance within SIGN_FLOOR times the largest variance on the two
@@ -246,18 +237,20 @@ def _mixed_sign(theorem_id, plan, n, kmin, kmax, floor, note):
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> TermEstimate:
-    """Unbiased sample covariance of paired replicates, with its SE."""
+    """Unbiased sample covariance of paired replicates, with its SE; scaled by 2^-e so the product cannot overflow."""
     n = len(a)
     if n < 3:  # both terms of n = 2 are equal, so their spread says nothing
         raise ParameterError("a covariance estimate needs n >= 3 replicates")
-    return _mean_se((a - a.mean()) * (b - b.mean()) * (n / (n - 1)))
+    ea, eb = _exponent(a), _exponent(b)
+    a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
+    est = _mean_se((a - a.mean()) * (b - b.mean()) * (n / (n - 1)))
+    return TermEstimate(*np.ldexp((est.value, est.se), ea + eb).tolist(), n)
 
 
 # ---------------------------------------------------------------------------
 # verifiers
 
 
-@_timed
 def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: float, eps2: float, n: int,
                      constant_mode: str = "proof-36", workers: int = 1) -> InequalityReport:
     """Two-sided sprinkled decoupling at error c * max|K_cross| / (eps1 eps2).
@@ -303,7 +296,6 @@ def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: floa
     return _report("thm1.1", terms, sides, consts, plan.base_seed, n, notes=notes)
 
 
-@_timed
 def verify_threshold_cov(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """Cov[T_A1, T_A2] between min and max cross-covariance (sign-definite case)."""
     kmin, kmax, kabs, floor = _cross_range(plan, A1, A2)
@@ -342,7 +334,6 @@ def _sqrt_integral(fn, lo: float, hi: float, npts: int = 2001) -> float:
     return float(np.trapezoid(np.sqrt(fn(grid)), grid))
 
 
-@_timed
 def verify_hoeffding(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """Cov[T1,T2] against the double integral of the joint-cdf defect.
 
@@ -397,7 +388,6 @@ def verify_hoeffding(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport
     return _report("hoeffding", terms, [side], consts, plan.base_seed, n)
 
 
-@_timed
 def verify_positive_association(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """P[A1 and A2] - P[A1] P[A2] signed according to the cross-covariance sign."""
     kmin, kmax, _, floor = _cross_range(plan, A1, A2)
@@ -430,7 +420,6 @@ def _func_values(desc, draws: np.ndarray) -> np.ndarray:
     return np.maximum(draws[:, desc[1]], draws[:, desc[2]])
 
 
-@_timed
 def verify_interp_formula(plan: DensePlan, n: int) -> InequalityReport:
     """Interpolation covariance identity for linear and max-of-two functionals.
 
@@ -449,9 +438,7 @@ def verify_interp_formula(plan: DensePlan, n: int) -> InequalityReport:
     cases = [(("linear", 0), ("linear", min(1, dim - 1))), (("linear", 0), ("linear", 0))]
     if dim >= 3:
         cases.append((("max", 0, 1), ("linear", 2)))
-    s_nodes, s_w = np.polynomial.legendre.leggauss(INTERP_NODES)
-    s_nodes = 0.5 * (s_nodes + 1.0)
-    s_w = 0.5 * s_w
+    s_nodes, s_w = _gauss_legendre_panels(1.0, 1, INTERP_NODES)
     X, Xp = plan.draw_pair_batch(range(n))
     sides, terms = [], {}
     for ci, (fd, gd) in enumerate(cases):
@@ -466,9 +453,7 @@ def verify_interp_formula(plan: DensePlan, n: int) -> InequalityReport:
             return acc
 
         rhs = _mean_se(rhs_at(s_nodes, s_w))
-        half = np.polynomial.legendre.leggauss(INTERP_NODES // 2)
-        hn, hw = 0.5 * (half[0] + 1.0), 0.5 * half[1]
-        quad_budget = abs(float(np.mean(rhs_at(hn, hw))) - rhs.value)
+        quad_budget = abs(_mean_se(rhs_at(*_gauss_legendre_panels(1.0, 1, INTERP_NODES // 2))).value - rhs.value)
         se = float(np.hypot(lhs.se, rhs.se))
         sides.append(_allowance(f"case{ci}:{fd[0]}-{gd[0]}", abs(lhs.value - rhs.value), se,
                                 3.0 * se + quad_budget))
@@ -477,7 +462,6 @@ def verify_interp_formula(plan: DensePlan, n: int) -> InequalityReport:
     return _report("interp", terms, sides, {"t_nodes": INTERP_NODES}, plan.base_seed, n)
 
 
-@_timed
 def verify_finite_range(model, grid: Grid, radius: float, A1, A2, eps: float, n: int,
                         base_seed: int = 0, workers: int = 1) -> InequalityReport:
     """Sprinkled decoupling with the moving-average error 3 max|I| exp(-eps^2/(8 sigma^2))."""
@@ -516,7 +500,6 @@ def _rho_of(plan, A1, A2) -> float:
     return measures.max_corr(plan.cov_block(pts, pts), np.arange(n1), np.arange(n1, len(pts))).rho
 
 
-@_timed
 def verify_sdi2(plan, A1, A2, eps: float, n: int, workers: int = 1) -> InequalityReport:
     """One-sided sprinkling against exp(-eps^2 / (8 |K|_inf rho^2))."""
     if not eps > 0:  # written so that NaN fails
@@ -531,7 +514,6 @@ def verify_sdi2(plan, A1, A2, eps: float, n: int, workers: int = 1) -> Inequalit
                    {"rho": rho, "k_inf": kinf, "eps": eps, "bound": bound}, plan.base_seed, n)
 
 
-@_timed
 def verify_sdi3(plan, A1, A2, delta1: float, delta2: float, n: int, workers: int = 1) -> InequalityReport:
     """Errorless sprinkled decoupling at eps = kappa rho sqrt(|K|_inf).
 
@@ -561,7 +543,6 @@ def verify_sdi3(plan, A1, A2, delta1: float, delta2: float, n: int, workers: int
     return _report("thm1.10", {"lhs": lhs, **marginals}, [side], consts, plan.base_seed, n)
 
 
-@_timed
 def verify_isoperimetric(plan, A, eps: float, n: int, workers: int = 1) -> InequalityReport:
     """P[X+eps in A] >= Phi(Phi^{-1}(P[X in A]) + eps / sqrt(|K|_inf))."""
     if not eps >= 0:  # written so that NaN fails
@@ -581,7 +562,6 @@ def verify_isoperimetric(plan, A, eps: float, n: int, workers: int = 1) -> Inequ
                    {"eps": eps, "k_inf": kinf, "target": target}, plan.base_seed, n)
 
 
-@_timed
 def verify_noise_stability(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport:
     """P[A1 and A2] <= Phi_rho(Phi^{-1} P[A1], Phi^{-1} P[A2])."""
     rho = _rho_of(plan, A1, A2)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import InputError, NumericalError
-from .kernels import _symmetrized, repair_psd
+from .kernels import _exponent, _symmetrized, repair_psd
 
 CAP_INFINITE_ENERGY = 1e-14
 CHAIN_TOL = 1e-9  # roundoff allowance of each bound_chain_report check
@@ -82,11 +82,11 @@ def capacity(K: np.ndarray, I=None, tol: float = 1e-10) -> CapacityResult:
     A = K[np.ix_(idx, idx)]
     A = _symmetrized(A)
     try:  # the PSD gate passes a matrix with a Cholesky factor; the factor serves the first solve
-        L = np.linalg.cholesky(np.ldexp(A, -math.frexp(float(np.diag(A).max()))[1]))
+        L = np.linalg.cholesky(np.ldexp(A, -_exponent(np.diag(A))))
     except np.linalg.LinAlgError:
         L, A = None, repair_psd(A)[0]
     m, dmax = len(A), float(np.diag(A).max())
-    floor, e = CAP_INFINITE_ENERGY * max(1.0, dmax), math.frexp(dmax)[1]
+    floor, e = CAP_INFINITE_ENERGY * max(1.0, dmax), _exponent(np.diag(A))
     A = np.ldexp(A, -e)  # exact: the largest variance moves into [1/2, 1); L, if set, factors this A
     mu = np.full(m, 1.0 / m)
     support = np.arange(m)

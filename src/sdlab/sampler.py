@@ -192,6 +192,14 @@ class Grid:
         return list(itertools.product(*(range(o, o + s) for o, s in zip(lo, self.shape))))
 
 
+def _columns(index: dict, pts) -> np.ndarray:
+    """The plan columns of ``pts`` through a plan's index map; InputError for a site it does not cover."""
+    try:
+        return np.array([index[tuple(p)] for p in pts], dtype=np.intp)
+    except KeyError as exc:
+        raise InputError(f"sample does not cover support site {exc.args[0]}") from None
+
+
 class SamplerPlan:
     """Common facade: point index map, seeded draws, covariance access."""
 
@@ -255,9 +263,7 @@ class DensePlan(SamplerPlan):
         return tuple(self._draws(replicates, 2))
 
     def cov_block(self, pts1, pts2) -> np.ndarray:
-        i = [self.index[tuple(p)] for p in pts1]
-        j = [self.index[tuple(p)] for p in pts2]
-        return self.cov[np.ix_(i, j)]
+        return self.cov[np.ix_(_columns(self.index, pts1), _columns(self.index, pts2))]
 
     def max_abs_cov(self) -> float:
         return float(np.abs(self.cov).max())
@@ -379,6 +385,8 @@ def plan_circulant(model, grid: Grid, base_seed: int) -> CirculantPlan:
         lam = np.fft.fftn(cov_of_offsets(model, offsets).reshape(torus_shape)).real
         neg = abs(float(lam[lam < 0].sum()))  # +0.0, not -0.0, when nothing is clipped
         tot = float(np.abs(lam).sum())
+        if not math.isfinite(tot):
+            raise ModelError(f"circulant spectrum is not finite on the {torus_shape} torus")
         frac = neg / tot if tot > 0 else 0.0
         if frac <= SPECTRUM_CLIP_LIMIT:
             return CirculantPlan(model, grid, torus_shape, np.sqrt(np.clip(lam, 0.0, None)), frac, base_seed)

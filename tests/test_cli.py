@@ -186,6 +186,15 @@ def _malformed(tid, **changes):
     (_malformed("thm1.10", grid={"shape": [24, 24], "spacing": -0.5}), "spacing"),
     (_malformed("prop1.8", grid={"shape": [24, 24], "spacing": -0.5}), "spacing"),
     (_malformed("thm1.10", grid={"shape": [24, 24], "origin": [0]}), "origin"),
+    # an event site outside the matrix ended in KeyError: (2,) from DensePlan.cov_block
+    (_malformed("thm1.1", model={"family": "explicit", "matrix": [[1.0, 0.5], [0.5, 1.0]]}),
+     "sample does not cover support site (2,)"),
+    # a NaN kernel parameter passed the model and gave fail (slack=nan, se=0), exit 2
+    (_malformed("prop1.8", n=2000, seed=1, model={"family": "cauchy", "d": 2, "alpha": float("nan")}),
+     "cauchy requires a finite alpha > 0, got nan"),
+    (_malformed("prop2.2", n=2000, seed=1, grid={"shape": [16]}, events=[cli._above([0]), cli._above([8])],
+                model={"family": "polylog", "d": 1, "gamma": float("nan")}),
+     "polylog_decay requires a finite gamma > 0, got nan"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
     path = tmp_path / "cfg.json"
@@ -365,6 +374,17 @@ def test_explicit_config_near_the_float_limit_is_verified(tmp_path, capsys):
     path.write_text(json.dumps(_malformed("cor2.6", n=2000, model={"family": "explicit", "matrix": [[1.7e308]]})))
     assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert "cor2.6: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tid", ["prop2.2", "hoeffding", "interp"])
+def test_dense_ids_near_the_float_limit_give_a_finite_verdict(tmp_path, capsys, tid):
+    # the product of two threshold deviations overflowed: each printed fail (slack=nan, se=nan), exit 2
+    huge = {"family": "explicit", "matrix": [[8e307, 0.0], [0.0, 8e307]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_malformed(tid, n=2000, seed=1, model=huge)))
+    assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads(next(tmp_path.glob("*_*.json")).read_text())
+    assert all(s["slack"] is not None and s["se"] is not None for s in report["sides"])
 
 
 def test_verify_gff_on_one_dimensional_sites_exits_1(tmp_path, capsys):
@@ -608,17 +628,18 @@ DENSE_IDS = tuple(t for t, s in cli.THEOREMS.items() if "grid" not in s.defaults
 
 @st.composite
 def dense_configs(draw):
-    """A dense theorem id on B B^T with some sites zeroed, scaled by 4^j, with levels and
-    sprinkles at the scale of the field or unscaled."""
+    """A dense theorem id on B B^T with some sites zeroed, scaled by 4^j up to the float limit
+    (every entry of B B^T is below 2^5), with levels and sprinkles at the scale of the field or
+    unscaled, and events that may read sites outside the matrix."""
     d = draw(st.integers(1, 5))
     B = np.array(draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=d * d, max_size=d * d))).reshape(d, d)
     B[np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))] = 0.0
-    j = draw(st.integers(-500, 500))
+    j = draw(st.integers(-500, 509))
     K = np.ldexp(B @ B.T, 2 * j)
     scale = math.ldexp(1.0, j) if draw(st.booleans()) else 1.0
 
     def event():
-        sites = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+        sites = draw(st.lists(st.integers(0, d + 1), min_size=1, max_size=d, unique=True))
         kind = draw(st.sampled_from(["all_above", "any_above"]))
         level = draw(st.sampled_from([0.0, 0.5, -1.0, 2.0])) * scale
         return {"kind": kind, "sites": [[i] for i in sites], "level": level}

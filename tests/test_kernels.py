@@ -67,6 +67,14 @@ def test_cauchy_parameter_error():
         kernels.cauchy(0.0, 2)
 
 
+@pytest.mark.parametrize("make", [kernels.cauchy, kernels.polylog_decay], ids=["cauchy", "polylog"])
+@pytest.mark.parametrize("value", [float("nan"), math.inf])
+def test_non_finite_kernel_parameter_is_a_parameter_error(make, value):
+    # `alpha <= 0` let NaN through, and prop1.8 then read fail (slack=nan, se=0)
+    with pytest.raises(ParameterError, match="requires a finite"):
+        make(value, 2)
+
+
 def test_cauchy_example_value():
     m = kernels.cauchy(2.0, 2)
     assert kernels.eval_cov(m, (0.0, 0.0), (1.0, 0.0)) == pytest.approx(0.5, abs=0)
@@ -336,6 +344,16 @@ def test_indefinite_matrix_is_one_model_error(gate):
         gate(INDEFINITE)
     assert str(exc.value) == ("covariance matrix is not PSD: clipped eigenvalue mass 1.000e+00 "
                               "exceeds 1e-06 of trace 2.000e+00")
+
+
+def test_psd_gate_compares_clipped_mass_and_trace_past_the_float_range():
+    # the trace 2.25e308 summed to inf, so half the trace could be clipped and the gate passed
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    K = (q * np.array([1.5e308, 1.5e308, -0.75e308])) @ q.T
+    K = np.triu(K) + np.triu(K, 1).T
+    assert np.isfinite(K).all() and np.trace(K / 4) > np.finfo(float).max / 4
+    with pytest.raises(ModelError, match="clipped eigenvalue mass 7.500e\\+307"):
+        kernels.repair_psd(K)
 
 
 def test_psd_gate_passes_a_cholesky_matrix_unchanged():

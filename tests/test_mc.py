@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from sdlab import events, kernels, mc, sampler
-from sdlab.errors import ParameterError, PreconditionError
+from sdlab import cli, events, kernels, mc, sampler
+from sdlab.errors import NumericalError, ParameterError, PreconditionError
 
 
 def iid_plan(n_coords=8, seed=1):
@@ -538,12 +538,30 @@ def test_finalize_keeps_not_applicable_verdict():
 
 
 def test_not_applicable_reports_are_timed():
-    plan = sampler.plan_dense(np.array([[1.0, 0.5, -0.5], [0.5, 1.0, 0.0], [-0.5, 0.0, 1.0]]), 3)
-    A1, A2 = events.AllAbove(((0,),), 0.0), events.AllAbove(((1,), (2,)), 0.0)
-    for verify in (mc.verify_threshold_cov, mc.verify_positive_association):
-        rep = verify(plan, A1, A2, 100)
+    # run_config stamps the wall time of every report, not-applicable ones included
+    matrix = [[1.0, 0.5, -0.5], [0.5, 1.0, 0.0], [-0.5, 0.0, 1.0]]
+    evs = (events.event_to_dict(events.AllAbove(((0,),), 0.0)),
+           events.event_to_dict(events.AllAbove(((1,), (2,)), 0.0)))
+    for tid in ("prop2.2", "pa"):
+        config = cli.ExperimentConfig(theorem=tid, model={"family": "explicit", "matrix": matrix},
+                                      events=evs, n=100, seed=3)
+        rep = cli.run_config(config)
         assert rep.verdict == mc.VERDICT_NA and rep.wall_time_s > 0
         assert rep.constants == {"min_cross": -0.5, "max_cross": 0.5}
+
+
+@pytest.mark.parametrize("side", [
+    lambda x: mc._upper("u", x, 0.1, 1.0),
+    lambda x: mc._upper("u", 0.5, x, 1.0),
+    lambda x: mc._side("s", -x, 0.1, 0.0, x),
+    lambda x: mc._allowance("a", x, 0.1, 1.0),
+    lambda x: mc._allowance("a", 0.5, 0.1, x),
+], ids=["upper-estimate", "upper-se", "side-slack", "allowance-difference", "allowance"])
+def test_a_nan_side_is_a_numerical_error_not_a_verdict(side):
+    # classify read a NaN slack as fail, and a NaN se beside a positive slack as pass
+    assert side(0.5).verdict == mc.VERDICT_PASS
+    with pytest.raises(NumericalError):
+        side(float("nan"))
 
 
 def test_pa_zero_gap_keeps_negative_zero_slack():

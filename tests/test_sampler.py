@@ -194,6 +194,14 @@ def test_circulant_iid_flat_spectrum():
     assert abs(x.std() - 1.0) < 0.02
 
 
+def test_circulant_non_finite_spectrum_is_a_model_error():
+    # a NaN spectrum set the clipped fraction to 0.0 and passed the embedding
+    model = kernels.cauchy(2.0, 2)
+    object.__setattr__(model, "alpha", float("nan"))  # past the model's own parameter check
+    with pytest.raises(ModelError, match="spectrum is not finite"):
+        sampler.plan_circulant(model, sampler.Grid((8, 8)), 0)
+
+
 def test_circulant_requires_stationary():
     model = kernels.explicit(np.eye(3))
     with pytest.raises(ModelError):
