@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -43,11 +44,22 @@ class ExperimentConfig:
     delta2: float = 0.25
     radius: float = 1.5
 
+    def __post_init__(self):
+        """ConfigError unless n >= 2 and workers are integers and eps, delta1, delta2 and radius
+        numbers; the plans check the seed, and the verifiers the ranges."""
+        def bad(x, kind=numbers.Real):
+            return not isinstance(x, kind) or isinstance(x, bool)
+
+        if bad(self.n, numbers.Integral) or self.n < 2:
+            raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
+        if not self.eps or any(map(bad, self.eps)):
+            raise ConfigError(f"eps must hold at least one sprinkle value, all numbers, got {list(self.eps)!r}")
+        if bad(self.workers, numbers.Integral) or any(map(bad, (self.delta1, self.delta2, self.radius))):
+            raise ConfigError("workers must be an integer and delta1, delta2 and radius numbers, got "
+                              f"{self.workers!r}, {self.delta1!r}, {self.delta2!r} and {self.radius!r}")
+
     def to_json(self) -> str:
-        d = dataclasses.asdict(self)
-        d["events"] = list(self.events)
-        d["eps"] = list(self.eps)
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -220,10 +232,6 @@ def default_config(theorem: str, n: int, seed: int, workers: int) -> ExperimentC
 def run_config(config: ExperimentConfig) -> mc.InequalityReport:
     """Validate the config against its theorem's registry entry, then verify; wall_time_s times the run."""
     spec = _theorem(config.theorem)
-    if isinstance(config.n, bool) or not isinstance(config.n, int) or config.n < 2:
-        raise ConfigError(f"n must be an integer >= 2, got {config.n!r}")
-    if not config.eps:
-        raise ConfigError("eps must hold at least one sprinkle value")
     events = tuple(event_from_dict(d) for d in config.events)
     if len(events) < spec.n_events:
         raise ConfigError(f"{config.theorem} reads {spec.n_events} events; the config has {len(events)}")

@@ -24,8 +24,8 @@ its distinct |coordinate| values and reduced over the quadrature nodes on its
 own, so G_d(x) depends on x alone; ``gff_green`` is the same path on one row.
 
 Every covariance matrix that is built here, factored (``sampler.plan_dense``)
-or given to ``measures.capacity`` passes one PSD gate, ``repair_psd``: finite,
-and indefinite only up to roundoff, or a typed error.
+or given to ``measures.capacity`` or ``measures.max_corr`` passes one PSD gate,
+``repair_psd``: finite, and indefinite only up to roundoff, or a typed error.
 """
 
 from __future__ import annotations
@@ -274,7 +274,7 @@ def eval_cov(model: CovarianceModel, x, y) -> float:
 
 
 def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """The one PSD gate for ``build_cov_matrix``, ``plan_dense`` and ``capacity``.
+    """The one PSD gate for ``build_cov_matrix``, ``plan_dense``, ``capacity`` and ``max_corr``.
 
     Raises InputError for a non-finite matrix and ModelError when the clipped
     eigenvalue mass exceeds PSD_CLIP_LIMIT * trace (the matrix is genuinely

@@ -35,20 +35,21 @@ VERDICT_PASS = "pass"
 VERDICT_NOISE = "pass-within-noise"
 VERDICT_FAIL = "fail"
 VERDICT_NA = "not-applicable"
+NOISE_SES = 3.0  # the noise width, in standard errors, that a slack may fall short by
 
 
 def classify(slack: float, se: float) -> str:
-    """fail only when slack < -3 combined standard errors; a NaN is a defect, never a verdict."""
-    if math.isnan(slack) or math.isnan(se):
-        raise NumericalError(f"a side has slack {slack!r} and standard error {se!r}: no verdict reads a NaN")
+    """fail only when slack < -NOISE_SES standard errors; a NaN or an infinity is a defect, never a verdict."""
+    if not (math.isfinite(slack) and math.isfinite(se)):
+        raise NumericalError(f"a side has slack {slack:.4g} and se {se:.4g}: no verdict reads a number that is not finite")
     if slack >= 0:
         return VERDICT_PASS
-    if slack >= -3.0 * se:
+    if slack >= -NOISE_SES * se:
         return VERDICT_NOISE
     return VERDICT_FAIL
 
 
-_WORST = {VERDICT_PASS: 0, VERDICT_NOISE: 1, VERDICT_NA: 2, VERDICT_FAIL: 3}
+_WORST = {VERDICT_PASS: 0, VERDICT_NOISE: 1, VERDICT_FAIL: 2}
 
 
 @dataclass(frozen=True)
@@ -77,18 +78,10 @@ class InequalityReport:
     seed: int
     n: int
     wall_time_s: float
-    verdict: str = VERDICT_PASS
-    slack: float = float("nan")
-    se: float = float("nan")
+    verdict: str
+    slack: float
+    se: float
     notes: tuple[str, ...] = ()
-
-    def finalize(self) -> "InequalityReport":
-        if self.sides:
-            worst = max(self.sides, key=lambda s: (_WORST[s.verdict], -s.slack))
-            self.slack, self.se = worst.slack, worst.se
-            if self.verdict != VERDICT_NA:
-                self.verdict = worst.verdict
-        return self
 
     def to_dict(self) -> dict:
         def num(x):
@@ -181,15 +174,16 @@ def _gap(t1: np.ndarray, t2: np.ndarray, e1: float, e2: float) -> tuple[TermEsti
 
 
 # ---------------------------------------------------------------------------
-# verifier spine: a verifier builds classified sides with _upper or _lower
-# (_side for any other slack), pass-or-fail sides with _allowance, and returns
-# _report(...); cli.run_config stamps the report's wall_time_s.
+# verifier spine: a verifier builds classified sides with _upper or _lower (_side
+# for any other slack), pass-or-fail sides with _allowance, and returns _report(...),
+# with no sides where the theorem does not apply; cli.run_config stamps wall_time_s.
 
 
-def _report(theorem_id, terms, sides, constants, seed, n, verdict=VERDICT_PASS, notes=()):
-    """The one place a report is built; not-applicable reports keep their verdict."""
-    return InequalityReport(theorem_id, terms, sides, constants, seed, n, 0.0,
-                            verdict=verdict, notes=tuple(notes)).finalize()
+def _report(theorem_id, terms, sides, constants, seed, n, notes=()):
+    """The one place a verdict is decided: the worst side's, with its slack and se, or not-applicable without sides."""
+    worst = max(sides, key=lambda s: (_WORST[s.verdict], -s.slack), default=None)
+    verdict, slack, se = (VERDICT_NA, math.nan, math.nan) if worst is None else (worst.verdict, worst.slack, worst.se)
+    return InequalityReport(theorem_id, terms, sides, constants, seed, n, 0.0, verdict, slack, se, tuple(notes))
 
 
 def _side(name, est, se, bound, slack) -> SideCheck:
@@ -233,7 +227,7 @@ def _mixed_sign(theorem_id, plan, n, kmin, kmax, floor, note):
     """A not-applicable report when the cross covariance takes both signs, else None."""
     if kmin < -floor and kmax > floor:
         return _report(theorem_id, {}, [], {"min_cross": kmin, "max_cross": kmax},
-                       plan.base_seed, n, VERDICT_NA, (note,))
+                       plan.base_seed, n, (note,))
 
 
 def _cov(a: np.ndarray, b: np.ndarray) -> TermEstimate:
@@ -268,7 +262,7 @@ def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: floa
     elif constant_mode == "positive-1":
         if kmin < -floor:
             return _report("thm1.1", {}, [], {"kappa": kappa, "min_cross": kmin}, plan.base_seed, n,
-                           VERDICT_NA, ("cross-covariance sign check failed; c=1 branch inapplicable",))
+                           ("cross-covariance sign check failed; c=1 branch inapplicable",))
         c_up, c_down = 1.0, 0.0
     else:
         raise ParameterError(f"unknown constant_mode {constant_mode!r}")
@@ -276,8 +270,8 @@ def verify_sprinkled(plan: SamplerPlan, A1: EventSpec, A2: EventSpec, eps1: floa
         warnings.warn("supports overlap; inhomogeneous bound applies after restricting to disjoint blocks")
         notes.append("overlapping supports")
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
-    bound = c_up * kappa / (eps1 * eps2)
-    bound_dn = c_down * kappa / (eps1 * eps2)
+    # c kappa / (eps1 eps2): 0 when c kappa is, and inf, which classify refuses, when eps1 eps2 underflows to 0
+    bound, bound_dn = (c * kappa and (c * kappa / (eps1 * eps2) if eps1 * eps2 else math.inf) for c in (c_up, c_down))
     lhs_up, joint, up1, up2 = _gap(t1, t2, eps1, eps2)
     d_dn, _, dn1, dn2 = _gap(t1, t2, -eps1, -eps2)  # estimates P12 - P[-e1]P[-e2]
     sides = [
@@ -307,7 +301,7 @@ def verify_threshold_cov(plan, A1, A2, n: int, workers: int = 1) -> InequalityRe
     # A threshold of positive variance that is one float on every replicate lost
     # the field to the level's rounding unit: the draws cannot test the bounds.
     if any(t.min() == t.max() and _max_var(plan, A) > 0 for A, t in ((A1, t1), (A2, t2))):
-        return _report("prop2.2", {}, [], consts, plan.base_seed, n, VERDICT_NA,
+        return _report("prop2.2", {}, [], consts, plan.base_seed, n,
                        ("thresholds constant in floating point: the field's sd is below the level's rounding unit",))
     est = _cov(t1, t2)
     sides = [_lower("cov>=lower", est.value, est.se, lo), _upper("cov<=upper", est.value, est.se, hi)]
@@ -382,7 +376,7 @@ def verify_hoeffding(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport
     integral = box_integral(HOEFFDING_BINS)
     resolution = abs(integral - box_integral(HOEFFDING_BINS // 2))
     side = _allowance("cov=integral", abs(cov_est.value - integral), cov_est.se,
-                      3.0 * cov_est.se + budget + resolution)
+                      NOISE_SES * cov_est.se + budget + resolution)
     terms = {"cov": cov_est, "integral": TermEstimate(integral, 0.0, n)}
     consts = {"budget": budget, "resolution": resolution, "bins": HOEFFDING_BINS}
     return _report("hoeffding", terms, [side], consts, plan.base_seed, n)
@@ -456,7 +450,7 @@ def verify_interp_formula(plan: DensePlan, n: int) -> InequalityReport:
         quad_budget = abs(_mean_se(rhs_at(*_gauss_legendre_panels(1.0, 1, INTERP_NODES // 2))).value - rhs.value)
         se = float(np.hypot(lhs.se, rhs.se))
         sides.append(_allowance(f"case{ci}:{fd[0]}-{gd[0]}", abs(lhs.value - rhs.value), se,
-                                3.0 * se + quad_budget))
+                                NOISE_SES * se + quad_budget))
         terms[f"lhs{ci}"] = lhs
         terms[f"rhs{ci}"] = rhs
     return _report("interp", terms, sides, {"t_nodes": INTERP_NODES}, plan.base_seed, n)
@@ -526,13 +520,13 @@ def verify_sdi3(plan, A1, A2, delta1: float, delta2: float, n: int, workers: int
     kinf = plan.max_abs_cov()
     if rho > 1.0 - delta1:
         return _report("thm1.10", {}, [], {"rho": rho, "delta1": delta1}, plan.base_seed, n,
-                       VERDICT_NA, (f"rho={rho:.4f} exceeds 1-delta1={1-delta1:.4f}",))
+                       (f"rho={rho:.4f} exceeds 1-delta1={1-delta1:.4f}",))
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     marginals = {"p1": _mean_se((t1 <= 0).astype(float)), "p2": _mean_se((t2 <= 0).astype(float))}
     pmax = max(marginals["p1"].value, marginals["p2"].value)
     if pmax < delta2:
         return _report("thm1.10", marginals, [], {"rho": rho, "delta2": delta2}, plan.base_seed, n,
-                       VERDICT_NA, (f"max marginal {pmax:.4f} below delta2={delta2}",))
+                       (f"max marginal {pmax:.4f} below delta2={delta2}",))
     kappa = 2.0 + max(0.0, -analytic.std_quantile(delta2)) / np.sqrt(delta1)
     eps = kappa * rho * float(np.sqrt(kinf))
     lhs = _gap(t1, t2, eps, eps)[0]
@@ -551,7 +545,7 @@ def verify_isoperimetric(plan, A, eps: float, n: int, workers: int = 1) -> Inequ
     p0, pe = _mean_se((t <= 0).astype(float)), _mean_se((t <= eps).astype(float))
     if p0.value <= 0.0 or p0.value >= 1.0:
         return _report("cor2.6", {"p0": p0, "p_eps": pe}, [], {"eps": eps}, plan.base_seed, n,
-                       VERDICT_NA, ("degenerate marginal estimate",))
+                       ("degenerate marginal estimate",))
     kinf = plan.max_abs_cov()
     t_shift = eps / float(np.sqrt(kinf))
     target = analytic.isoperimetric_profile(p0.value, t_shift)
@@ -570,7 +564,7 @@ def verify_noise_stability(plan, A1, A2, n: int, workers: int = 1) -> Inequality
     p1, p2, p12 = _mean_se(i1), _mean_se(i2), _mean_se(joint)
     if not (0 < p1.value < 1 and 0 < p2.value < 1):
         return _report("cor2.7", {"p1": p1, "p2": p2}, [], {"rho": rho}, plan.base_seed, n,
-                       VERDICT_NA, ("marginal estimate at 0 or 1: quantile undefined",))
+                       ("marginal estimate at 0 or 1: quantile undefined",))
     u, v = analytic.std_quantile(p1.value), analytic.std_quantile(p2.value)
     rhs = analytic.bivariate_cdf(rho, u, v)
     if rho < 1.0:

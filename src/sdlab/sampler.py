@@ -50,7 +50,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import EmbeddingError, InputError, ModelError, ParameterError
-from .kernels import Point, cov_of_offsets, repair_psd
+from .kernels import Point, _as_point, cov_of_offsets, repair_psd
 
 DENSE_FACTOR_TOL = 1e-8
 SPECTRUM_CLIP_LIMIT = 1e-6
@@ -204,14 +204,14 @@ class SamplerPlan:
     """Common facade: point index map, seeded draws, covariance access."""
 
     mode: str
-    points: tuple[Point, ...]
-    index: dict[Point, int]
-    base_seed: int
     fingerprint: str
 
-    @property
-    def npoints(self) -> int:
-        return len(self.points)
+    def __init__(self, base_seed: int, points: Iterable[Point]):
+        if not _integers((base_seed,)):  # a negative seed keys the streams modulo 2**64
+            raise ParameterError(f"seed must be an integer, got {base_seed!r}")
+        self.base_seed: int = int(base_seed)
+        self.points: tuple[Point, ...] = tuple(points)
+        self.index: dict[Point, int] = {p: i for i, p in enumerate(self.points)}
 
     def draw_batch(self, replicates: Iterable[int]) -> np.ndarray:
         raise NotImplementedError
@@ -233,9 +233,7 @@ class DensePlan(SamplerPlan):
     def __init__(self, cov: np.ndarray, factor: np.ndarray, base_seed: int, points):
         self.cov = cov
         self.factor = factor
-        self.base_seed = int(base_seed)
-        self.points = tuple(points)
-        self.index = {p: i for i, p in enumerate(self.points)}
+        super().__init__(base_seed, points)
         self.fingerprint = self._fingerprint(factor)
 
     def _apply(self, z: np.ndarray) -> np.ndarray:
@@ -296,7 +294,7 @@ def plan_dense(cov: np.ndarray, base_seed: int, points=None) -> DensePlan:
         raise ModelError(f"factorization residual {err:.2e} above tolerance")
     if points is None:
         points = [(i,) for i in range(cov.shape[0])]
-    return DensePlan(rep, factor, base_seed, [tuple(p) if not np.isscalar(p) else (p,) for p in points])
+    return DensePlan(rep, factor, base_seed, [_as_point(p) for p in points])
 
 
 def _torus_offsets(grid: Grid, torus_shape) -> np.ndarray:
@@ -317,9 +315,7 @@ class CirculantPlan(SamplerPlan):
         self.torus_shape = tuple(torus_shape)
         self.sqrt_spectrum = sqrt_spectrum
         self.clipped_fraction = float(clipped_fraction)
-        self.base_seed = int(base_seed)
-        self.points = tuple(grid.sites())
-        self.index = {p: i for i, p in enumerate(self.points)}
+        super().__init__(base_seed, grid.sites())
         self._set_filters(sqrt_spectrum[..., : self.torus_shape[-1] // 2 + 1])
 
     def _set_filters(self, *filters) -> None:
@@ -331,7 +327,7 @@ class CirculantPlan(SamplerPlan):
         """Box values of irfftn(rfftn(w) * f) for each filter f, all from one noise w per replicate."""
         reps = _replicate_indices(replicates)
         axes = tuple(range(1, len(self.torus_shape) + 1))
-        outs = [np.empty((len(reps), self.npoints)) for _ in self._filters]
+        outs = [np.empty((len(reps), len(self.points))) for _ in self._filters]
         for lo, hi, _ in _runs(reps):
             wf = np.fft.rfftn(_noise(self.base_seed, reps[lo:hi], self.torus_shape), axes=axes)
             for out, f in zip(outs, self._filters):

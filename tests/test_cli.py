@@ -195,6 +195,15 @@ def _malformed(tid, **changes):
     (_malformed("prop2.2", n=2000, seed=1, grid={"shape": [16]}, events=[cli._above([0]), cli._above([8])],
                 model={"family": "polylog", "d": 1, "gamma": float("nan")}),
      "polylog_decay requires a finite gamma > 0, got nan"),
+    # a malformed scalar ended in a traceback, and a fractional seed ran as its floor
+    (_malformed("thm1.1", n=2000, seed="x"), "seed must be an integer, got 'x'"),
+    (_malformed("thm1.1", n=2000, seed=None), "seed must be an integer, got None"),
+    (_malformed("thm1.1", n=2000, seed=1.5), "seed must be an integer, got 1.5"),
+    (_malformed("prop1.8", n=2000, seed=1.5), "seed must be an integer, got 1.5"),
+    (_malformed("thm1.1", n=2000, workers="2"), "workers must be an integer"),
+    (_malformed("thm1.10", n=2000, delta1="0.5"), "got 1, '0.5', 0.25 and 1.5"),
+    (_malformed("thm1.1", n=2000, eps=["0.5"]), "all numbers, got ['0.5']"),
+    (_malformed("prop1.8", n=2000, radius="2"), "got 1, 0.5, 0.25 and '2'"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
     path = tmp_path / "cfg.json"
@@ -204,6 +213,30 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*_*.json"))
+
+
+def test_thm1_1_sprinkles_below_the_float_range_keep_a_zero_bound(tmp_path):
+    # eps1 eps2 underflows to 0 at eps = 1e-200 while kappa = 0, and 0 / 0 ended in ZeroDivisionError
+    reports = []
+    for eps in ("1e-200", "1e-160"):
+        assert run(["verify", "thm1.1", "-n", "2000", "--eps", eps, "--out", str(tmp_path / eps)]) == 0
+        reports.append(json.loads(next((tmp_path / eps).glob("*.json")).read_text()))
+    tiny, small = reports
+    assert tiny["constants"]["bound_up"] == 0.0 and tiny["verdict"] == small["verdict"] == mc.VERDICT_NOISE
+    assert (tiny["slack"], tiny["se"], tiny["sides"]) == (small["slack"], small["se"], small["sides"])
+
+
+@pytest.mark.parametrize("matrix, eps", [([[8e307, 4e307], [4e307, 8e307]], 0.5), ([[1.0, 0.5], [0.5, 1.0]], 1e-200)],
+                         ids=["bound-overflows", "sprinkles-underflow"])
+def test_thm1_1_bound_past_the_float_range_is_an_error(tmp_path, capsys, matrix, eps):
+    # c kappa / (eps1 eps2) overflowed to inf and read pass (slack=inf) with bound null,
+    # or eps1 eps2 underflowed to 0 beside kappa > 0 and ended in ZeroDivisionError
+    doc = _malformed("thm1.1", n=2000, seed=1, eps=[eps], model={"family": "explicit", "matrix": matrix},
+                     events=[cli._above([0]), cli._above([1])])
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run(["verify", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a side has slack inf") and "not finite" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -646,7 +679,7 @@ def dense_configs(draw):
 
     return cli.ExperimentConfig(
         theorem=draw(st.sampled_from(DENSE_IDS)), model={"family": "explicit", "matrix": K.tolist()},
-        events=(event(), event()), eps=(draw(st.sampled_from([0.25, 1.0, 3.0])) * scale,),
+        events=(event(), event()), eps=(draw(st.sampled_from([0.25, 1.0, 3.0, 1e-200])) * scale,),
         n=draw(st.sampled_from([2, 3, 4, 16, 64])), seed=draw(st.integers(0, 3)),
         constant_mode=draw(st.sampled_from(["proof-36", "positive-1"])))
 

@@ -513,6 +513,13 @@ def test_classify_edges():
     assert mc.classify(-1e-300, 0.0) == mc.VERDICT_FAIL
 
 
+@pytest.mark.parametrize("slack, se", [(math.inf, 0.1), (-math.inf, 0.1), (-0.5, math.inf), (0.5, -math.inf)])
+def test_classify_refuses_an_infinity(slack, se):
+    # an infinite slack read as pass or fail, and an infinite se made any shortfall pass-within-noise
+    with pytest.raises(NumericalError):
+        mc.classify(slack, se)
+
+
 def test_side_helpers_slack_conventions():
     up, lo = mc._upper("u", 0.25, 0.1, 0.5), mc._lower("l", 0.25, 0.1, 0.5)
     assert (up.slack, up.verdict) == (0.25, mc.VERDICT_PASS)
@@ -529,12 +536,18 @@ def test_allowance_sides_are_pass_or_fail_only(diff, verdict):
     assert side.slack == 1.0 - diff
 
 
-def test_finalize_keeps_not_applicable_verdict():
-    side = mc._upper("s", 2.0, 0.1, 1.0)
-    rep = mc._report("t", {}, [side], {}, 0, 10, mc.VERDICT_NA, ("n/a",))
-    assert rep.verdict == mc.VERDICT_NA
-    assert (rep.slack, rep.se) == (side.slack, side.se)
+def test_report_verdict_is_derived_from_its_sides():
+    # no sides: not-applicable, with no slack or se to read
+    rep = mc._report("t", {}, [], {}, 0, 10, ("n/a",))
+    assert rep.verdict == mc.VERDICT_NA and math.isnan(rep.slack) and math.isnan(rep.se)
     assert rep.notes == ("n/a",)
+    # sides: the worst verdict, then the smallest slack, with that side's se
+    sides = [mc._upper("pass", 0.5, 0.1, 1.0), mc._upper("deep", 1.2, 0.1, 1.0), mc._upper("shallow", 1.1, 0.2, 1.0)]
+    rep = mc._report("t", {}, sides, {}, 0, 10)
+    assert (rep.verdict, rep.slack, rep.se) == (mc.VERDICT_NOISE, sides[1].slack, 0.1)
+    fail = mc._upper("fail", 2.0, 0.3, 1.0)
+    rep = mc._report("t", {}, [*sides, fail], {}, 0, 10)
+    assert (rep.verdict, rep.slack, rep.se) == (mc.VERDICT_FAIL, -1.0, 0.3)
 
 
 def test_not_applicable_reports_are_timed():
