@@ -26,8 +26,13 @@ def std_cdf(u):
     return special.ndtr(u)
 
 
+# exp(-u^2 / 2) underflows to 0 from |u| = 38.6 on, so clipping |u| here leaves every value as it
+# was and keeps u^2 from overflowing
+PDF_CLIP = 40.0
+
+
 def std_pdf(u):
-    return np.exp(-np.square(u) / 2.0) / SQRT_2PI
+    return np.exp(-np.square(np.minimum(np.abs(u), PDF_CLIP)) / 2.0) / SQRT_2PI
 
 
 def std_quantile(p):
@@ -92,6 +97,26 @@ def bivariate_cdf_derivs(rho: float, u: float, v: float) -> tuple[float, float, 
     return partial(u, v), partial(v, u), dr
 
 
+def sprinkle_exponent(eps: float, var: float) -> float:
+    """-eps^2 / (8 var), the exponent of the Gaussian sprinkle bounds, for eps >= 0 and var >= 0.
+
+    A Python float raises OverflowError on eps**2 past the float range; where eps^2 or 8 var
+    leaves the range, the quotient is taken as (eps / sqrt(var))^2 / 8, so a huge sprinkle
+    gives -inf, a bound of 0.  Inside the range it is the plain expression, bit for bit.
+    """
+    try:
+        num = eps**2
+    except OverflowError:
+        num = math.inf
+    den = 8.0 * var
+    if num < math.inf and 0.0 < den < math.inf:
+        return -num / den
+    if var == 0.0:  # var underflowed to 0: any positive sprinkle is past the range
+        return -math.inf if eps else -0.0
+    r = eps / math.sqrt(var)
+    return -(r * r) / 8.0
+
+
 @dataclass(frozen=True)
 class SlackReport:
     """One inequality instance: lhs <= rhs with slack = rhs - lhs."""
@@ -110,7 +135,7 @@ def check_2dcase_sprinkled(rho: float, u: float, v: float, eps: float) -> SlackR
     if eps < 0.0:
         raise DomainError("eps must be nonnegative")
     lhs = bivariate_cdf(rho, u, v)
-    rhs = float(special.ndtr(u) * special.ndtr(v + eps)) + math.exp(-(eps**2) / (8.0 * rho**2))
+    rhs = float(special.ndtr(u) * special.ndtr(v + eps)) + math.exp(sprinkle_exponent(eps, rho**2))
     return SlackReport(lhs, rhs, rhs - lhs, rhs - lhs >= -SLACK_TOL)
 
 

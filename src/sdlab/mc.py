@@ -29,7 +29,7 @@ from . import analytic, measures
 from .errors import InputError, NumericalError, ParameterError, PreconditionError
 from .events import EventSpec, compile_event
 from .kernels import _exponent, _gauss_legendre_panels
-from .sampler import BANK_BYTES, BANK_ROWS, DensePlan, Grid, SamplerPlan, _Store, plan_decomposed
+from .sampler import BANK_BYTES, BANK_ROWS, DensePlan, Grid, SamplerPlan, _columns, _Store, plan_decomposed
 
 VERDICT_PASS = "pass"
 VERDICT_NOISE = "pass-within-noise"
@@ -120,6 +120,16 @@ def _check_replicates(n) -> None:
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
 
 
+def compile_events(plan: SamplerPlan, specs) -> tuple[list, np.ndarray | None]:
+    """The events compiled on the support draw ``plan.draw_batch(replicates, cols)``, and cols,
+    the sorted union of their support columns in the plan: None when that is every column."""
+    cols = np.unique(np.concatenate([np.empty(0, np.intp), *(_columns(plan.index, s.support) for s in specs)]))
+    if len(cols) == len(plan.points):
+        return [compile_event(s, plan.index) for s in specs], None
+    index = {plan.points[c]: k for k, c in enumerate(cols.tolist())}
+    return [compile_event(s, index) for s in specs], cols
+
+
 def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.ndarray:
     """Threshold matrix of shape (len(specs), n) over replicates 0..n-1; read-only, as the
     cache hands the same array to every caller."""
@@ -129,13 +139,13 @@ def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.n
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    compiled = [compile_event(s, plan.index) for s in specs]
+    compiled, cols = compile_events(plan, specs)
     out = np.empty((len(specs), n))
     blocks = [(a, min(a + BANK_ROWS, n)) for a in range(0, n, BANK_ROWS)]  # one draw block each
 
     def work(block):
         a, b = block
-        draws = plan.draw_batch(range(a, b))
+        draws = plan.draw_batch(range(a, b), cols)
         for k, ce in enumerate(compiled):
             out[k, a:b] = ce.thresholds_batch(draws)
 
@@ -485,7 +495,7 @@ def verify_finite_range(model, grid: Grid, radius: float, A1, A2, eps: float, n:
 def finite_range_bound(max_support: int, sigma2: float, eps: float) -> float:
     if sigma2 <= 0:
         return 0.0
-    return 3.0 * max_support * float(np.exp(-(eps**2) / (8.0 * sigma2)))
+    return 3.0 * max_support * float(np.exp(analytic.sprinkle_exponent(eps, sigma2)))
 
 
 def _rho_of(plan, A1, A2) -> float:
@@ -500,7 +510,7 @@ def verify_sdi2(plan, A1, A2, eps: float, n: int, workers: int = 1) -> Inequalit
         raise ParameterError(f"eps must be positive, got {eps!r}")
     rho = _rho_of(plan, A1, A2)
     kinf = plan.max_abs_cov()
-    bound = float(np.exp(-(eps**2) / (8.0 * kinf * rho**2))) if rho > 0 else 0.0
+    bound = float(np.exp(analytic.sprinkle_exponent(eps, kinf * rho**2))) if rho > 0 else 0.0
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     lhs, _, p1, p2e = _gap(t1, t2, 0.0, eps)
     return _report("thm1.7", {"lhs": lhs, "p1": _mean_se(p1), "p2_eps": _mean_se(p2e)},

@@ -6,6 +6,14 @@ average irfftn(rfftn(w) * f) on the box: the circulant plan has one filter,
 the half-spectrum of sqrt_spectrum; the split X = X1 + X2 has two, the near
 and far parts of that moving average, applied to the same w.
 
+Every plan draws through ``draw_batch(replicates, cols=None)``: all of its
+columns, or the columns ``cols`` (mc asks for the union of its events'
+supports).  A torus plan takes the same circular convolution directly at those
+sites, w @ Q with Q[y, j] = k_f(s_j - y) and k_f = irfftn(f), when the cost
+rule ``_gemm_wins`` says the gemm is cheaper than the FFT pair and Q fits
+``BANK_BYTES``; else it keeps the FFT draw.  A draw without ``cols`` (``sdlab
+sample``) is always the FFT draw of the whole box.
+
 The torus grows until its spectrum is nonnegative up to roundoff (Wood & Chan
 1994, Dietrich & Newsam 1997): for each padding of ``PADDINGS`` (2, then 4)
 each axis is the box extent times the padding, rounded up first to a 5-smooth
@@ -16,8 +24,13 @@ than the power of two alone would give it.
 
 Reproducibility contract: every replicate's noise comes from a counter-based
 Philox stream keyed by (base_seed, replicate), so the row of replicate r in
-plan.draw_batch(replicates) is a pure function of the plan and r, independent
-of the other rows, evaluation order and thread count.  A batch builds one
+plan.draw_batch(replicates, cols) is a pure function of the plan, the column
+list and r, independent of the other rows, evaluation order and thread count.
+The cost rule reads only the plan and the column list, and the support gemm
+always runs on all ``BANK_ROWS`` rows of r's block (zero outside the rows
+asked for): BLAS rounds a row of W[:m] @ Q differently for some m (m <= 3, and
+m = 100 under two threads), but the 256-row product the same way under one
+thread or two.  A batch builds one
 Philox generator and re-keys it for each replicate (key (base_seed,
 replicate), counter 0, empty buffer); being counter-based, the re-keyed
 generator gives exactly the stream of a fresh generator with that key.
@@ -79,10 +92,11 @@ def _replicate_indices(replicates) -> range | list[int]:
     return reps
 
 
-def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normal noise of ``shape`` per replicate, stacked; row k keyed by (base_seed, replicates[k])."""
+def _noise(base_seed: int, replicates, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal noise of ``shape`` per replicate, stacked (into ``out`` when given);
+    row k keyed by (base_seed, replicates[k])."""
     reps = _replicate_indices(replicates)
-    out = np.empty((len(reps),) + shape)
+    out = np.empty((len(reps),) + shape) if out is None else out
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
     key = [base_seed & _UINT64, 0]
@@ -200,6 +214,26 @@ def _columns(index: dict, pts) -> np.ndarray:
         raise InputError(f"sample does not cover support site {exc.args[0]}") from None
 
 
+def _check_columns(cols, m: int) -> np.ndarray:
+    """Column indices of a plan with ``m`` columns as an index array; InputError for anything else."""
+    cols = np.asarray(cols)
+    if cols.ndim != 1 or not (cols.dtype.kind in "iu" and (cols.size == 0 or 0 <= cols.min() <= cols.max() < m)):
+        raise InputError(f"columns must be a list of integers in [0, {m})")
+    return cols.astype(np.intp)
+
+
+# A torus support draw's gemm costs about torus size x kernel columns multiply-adds per replicate,
+# and its FFT pair as much as GEMM_COLUMNS_PER_LOG2 x torus size x log2(torus size) of them;
+# fitted on the sweep in BENCH_28.json (one BLAS thread)
+GEMM_COLUMNS_PER_LOG2 = 40
+
+
+def _gemm_wins(columns: int, torus_size: int) -> bool:
+    """The cost rule of a torus support draw: a gemm with ``columns`` kernel columns (filters x
+    sites) beats the FFTs, and its kernel matrix fits the bound of the plan's cache."""
+    return columns <= GEMM_COLUMNS_PER_LOG2 * math.log2(torus_size) and 8 * columns * torus_size <= BANK_BYTES
+
+
 class SamplerPlan:
     """Common facade: point index map, seeded draws, covariance access."""
 
@@ -213,7 +247,8 @@ class SamplerPlan:
         self.points: tuple[Point, ...] = tuple(points)
         self.index: dict[Point, int] = {p: i for i, p in enumerate(self.points)}
 
-    def draw_batch(self, replicates: Iterable[int]) -> np.ndarray:
+    def draw_batch(self, replicates: Iterable[int], cols=None) -> np.ndarray:
+        """One row per replicate: the field at every plan column, or at columns ``cols`` in that order."""
         raise NotImplementedError
 
     def cov_block(self, pts1, pts2) -> np.ndarray:
@@ -253,8 +288,9 @@ class DensePlan(SamplerPlan):
                 out[lo:hi] = self._apply(z[:, c * m : (c + 1) * m])
         return outs
 
-    def draw_batch(self, replicates) -> np.ndarray:
-        return self._draws(replicates, 1)[0]
+    def draw_batch(self, replicates, cols=None) -> np.ndarray:
+        x = self._draws(replicates, 1)[0]
+        return x if cols is None else x[:, _check_columns(cols, x.shape[1])]
 
     def draw_pair_batch(self, replicates) -> tuple[np.ndarray, np.ndarray]:
         """Two independent copies per replicate from one stream (X, X')."""
@@ -322,16 +358,25 @@ class CirculantPlan(SamplerPlan):
         """The draw loop's rfftn-domain filters; with seed, points and torus shape they fix the draws."""
         self._filters = filters
         self.fingerprint = self._fingerprint(self.torus_shape, *filters)
+        self._kernels = _Store(BANK_BYTES)  # kernel matrices of support draws, by column set
 
-    def _filter_noise(self, replicates) -> list[np.ndarray]:
-        """Box values of irfftn(rfftn(w) * f) for each filter f, all from one noise w per replicate."""
+    def _filter_noise(self, replicates, cols=None) -> list[np.ndarray]:
+        """Per filter f, the moving average of one noise w per replicate by f's real-space kernel,
+        at every box site or at the sites of columns ``cols``: by a gemm with the kernel
+        matrix when ``_gemm_wins``, else as irfftn(rfftn(w) * f) on the box."""
         reps = _replicate_indices(replicates)
+        if cols is not None:
+            cols = _check_columns(cols, len(self.points))
+            if _gemm_wins(len(self._filters) * len(cols), math.prod(self.torus_shape)):
+                return self._gemm_draw(reps, cols)
+        at = None if cols is None else (slice(None),) + np.unravel_index(cols, self.grid.shape)
         axes = tuple(range(1, len(self.torus_shape) + 1))
-        outs = [np.empty((len(reps), len(self.points))) for _ in self._filters]
+        outs = [np.empty((len(reps), len(self.points) if at is None else len(cols))) for _ in self._filters]
         for lo, hi, _ in _runs(reps):
             wf = np.fft.rfftn(_noise(self.base_seed, reps[lo:hi], self.torus_shape), axes=axes)
             for out, f in zip(outs, self._filters):
-                out[lo:hi] = self._box_irfftn(wf * f).reshape(hi - lo, -1)
+                box = self._box_irfftn(wf * f)
+                out[lo:hi] = box.reshape(hi - lo, -1) if at is None else box[at]
         return outs
 
     def _box_irfftn(self, a: np.ndarray) -> np.ndarray:
@@ -345,8 +390,41 @@ class CirculantPlan(SamplerPlan):
             a = np.fft.ifft(a, axis=ax)[(slice(None),) * ax + (slice(0, s),)]
         return np.fft.irfft(a, n=self.torus_shape[-1], axis=-1)[..., : self.grid.shape[-1]]
 
-    def draw_batch(self, replicates) -> np.ndarray:
-        return self._filter_noise(replicates)[0]
+    def _kernel_matrix(self, cols: np.ndarray) -> np.ndarray:
+        """Q of shape (torus size, filters * len(cols)): entry (y, f * len(cols) + j) is k_f(s_j - y),
+        the lag taken mod the torus, where k_f = irfftn(f) and s_j is column j's site relative to
+        the grid origin (the box sits at the torus corner); so w @ Q is each filter's moving average."""
+        key = cols.tobytes()
+        q = self._kernels.get(key)
+        if q is None:
+            y = np.indices(self.torus_shape).reshape(len(self.torus_shape), -1, 1)
+            s = np.unravel_index(cols, self.grid.shape)
+            lag = np.ravel_multi_index(tuple((sj - yj) % t for sj, yj, t in zip(s, y, self.torus_shape)),
+                                       self.torus_shape)
+            q = self._kernels.put(key, np.concatenate(
+                [np.fft.irfftn(f, s=self.torus_shape, axes=range(len(self.torus_shape))).ravel()[lag]
+                 for f in self._filters], axis=1))
+        return q
+
+    def _gemm_draw(self, reps, cols: np.ndarray) -> list[np.ndarray]:
+        """``_filter_noise`` at ``cols`` as one gemm per block, w @ Q, on all BANK_ROWS rows of the
+        block, zero outside the span a run asks for: the gemm's shape, not its other rows, fixes
+        each row's rounding, so a row depends on (plan, cols, replicate) alone."""
+        q = self._kernel_matrix(cols)
+        m = len(cols)
+        outs = [np.empty((len(reps), m)) for _ in self._filters]
+        for lo, hi, rows in _runs(reps):
+            start = reps[lo] - int(rows[0])  # the block's first replicate
+            a, b = int(rows.min()), int(rows.max()) + 1
+            w = np.zeros((BANK_ROWS, q.shape[0]))
+            _noise(self.base_seed, range(start + a, start + b), (q.shape[0],), out=w[a:b])
+            x = (w @ q)[rows]
+            for k, out in enumerate(outs):
+                out[lo:hi] = x[:, k * m : (k + 1) * m]
+        return outs
+
+    def draw_batch(self, replicates, cols=None) -> np.ndarray:
+        return self._filter_noise(replicates, cols)[0]
 
     def cov_block(self, pts1, pts2) -> np.ndarray:
         a = np.asarray(list(pts1), dtype=float)
@@ -410,11 +488,11 @@ class DecomposedPlan(CirculantPlan):
         self.sigma2 = float((self.q_far**2).sum())
         self._set_filters(np.fft.rfftn(self.q_near), np.fft.rfftn(self.q_far))
 
-    def draw_split_batch(self, replicates) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(self._filter_noise(replicates))
+    def draw_split_batch(self, replicates, cols=None) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(self._filter_noise(replicates, cols))
 
-    def draw_batch(self, replicates) -> np.ndarray:
-        x1, x2 = self.draw_split_batch(replicates)
+    def draw_batch(self, replicates, cols=None) -> np.ndarray:
+        x1, x2 = self.draw_split_batch(replicates, cols)
         return x1 + x2
 
 

@@ -35,6 +35,39 @@ def test_pdf_is_cdf_derivative():
         assert analytic.std_pdf(u) == pytest.approx(fd, abs=1e-6)
 
 
+def test_pdf_is_zero_past_its_underflow_with_no_warning():
+    # squaring 1e200 overflowed with a RuntimeWarning, which pytest turns into an error
+    assert analytic.std_pdf(1e200) == analytic.std_pdf(-np.inf) == analytic.std_pdf(38.7) == 0.0
+    assert np.array_equal(analytic.std_pdf(np.array([1e300, -1e160])), [0.0, 0.0])
+    assert math.isnan(analytic.std_pdf(math.nan))
+    u = np.concatenate([np.linspace(-38.6, 38.6, 20_001), np.random.default_rng(0).normal(size=1000) * 5])
+    old = np.exp(-np.square(u) / 2.0) / analytic.SQRT_2PI
+    assert np.array_equal(analytic.std_pdf(u), old)
+    assert all(analytic.std_pdf(float(x)) == y for x, y in zip(u[::97], old[::97]))
+
+
+def test_sprinkle_exponent_is_the_plain_quotient_inside_the_float_range():
+    rng = np.random.default_rng(1)
+    for eps, var in zip(10.0 ** rng.uniform(-150, 150, 5000), 10.0 ** rng.uniform(-150, 150, 5000)):
+        eps, var = float(eps), float(var)
+        assert analytic.sprinkle_exponent(eps, var) == -(eps**2) / (8.0 * var)
+    assert analytic.sprinkle_exponent(0.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("eps, var, expected", [
+    (1e200, 1.0, -math.inf), (1e200, 1e-300, -math.inf), (1.0, 0.0, -math.inf), (0.0, 0.0, 0.0),
+    (1e155, 1e308, -12.5), (1e200, 1e300, -1.25e99),
+])
+def test_sprinkle_exponent_past_the_float_range(eps, var, expected):
+    # eps**2 raised OverflowError and var = 0 ZeroDivisionError; 8 var = inf left eps^2 / inf
+    assert analytic.sprinkle_exponent(eps, var) == pytest.approx(expected)
+
+
+def test_2dcase_sprinkled_check_at_a_huge_sprinkle():
+    rep = analytic.check_2dcase_sprinkled(0.5, 0.0, 0.0, 1e200)
+    assert rep.rhs == 0.5 and rep.passed
+
+
 # --- bivariate cdf ---------------------------------------------------------
 
 BVN_ORACLE = [

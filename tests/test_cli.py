@@ -226,6 +226,17 @@ def test_thm1_1_sprinkles_below_the_float_range_keep_a_zero_bound(tmp_path):
     assert (tiny["slack"], tiny["se"], tiny["sides"]) == (small["slack"], small["se"], small["sides"])
 
 
+@pytest.mark.parametrize("argv", [["prop1.8"], ["thm1.7", "--model", "bf", "--d", "1"], ["cor2.6"]],
+                         ids=["prop1.8", "thm1.7-bf", "cor2.6"])
+def test_a_sprinkle_past_the_float_range_bounds_by_zero(tmp_path, argv):
+    # eps**2 at eps = 1e200 ended prop1.8 and thm1.7 in OverflowError, and cor2.6's
+    # density ratio overflowed with a RuntimeWarning
+    assert run(["verify", *argv, "-n", "2000", "--eps", "1e200", "--out", str(tmp_path)]) == 0
+    rep = json.loads(next(tmp_path.glob("*.json")).read_text())
+    assert rep["verdict"] == mc.VERDICT_PASS
+    assert rep["constants"].get("bound", 0.0) == 0.0
+
+
 @pytest.mark.parametrize("matrix, eps", [([[8e307, 4e307], [4e307, 8e307]], 0.5), ([[1.0, 0.5], [0.5, 1.0]], 1e-200)],
                          ids=["bound-overflows", "sprinkles-underflow"])
 def test_thm1_1_bound_past_the_float_range_is_an_error(tmp_path, capsys, matrix, eps):

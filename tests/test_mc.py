@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,9 +49,26 @@ def test_threshold_engine_deterministic_across_workers():
     assert np.array_equal(t1, t8)
 
 
+def test_torus_support_draws_are_deterministic_across_workers_sharing_the_kernel_cache():
+    # eight threads on two cores race to build and store the plan's one kernel matrix
+    bf = kernels.bargmann_fock(2)
+    specs = (events.AllAbove(((0, 0), (1, 1)), 0.0), events.BoxCrossing((10, 10), (14, 14), 0))
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 8):
+            clear_cache()
+            plan = sampler.plan_decomposed(bf, sampler.Grid((24, 24), 0.5), 1.5, 9)
+            runs.append(mc.event_thresholds(plan, specs, 2048, workers=workers))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(*runs)
+
+
 def _fresh_thresholds(plan, spec, n):
-    ce = events.compile_event(spec, plan.index)
-    return ce.thresholds_batch(plan.draw_batch(range(n)))
+    (ce,), cols = mc.compile_events(plan, (spec,))
+    return ce.thresholds_batch(plan.draw_batch(range(n), cols))
 
 
 @pytest.mark.parametrize("pair", ["origin", "box", "points"])
@@ -73,6 +91,23 @@ def test_cached_thresholds_match_fresh_for_plans_differing_in_index_map(pair):
     for plan in plans:
         cached = mc.event_thresholds(plan, (spec,), 64)[0]
         assert np.array_equal(cached, _fresh_thresholds(plan, spec, 64))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
+def test_torus_thresholds_at_n_are_a_prefix_of_those_at_a_larger_n(split):
+    # the last, partial block of n = 300 runs the same fixed-shape gemm as the full block of n = 1000
+    bf = kernels.bargmann_fock(2)
+    grid = sampler.Grid((24, 24), 0.5)
+    plan = sampler.plan_decomposed(bf, grid, 1.5, 3) if split else sampler.plan_circulant(bf, grid, 3)
+    specs = (events.BoxCrossing((0, 0), (4, 4), 0), events.AllAbove(((19, 19), (23, 20)), 0.0))
+    clear_cache()
+    assert np.array_equal(mc.event_thresholds(plan, specs, 300), mc.event_thresholds(plan, specs, 1000)[:, :300])
+
+
+def test_finite_range_bound_keeps_its_bits_and_is_zero_past_the_float_range():
+    for size, sigma2, eps in ((25, 0.0111, 0.5), (3, 2.5, 1.7), (1, 1e-300, 1e-140)):
+        assert mc.finite_range_bound(size, sigma2, eps) == 3.0 * size * float(np.exp(-(eps**2) / (8.0 * sigma2)))
+    assert mc.finite_range_bound(25, 0.0111, 1e200) == 0.0
 
 
 def test_sprinkling_indicator_monotone_per_replicate():

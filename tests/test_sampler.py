@@ -377,6 +377,77 @@ def test_box_only_inverse_is_bit_identical_to_irfftn(shape, split):
         assert np.array_equal(g, r)
 
 
+# a support draw sums the torus noise against each filter's real-space kernel where the
+# FFT draw transforms it, so the two agree up to rounding: at most 42 ulps of sqrt(K(0))
+# was measured on these grids, and a slip in the lag's sign or origin moves values by O(1)
+SUPPORT_ULPS = 64
+
+
+def _torus_plan(shape, origin, split, seed=5):
+    spacing = 1.0 if len(shape) == 3 else 0.5  # the 3-d box at 0.5 clips too much spectrum
+    grid = sampler.Grid(shape, spacing, origin)
+    bf = kernels.bargmann_fock(len(shape))
+    return sampler.plan_decomposed(bf, grid, 1.5, seed) if split else sampler.plan_circulant(bf, grid, seed)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
+@pytest.mark.parametrize("origin", [False, True], ids=["corner", "origin"])
+@pytest.mark.parametrize("shape", [(40,), (10, 9), (6, 5, 4)], ids=["1d", "2d", "3d"])
+def test_support_draw_matches_the_fft_draw(shape, origin, split):
+    plan = _torus_plan(shape, tuple(range(-3, 2 * len(shape) - 3, 2)) if origin else None, split)
+    cols = np.random.default_rng(len(shape)).permutation(len(plan.points))[:30]  # any order
+    assert sampler._gemm_wins(len(plan._filters) * len(cols), math.prod(plan.torus_shape))
+    reps = range(600)  # across the 256-replicate block edges
+    got = plan.draw_split_batch(reps, cols) if split else (plan.draw_batch(reps, cols),)
+    ref = plan.draw_split_batch(reps) if split else (plan.draw_batch(reps),)
+    tol = SUPPORT_ULPS * np.spacing(math.sqrt(plan.max_abs_cov()))
+    for g, r in zip(got, ref, strict=True):  # the circulant filter, or the near and far filters
+        assert g.shape == (600, 30) and np.abs(g - r[:, cols]).max() <= tol
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
+def test_support_draw_on_the_fft_path_is_the_box_draw_at_those_columns(monkeypatch, split):
+    plan = _torus_plan((10, 9), (2, -4), split)
+    cols = np.array([7, 0, 88, 41])
+    monkeypatch.setattr(sampler, "_gemm_wins", lambda columns, torus_size: False)
+    got = plan.draw_split_batch(range(300), cols) if split else (plan.draw_batch(range(300), cols),)
+    ref = plan.draw_split_batch(range(300)) if split else (plan.draw_batch(range(300)),)
+    for g, r in zip(got, ref, strict=True):
+        assert np.array_equal(g, r[:, cols])
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
+def test_support_draw_row_depends_on_the_replicate_alone(split):
+    # the gemm runs on every row of the block, zero where no replicate is asked for
+    plan = _torus_plan((10, 9), None, split)
+    cols = np.arange(0, 90, 3)
+    draw = plan.draw_split_batch if split else (lambda reps, c: (plan.draw_batch(reps, c),))
+    block = draw(range(512), cols)
+    for r in (0, 3, 255, 256, 300, 511):
+        for one, rows in zip(draw([r], cols), block, strict=True):
+            assert np.array_equal(one[0], rows[r])
+    shuffled = [300, 3, 300, 511, 0]
+    for got, rows in zip(draw(shuffled, cols), block, strict=True):
+        assert np.array_equal(got, rows[shuffled])
+
+
+def test_cost_rule_draws_smoke_supports_by_gemm_and_crossing_boxes_by_fft():
+    # thm1.10 and prop1.8 read two 5 x 5 boxes of a 24^2 grid on the 48^2 torus; the
+    # one-arm table reads 797 sites on 72^2, and a crossing of a whole 32^2 box 1,024 on 64^2
+    assert sampler._gemm_wins(50, 48 * 48) and sampler._gemm_wins(2 * 50, 48 * 48)
+    assert not sampler._gemm_wins(1024, 64 * 64) and not sampler._gemm_wins(797, 72 * 72)
+    assert not sampler._gemm_wins(100, 128**3)  # a kernel matrix above BANK_BYTES
+
+
+@pytest.mark.parametrize("cols", [[0, 90], [-1], [[0, 1]], [0.0, 1.0], ["0"]])
+def test_support_draw_rejects_columns_outside_the_plan(cols):
+    plan = _torus_plan((10, 9), None, False)
+    with pytest.raises(InputError):
+        plan.draw_batch([0], cols)
+    with pytest.raises(InputError):
+        sampler.plan_dense(np.eye(90), 0).draw_batch([0], cols)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(shape=()), dict(shape=(24.5, 24)), dict(shape="24"), dict(shape=(0, 24)), dict(shape=(True, 2)),
     dict(shape=(4, 4), spacing="x"), dict(shape=(4, 4), spacing=-0.5), dict(shape=(4, 4), spacing=float("inf")),
