@@ -8,11 +8,13 @@ and far parts of that moving average, applied to the same w.
 
 Every plan draws through ``draw_batch(replicates, cols=None)``: all of its
 columns, or the columns ``cols`` (mc asks for the union of its events'
-supports).  A torus plan takes the same circular convolution directly at those
-sites, w @ Q with Q[y, j] = k_f(s_j - y) and k_f = irfftn(f), when the cost
-rule ``_gemm_wins`` says the gemm is cheaper than the FFT pair and Q fits
-``BANK_BYTES``; else it keeps the FFT draw.  A draw without ``cols`` (``sdlab
-sample``) is always the FFT draw of the whole box.
+supports).  When the cost rule ``_restriction_wins`` holds, a torus plan
+draws no torus noise there: the filters' moving averages at ``cols`` are a
+Gaussian vector whose covariance the filters fix, and the plan draws it
+densely, its restriction's factor applied to one normal per filter and
+column, not one per torus site.  That is the exact law of the FFT draw at
+those columns.  Else it keeps the FFT draw.  A draw without ``cols`` (``sdlab
+sample``, a full box) is always the FFT draw of the whole box.
 
 The torus grows until its spectrum is nonnegative up to roundoff (Wood & Chan
 1994, Dietrich & Newsam 1997): for each padding of ``PADDINGS`` (2, then 4)
@@ -25,15 +27,12 @@ than the power of two alone would give it.
 Reproducibility contract: every replicate's noise comes from a counter-based
 Philox stream keyed by (base_seed, replicate), so the row of replicate r in
 plan.draw_batch(replicates, cols) is a pure function of the plan, the column
-list and r, independent of the other rows, evaluation order and thread count.
-The cost rule reads only the plan and the column list, and the support gemm
-always runs on all ``BANK_ROWS`` rows of r's block (zero outside the rows
-asked for): BLAS rounds a row of W[:m] @ Q differently for some m (m <= 3, and
-m = 100 under two threads), but the 256-row product the same way under one
-thread or two.  A batch builds one
-Philox generator and re-keys it for each replicate (key (base_seed,
-replicate), counter 0, empty buffer); being counter-based, the re-keyed
-generator gives exactly the stream of a fresh generator with that key.
+list and r, independent of the other rows, evaluation order and thread count:
+the cost rule reads only the plan and the column list, and a support draw
+applies the restriction's factor to the first normals of (base_seed, r).  A
+batch builds one Philox generator and re-keys it for each replicate (key
+(base_seed, replicate), counter 0, empty buffer); being counter-based, the
+re-keyed generator gives exactly the stream of a fresh generator with that key.
 
 Every plan draws a batch by its runs within one block of ``BANK_ROWS``
 replicates (block r // BANK_ROWS; mc asks for one block per draw).  Dense
@@ -42,8 +41,11 @@ draw each stream once: block (base_seed, b) is kept at the widest width asked
 of it so far; a narrower request slices it, a wider one redraws it.  Slicing
 rests on the prefix property of the stream: the first k normals of (base_seed,
 r) do not depend on how many are drawn (the ziggurat consumes the stream
-sequentially, its rejection branch included).  The bank and mc's threshold
-cache are each a ``_Store`` of read-only arrays, bounded at ``BANK_BYTES``.
+sequentially, its rejection branch included).  A torus support draw reads the
+same streams but not the bank: its wider blocks would stay for the life of the
+process and push out the blocks the dense plans share.  The bank, mc's
+threshold cache and each torus plan's restriction factors are each a
+``_Store`` of read-only arrays, bounded at ``BANK_BYTES``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import EmbeddingError, InputError, ModelError, ParameterError
-from .kernels import Point, _as_point, cov_of_offsets, repair_psd
+from .kernels import Point, _as_point, _symmetrized, cov_of_offsets, repair_psd
 
 DENSE_FACTOR_TOL = 1e-8
 SPECTRUM_CLIP_LIMIT = 1e-6
@@ -92,11 +94,10 @@ def _replicate_indices(replicates) -> range | list[int]:
     return reps
 
 
-def _noise(base_seed: int, replicates, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normal noise of ``shape`` per replicate, stacked (into ``out`` when given);
-    row k keyed by (base_seed, replicates[k])."""
+def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normal noise of ``shape`` per replicate, stacked; row k keyed by (base_seed, replicates[k])."""
     reps = _replicate_indices(replicates)
-    out = np.empty((len(reps),) + shape) if out is None else out
+    out = np.empty((len(reps),) + shape)
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
     key = [base_seed & _UINT64, 0]
@@ -222,16 +223,22 @@ def _check_columns(cols, m: int) -> np.ndarray:
     return cols.astype(np.intp)
 
 
-# A torus support draw's gemm costs about torus size x kernel columns multiply-adds per replicate,
-# and its FFT pair as much as GEMM_COLUMNS_PER_LOG2 x torus size x log2(torus size) of them;
-# fitted on the sweep in BENCH_28.json (one BLAS thread)
-GEMM_COLUMNS_PER_LOG2 = 40
+# The restriction draws faster than the FFT pair on every support of at most
+# RESTRICTION_COLUMNS_PER_LOG2 x log2(torus size) columns, and about as fast at 800 columns on
+# 48^2, 72^2 and 16^3 tori (the sweep in BENCH_31.json, one BLAS thread)
+RESTRICTION_COLUMNS_PER_LOG2 = 40
 
 
-def _gemm_wins(columns: int, torus_size: int) -> bool:
-    """The cost rule of a torus support draw: a gemm with ``columns`` kernel columns (filters x
-    sites) beats the FFTs, and its kernel matrix fits the bound of the plan's cache."""
-    return columns <= GEMM_COLUMNS_PER_LOG2 * math.log2(torus_size) and 8 * columns * torus_size <= BANK_BYTES
+def _restriction_wins(columns: int, torus_size: int) -> bool:
+    """The cost rule of a torus support draw: the dense restriction with ``columns`` columns
+    (filters x sites) beats the FFTs, and its factor fits the bound of the plan's cache."""
+    return columns <= RESTRICTION_COLUMNS_PER_LOG2 * math.log2(torus_size) and 8 * columns**2 <= BANK_BYTES
+
+
+def _apply(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """factor @ z for each row z: one stacked gemv, bit-identical to the per-row
+    product (a gemm ``z @ factor.T`` rounds differently)."""
+    return (factor @ z[..., None])[..., 0]
 
 
 class SamplerPlan:
@@ -271,11 +278,6 @@ class DensePlan(SamplerPlan):
         super().__init__(base_seed, points)
         self.fingerprint = self._fingerprint(factor)
 
-    def _apply(self, z: np.ndarray) -> np.ndarray:
-        """factor @ z for each row z: one stacked gemv, bit-identical to the per-row
-        product (a gemm ``z @ factor.T`` rounds differently)."""
-        return (self.factor @ z[..., None])[..., 0]
-
     def _draws(self, replicates, copies: int) -> list[np.ndarray]:
         """``copies`` independent draws per replicate: copy c applies the factor to
         normals c*m .. (c+1)*m - 1 of the replicate's stream, read from the bank."""
@@ -285,7 +287,7 @@ class DensePlan(SamplerPlan):
         for lo, hi, rows in _runs(reps):
             z = _bank_block(self.base_seed, reps[lo] // BANK_ROWS, copies * m)[rows]
             for c, out in enumerate(outs):
-                out[lo:hi] = self._apply(z[:, c * m : (c + 1) * m])
+                out[lo:hi] = _apply(self.factor, z[:, c * m : (c + 1) * m])
         return outs
 
     def draw_batch(self, replicates, cols=None) -> np.ndarray:
@@ -358,17 +360,20 @@ class CirculantPlan(SamplerPlan):
         """The draw loop's rfftn-domain filters; with seed, points and torus shape they fix the draws."""
         self._filters = filters
         self.fingerprint = self._fingerprint(self.torus_shape, *filters)
-        self._kernels = _Store(BANK_BYTES)  # kernel matrices of support draws, by column set
+        self._restrictions = _Store(BANK_BYTES)  # factors of support draws, by column list
 
     def _filter_noise(self, replicates, cols=None) -> list[np.ndarray]:
-        """Per filter f, the moving average of one noise w per replicate by f's real-space kernel,
-        at every box site or at the sites of columns ``cols``: by a gemm with the kernel
-        matrix when ``_gemm_wins``, else as irfftn(rfftn(w) * f) on the box."""
+        """Per filter f, the moving average of white noise by f's real-space kernel, one row per
+        replicate, at every box site or at the sites of columns ``cols``: from the filters' joint
+        law at ``cols``, its ``_restriction`` factor applied to each replicate's normals, when
+        ``_restriction_wins``; else as irfftn(rfftn(w) * f) on the box for one noise w on the torus."""
         reps = _replicate_indices(replicates)
         if cols is not None:
             cols = _check_columns(cols, len(self.points))
-            if _gemm_wins(len(self._filters) * len(cols), math.prod(self.torus_shape)):
-                return self._gemm_draw(reps, cols)
+            if _restriction_wins(len(self._filters) * len(cols), math.prod(self.torus_shape)):
+                factor = self._restriction(cols)
+                z = _noise(self.base_seed, reps, (factor.shape[1],))
+                return np.split(_apply(factor, z), len(self._filters), axis=1)
         at = None if cols is None else (slice(None),) + np.unravel_index(cols, self.grid.shape)
         axes = tuple(range(1, len(self.torus_shape) + 1))
         outs = [np.empty((len(reps), len(self.points) if at is None else len(cols))) for _ in self._filters]
@@ -390,38 +395,24 @@ class CirculantPlan(SamplerPlan):
             a = np.fft.ifft(a, axis=ax)[(slice(None),) * ax + (slice(0, s),)]
         return np.fft.irfft(a, n=self.torus_shape[-1], axis=-1)[..., : self.grid.shape[-1]]
 
-    def _kernel_matrix(self, cols: np.ndarray) -> np.ndarray:
-        """Q of shape (torus size, filters * len(cols)): entry (y, f * len(cols) + j) is k_f(s_j - y),
-        the lag taken mod the torus, where k_f = irfftn(f) and s_j is column j's site relative to
-        the grid origin (the box sits at the torus corner); so w @ Q is each filter's moving average."""
-        key = cols.tobytes()
-        q = self._kernels.get(key)
-        if q is None:
-            y = np.indices(self.torus_shape).reshape(len(self.torus_shape), -1, 1)
-            s = np.unravel_index(cols, self.grid.shape)
-            lag = np.ravel_multi_index(tuple((sj - yj) % t for sj, yj, t in zip(s, y, self.torus_shape)),
-                                       self.torus_shape)
-            q = self._kernels.put(key, np.concatenate(
-                [np.fft.irfftn(f, s=self.torus_shape, axes=range(len(self.torus_shape))).ravel()[lag]
-                 for f in self._filters], axis=1))
-        return q
+    def _restriction(self, cols: np.ndarray) -> np.ndarray:
+        """The ``plan_dense`` factor of the filters' moving averages at ``cols``, built once per column list.
 
-    def _gemm_draw(self, reps, cols: np.ndarray) -> list[np.ndarray]:
-        """``_filter_noise`` at ``cols`` as one gemm per block, w @ Q, on all BANK_ROWS rows of the
-        block, zero outside the span a run asks for: the gemm's shape, not its other rows, fixes
-        each row's rounding, so a row depends on (plan, cols, replicate) alone."""
-        q = self._kernel_matrix(cols)
-        m = len(cols)
-        outs = [np.empty((len(reps), m)) for _ in self._filters]
-        for lo, hi, rows in _runs(reps):
-            start = reps[lo] - int(rows[0])  # the block's first replicate
-            a, b = int(rows.min()), int(rows.max()) + 1
-            w = np.zeros((BANK_ROWS, q.shape[0]))
-            _noise(self.base_seed, range(start + a, start + b), (q.shape[0],), out=w[a:b])
-            x = (w @ q)[rows]
-            for k, out in enumerate(outs):
-                out[lo:hi] = x[:, k * m : (k + 1) * m]
-        return outs
+        Filters a and b average one noise into fields whose covariance at lag h is
+        c_ab(h) = irfftn(f_a * conj(f_b))(h), the lag taken mod the torus; so the entry of
+        (filter a, column i) and (filter b, column j) is c_ab(s_i - s_j), s_i being column i's
+        site in the box.  Rows run filter-major, as the draw is split.
+        """
+        key = cols.tobytes()
+        factor = self._restrictions.get(key)
+        if factor is None:
+            s = np.unravel_index(cols, self.grid.shape)
+            lag = np.ravel_multi_index(tuple((a[:, None] - a[None, :]) % t for a, t in zip(s, self.torus_shape)),
+                                       self.torus_shape)
+            cov = np.block([[np.fft.irfftn(fa * fb.conj(), s=self.torus_shape, axes=range(len(self.torus_shape)))
+                             .ravel()[lag] for fb in self._filters] for fa in self._filters])
+            factor = self._restrictions.put(key, plan_dense(_symmetrized(cov), self.base_seed).factor)
+        return factor
 
     def draw_batch(self, replicates, cols=None) -> np.ndarray:
         return self._filter_noise(replicates, cols)[0]

@@ -8,7 +8,9 @@ row-wise ``np.unique(axis=0)`` and per-row Bessel factors instead of integer
 row keys and one Bessel table, the kernel on all n^2 point pairs instead of
 once per distinct displacement, the power-of-two torus of each padding
 instead of the 5-smooth torus tried before it, bisection over every replicate's
-sorted values instead of a path lower bound and one confirming labelling.
+sorted values instead of a path lower bound and one confirming labelling,
+a torus plan's kernels summed against one noise per torus site instead of
+the cross-spectra of its filters.
 """
 
 from __future__ import annotations
@@ -44,6 +46,20 @@ def pow2_torus(model, shape, spacing: float, clip_limit: float) -> tuple[int, ..
         if -lam[lam < 0].sum() <= clip_limit * np.abs(lam).sum():
             return torus
     return None
+
+
+def torus_support_cov(plan, cols) -> np.ndarray:
+    """The covariance of a torus plan's moving averages at the box columns ``cols``, filter-major,
+    as Q^T Q for the matrix Q that sums one noise per torus site into them: Q[y, f * m + j] =
+    k_f(s_j - y), the lag taken mod the torus, with k_f = irfftn(f) and s_j column j's site
+    relative to the grid origin (the box sits at the torus corner)."""
+    torus = plan.torus_shape
+    y = np.indices(torus).reshape(len(torus), -1, 1)
+    s = np.unravel_index(cols, plan.grid.shape)
+    lag = np.ravel_multi_index(tuple((sj - yj) % t for sj, yj, t in zip(s, y, torus)), torus)
+    q = np.concatenate([np.fft.irfftn(f, s=torus, axes=range(len(torus))).ravel()[lag] for f in plan._filters],
+                       axis=1)
+    return q.T @ q
 
 
 def green_reference(offsets, d: int) -> np.ndarray:

@@ -50,7 +50,7 @@ def test_threshold_engine_deterministic_across_workers():
 
 
 def test_torus_support_draws_are_deterministic_across_workers_sharing_the_kernel_cache():
-    # eight threads on two cores race to build and store the plan's one kernel matrix
+    # eight threads on two cores race to build and store the plan's one restriction
     bf = kernels.bargmann_fock(2)
     specs = (events.AllAbove(((0, 0), (1, 1)), 0.0), events.BoxCrossing((10, 10), (14, 14), 0))
     runs = []
@@ -95,7 +95,7 @@ def test_cached_thresholds_match_fresh_for_plans_differing_in_index_map(pair):
 
 @pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
 def test_torus_thresholds_at_n_are_a_prefix_of_those_at_a_larger_n(split):
-    # the last, partial block of n = 300 runs the same fixed-shape gemm as the full block of n = 1000
+    # each row of the last, partial block of n = 300 is the same row in the full block of n = 1000
     bf = kernels.bargmann_fock(2)
     grid = sampler.Grid((24, 24), 0.5)
     plan = sampler.plan_decomposed(bf, grid, 1.5, 3) if split else sampler.plan_circulant(bf, grid, 3)

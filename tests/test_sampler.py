@@ -377,12 +377,6 @@ def test_box_only_inverse_is_bit_identical_to_irfftn(shape, split):
         assert np.array_equal(g, r)
 
 
-# a support draw sums the torus noise against each filter's real-space kernel where the
-# FFT draw transforms it, so the two agree up to rounding: at most 42 ulps of sqrt(K(0))
-# was measured on these grids, and a slip in the lag's sign or origin moves values by O(1)
-SUPPORT_ULPS = 64
-
-
 def _torus_plan(shape, origin, split, seed=5):
     spacing = 1.0 if len(shape) == 3 else 0.5  # the 3-d box at 0.5 clips too much spectrum
     grid = sampler.Grid(shape, spacing, origin)
@@ -394,22 +388,50 @@ def _torus_plan(shape, origin, split, seed=5):
 @pytest.mark.parametrize("origin", [False, True], ids=["corner", "origin"])
 @pytest.mark.parametrize("shape", [(40,), (10, 9), (6, 5, 4)], ids=["1d", "2d", "3d"])
 def test_support_draw_matches_the_fft_draw(shape, origin, split):
+    """In law: the support draw is the dense restriction whose factor times its transpose is
+    the FFT draw's covariance at the columns, Q^T Q, and row r applies that factor to the
+    normals of (seed, r).  Bargmann-Fock's kernels are even, so a slip of the lag's sign or
+    a dropped conj would not show on them; the plan is also run with random filters."""
     plan = _torus_plan(shape, tuple(range(-3, 2 * len(shape) - 3, 2)) if origin else None, split)
     cols = np.random.default_rng(len(shape)).permutation(len(plan.points))[:30]  # any order
-    assert sampler._gemm_wins(len(plan._filters) * len(cols), math.prod(plan.torus_shape))
-    reps = range(600)  # across the 256-replicate block edges
-    got = plan.draw_split_batch(reps, cols) if split else (plan.draw_batch(reps, cols),)
-    ref = plan.draw_split_batch(reps) if split else (plan.draw_batch(reps),)
-    tol = SUPPORT_ULPS * np.spacing(math.sqrt(plan.max_abs_cov()))
-    for g, r in zip(got, ref, strict=True):  # the circulant filter, or the near and far filters
-        assert g.shape == (600, 30) and np.abs(g - r[:, cols]).max() <= tol
+    assert sampler._restriction_wins(len(plan._filters) * len(cols), math.prod(plan.torus_shape))
+    rng = np.random.default_rng(0)
+    reps = [0, 255, 256, 2**64 - 1]
+    sampler._BANK.clear()
+    for filters in (plan._filters, [np.fft.rfftn(rng.normal(size=plan.torus_shape)) for _ in plan._filters]):
+        plan._set_filters(*filters)
+        ref = oracles.torus_support_cov(plan, cols)
+        factor = plan._restriction(cols)
+        assert np.abs(factor @ factor.T - ref).max() <= 1e-12 * ref.diagonal().max()
+        got = plan.draw_split_batch(reps, cols) if split else (plan.draw_batch(reps, cols),)
+        for k, r in enumerate(reps):
+            x = factor @ oracles.philox_normals(5, r, factor.shape[1])
+            for a, g in enumerate(got):  # the circulant filter, or the near and far filters
+                assert g.shape == (len(reps), 30) and np.array_equal(g[k], x[30 * a : 30 * (a + 1)])
+    assert not sampler._BANK._entries  # the dense plans' shared blocks stay theirs
+
+
+@pytest.mark.parametrize("model", [kernels.bargmann_fock(2), kernels.cauchy(2.0, 2)], ids=["bf", "cauchy2"])
+@pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
+def test_restriction_blocks_sum_to_cov_block(model, split):
+    # the field is the sum of the filters' moving averages, so its covariance at the
+    # columns is the sum of the restriction's blocks
+    grid = sampler.Grid((16, 16), 0.5)
+    plan = sampler.plan_decomposed(model, grid, 1.5, 0) if split else sampler.plan_circulant(model, grid, 0)
+    cols = np.random.default_rng(1).permutation(len(plan.points))[:40]
+    m, nf = len(cols), len(plan._filters)
+    factor = plan._restriction(cols)
+    cov = factor @ factor.T
+    summed = sum(cov[a * m : (a + 1) * m, b * m : (b + 1) * m] for a in range(nf) for b in range(nf))
+    pts = [plan.points[c] for c in cols]
+    assert np.abs(summed - plan.cov_block(pts, pts)).max() < 1e-12
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
 def test_support_draw_on_the_fft_path_is_the_box_draw_at_those_columns(monkeypatch, split):
     plan = _torus_plan((10, 9), (2, -4), split)
     cols = np.array([7, 0, 88, 41])
-    monkeypatch.setattr(sampler, "_gemm_wins", lambda columns, torus_size: False)
+    monkeypatch.setattr(sampler, "_restriction_wins", lambda columns, torus_size: False)
     got = plan.draw_split_batch(range(300), cols) if split else (plan.draw_batch(range(300), cols),)
     ref = plan.draw_split_batch(range(300)) if split else (plan.draw_batch(range(300)),)
     for g, r in zip(got, ref, strict=True):
@@ -418,7 +440,7 @@ def test_support_draw_on_the_fft_path_is_the_box_draw_at_those_columns(monkeypat
 
 @pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
 def test_support_draw_row_depends_on_the_replicate_alone(split):
-    # the gemm runs on every row of the block, zero where no replicate is asked for
+    # the restriction applies its factor to each replicate's own normals
     plan = _torus_plan((10, 9), None, split)
     cols = np.arange(0, 90, 3)
     draw = plan.draw_split_batch if split else (lambda reps, c: (plan.draw_batch(reps, c),))
@@ -431,12 +453,15 @@ def test_support_draw_row_depends_on_the_replicate_alone(split):
         assert np.array_equal(got, rows[shuffled])
 
 
-def test_cost_rule_draws_smoke_supports_by_gemm_and_crossing_boxes_by_fft():
+def test_cost_rule_draws_smoke_supports_by_restriction_and_crossing_boxes_by_fft():
     # thm1.10 and prop1.8 read two 5 x 5 boxes of a 24^2 grid on the 48^2 torus; the
     # one-arm table reads 797 sites on 72^2, and a crossing of a whole 32^2 box 1,024 on 64^2
-    assert sampler._gemm_wins(50, 48 * 48) and sampler._gemm_wins(2 * 50, 48 * 48)
-    assert not sampler._gemm_wins(1024, 64 * 64) and not sampler._gemm_wins(797, 72 * 72)
-    assert not sampler._gemm_wins(100, 128**3)  # a kernel matrix above BANK_BYTES
+    assert sampler._restriction_wins(50, 48 * 48) and sampler._restriction_wins(2 * 50, 48 * 48)
+    assert not sampler._restriction_wins(1024, 64 * 64) and not sampler._restriction_wins(797, 72 * 72)
+    # the factor's size, not the torus's, bounds the cache: 100 columns on 128^3 take an
+    # 80 kB factor, and the factor outgrows BANK_BYTES past 1,448 columns
+    assert sampler._restriction_wins(100, 128**3)
+    assert sampler._restriction_wins(1448, 2**40) and not sampler._restriction_wins(1449, 2**40)
 
 
 @pytest.mark.parametrize("cols", [[0, 90], [-1], [[0, 1]], [0.0, 1.0], ["0"]])
