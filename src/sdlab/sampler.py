@@ -16,13 +16,19 @@ column, not one per torus site.  That is the exact law of the FFT draw at
 those columns.  Else it keeps the FFT draw.  A draw without ``cols`` (``sdlab
 sample``, a full box) is always the FFT draw of the whole box.
 
-The torus grows until its spectrum is nonnegative up to roundoff (Wood & Chan
-1994, Dietrich & Newsam 1997): for each padding of ``PADDINGS`` (2, then 4)
-each axis is the box extent times the padding, rounded up first to a 5-smooth
-size (``scipy.fft.next_fast_len``) and then to a power of two, and the first of
-these tori whose clipped spectral fraction is at most ``SPECTRUM_CLIP_LIMIT``
-is kept.  The candidates grow along every axis, so no box gets a larger torus
-than the power of two alone would give it.
+The torus is the smallest that is exact on the box (Wood & Chan 1994, Dietrich
+& Newsam 1997; Gneiting et al. 2006).  The first candidate takes, axis by axis,
+the first 5-smooth size (``scipy.fft.next_fast_len``) from the box extent up
+whose wrap error, the largest |K(min(h, T - h)) - K(h)| over the box lags h, is
+at most ``SPECTRUM_CLIP_LIMIT`` * K(0).  A Gaussian kernel at spacing 0.5 puts
+its 32^2 crossing box on 45^2, where a slowly decaying one needs twice the box.
+Then for each padding of ``PADDINGS`` (2, then 4) each axis is the box extent
+times the padding, rounded up first to a 5-smooth size and then to a power of
+two; these wrap no box lag.  The first candidate whose clipped spectral fraction
+is at most ``SPECTRUM_CLIP_LIMIT`` is kept, so no box gets a larger torus than
+the power of two alone would give it, and the plan's covariance at every box lag
+is the kernel's to within SPECTRUM_CLIP_LIMIT * K(0) (the wrap) plus c / (1 - 2c)
+* K(0) for the clipped fraction c (the spectrum).
 
 Reproducibility contract: every replicate's noise comes from a counter-based
 Philox stream keyed by (base_seed, replicate), so the row of replicate r in
@@ -335,9 +341,11 @@ def plan_dense(cov: np.ndarray, base_seed: int, points=None) -> DensePlan:
     return DensePlan(rep, factor, base_seed, [_as_point(p) for p in points])
 
 
-def _torus_offsets(grid: Grid, torus_shape) -> np.ndarray:
-    """Torus-metric displacement of every torus site from the origin, shape torus_shape + (d,)."""
-    axes = [np.minimum(np.arange(m), m - np.arange(m)) * grid.spacing for m in torus_shape]
+def _torus_offsets(grid: Grid, torus_shape, extent=None) -> np.ndarray:
+    """Torus-metric displacement from the origin of every torus site, or of the sites of the
+    ``extent`` box at the torus corner; shape torus_shape (or extent) + (d,)."""
+    axes = [np.minimum(np.arange(e), m - np.arange(e)) * grid.spacing
+            for e, m in zip(extent or torus_shape, torus_shape)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
@@ -429,23 +437,47 @@ class CirculantPlan(SamplerPlan):
         return float(cov_of_offsets(self.model, np.zeros((1, self.model.dim)))[0])
 
 
-def _torus_candidates(shape: tuple[int, ...]):
-    """(padding, torus shape) in the order tried: per padding the 5-smooth torus, then the power of two."""
+def _smallest_torus(model, grid: Grid, floor) -> tuple[int, ...]:
+    """Axis by axis, the first 5-smooth extent from ``floor`` up whose wrap error is at most
+    ``SPECTRUM_CLIP_LIMIT`` * K(0): the largest |K(min(h, T - h)) - K(h)| over the box lags h,
+    on the whole lag grid, with the axes before it at their chosen extents and those after it
+    at twice the box.  Twice the box wraps no lag, so every search ends by then, and the last
+    axis's test is the whole torus's wrap error.  The stationary kernels read no lag's signs,
+    so the lags h >= 0 are all of them."""
+
+    def box_cov(torus):  # the torus covariance K(min(h, T - h)) at the box lags h
+        return cov_of_offsets(model, _torus_offsets(grid, torus, grid.shape).reshape(-1, model.dim))
+
+    torus = [2 * n for n in grid.shape]
+    k = box_cov(torus)
+    for i, lo in enumerate(floor):
+        torus[i] = next_fast_len(lo, real=True)
+        while np.abs(box_cov(torus) - k).max() > SPECTRUM_CLIP_LIMIT * k[0]:
+            torus[i] = next_fast_len(torus[i] + 1, real=True)
+    return tuple(torus)
+
+
+def _torus_candidates(model, grid: Grid, floor) -> dict[tuple[int, ...], int | None]:
+    """Torus shape -> padding, in the order tried: the smallest exact torus (padding None), then
+    per padding the 5-smooth torus and the power of two, which wrap no box lag."""
+    candidates = {_smallest_torus(model, grid, floor): None}
     for padding in PADDINGS:
-        smooth = tuple(next_fast_len(s * padding, real=True) for s in shape)
-        pow2 = tuple(int(2 ** math.ceil(math.log2(max(2, s * padding)))) for s in shape)
-        for torus_shape in dict.fromkeys((smooth, pow2)):
-            yield padding, torus_shape
+        candidates.setdefault(tuple(next_fast_len(s * padding, real=True) for s in grid.shape), padding)
+        candidates.setdefault(tuple(int(2 ** math.ceil(math.log2(max(2, s * padding)))) for s in grid.shape),
+                              padding)
+    return candidates
 
 
-def plan_circulant(model, grid: Grid, base_seed: int) -> CirculantPlan:
+def plan_circulant(model, grid: Grid, base_seed: int, margin: float = 0.0) -> CirculantPlan:
     """Embed a stationary model on the first torus of ``_torus_candidates`` whose spectrum
-    clips at most ``SPECTRUM_CLIP_LIMIT`` of its mass; EmbeddingError if none does."""
+    clips at most ``SPECTRUM_CLIP_LIMIT`` of its mass; EmbeddingError if none does.  Each
+    torus axis extends at least ``margin`` (field units) beyond the box, or to twice the box."""
     if not model.stationary:
         raise ModelError("circulant embedding requires a stationary model")
     if len(grid.shape) != model.dim:
         raise InputError(f"grid dimension {len(grid.shape)} != model dimension {model.dim}")
-    for padding, torus_shape in _torus_candidates(grid.shape):
+    floor = [math.ceil(min(n + margin / grid.spacing, 2 * n)) for n in grid.shape]
+    for torus_shape, padding in _torus_candidates(model, grid, floor).items():
         offsets = _torus_offsets(grid, torus_shape).reshape(-1, model.dim)
         lam = np.fft.fftn(cov_of_offsets(model, offsets).reshape(torus_shape)).real
         neg = abs(float(lam[lam < 0].sum()))  # +0.0, not -0.0, when nothing is clipped
@@ -492,8 +524,9 @@ def plan_decomposed(model, grid: Grid, radius: float, base_seed: int) -> Decompo
         raise ParameterError("moving-average decomposition supports bargmann_fock and cauchy")
     if not radius >= grid.spacing:  # written so that NaN fails
         raise ParameterError(f"truncation radius {radius} is not at least one grid cell {grid.spacing}")
-    base = plan_circulant(model, grid, base_seed)
-    return DecomposedPlan(base, radius)
+    # X1 is independent across sets more than 2 radius apart in the torus metric; each
+    # torus axis at least the box plus 2 radius (or twice the box) makes the box metric agree
+    return DecomposedPlan(plan_circulant(model, grid, base_seed, margin=2 * radius), radius)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ steps instead of the active-set capacity solve, a fresh Philox generator per rep
 row-wise ``np.unique(axis=0)`` and per-row Bessel factors instead of integer
 row keys and one Bessel table, the kernel on all n^2 point pairs instead of
 once per distinct displacement, the power-of-two torus of each padding
-instead of the 5-smooth torus tried before it, bisection over every replicate's
+instead of the 5-smooth torus tried before it, trial division and every signed
+box lag instead of ``next_fast_len`` and the lags h >= 0 for the smallest
+exact torus, bisection over every replicate's
 sorted values instead of a path lower bound and one confirming labelling,
 a torus plan's kernels summed against one noise per torus site instead of
 the cross-spectra of its filters.
@@ -34,31 +36,72 @@ def philox_normals(base_seed: int, replicate: int, shape) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
+def clipped_fraction(model, torus, spacing: float) -> float:
+    """The share of the spectrum's absolute mass below zero, for the kernel wrapped on ``torus``."""
+    axes = [np.minimum(np.arange(m), m - np.arange(m)) * spacing for m in torus]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(torus))
+    lam = np.fft.fftn(kernels.cov_of_offsets(model, offsets).reshape(torus)).real
+    return -lam[lam < 0].sum() / np.abs(lam).sum()
+
+
 def pow2_torus(model, shape, spacing: float, clip_limit: float) -> tuple[int, ...] | None:
     """The power-of-two torus rule: each box axis times a padding of 2, then 4, rounded up
     to a power of two; the first torus whose spectrum clips at most ``clip_limit`` of its
     mass, or None."""
     for padding in (2, 4):
         torus = tuple(int(2 ** np.ceil(np.log2(s * padding))) for s in shape)
-        axes = [np.minimum(np.arange(m), m - np.arange(m)) * spacing for m in torus]
-        offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
-        lam = np.fft.fftn(kernels.cov_of_offsets(model, offsets).reshape(torus)).real
-        if -lam[lam < 0].sum() <= clip_limit * np.abs(lam).sum():
+        if clipped_fraction(model, torus, spacing) <= clip_limit:
             return torus
     return None
 
 
-def torus_support_cov(plan, cols) -> np.ndarray:
+def _five_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def smallest_exact_torus(model, shape, spacing: float, limit: float) -> tuple[int, ...] | None:
+    """The smallest exact torus by brute force, or None if its spectrum clips more than ``limit``.
+
+    Axis by axis, with the axes before it at their chosen sizes and those after it not wrapped,
+    the first 5-smooth size T from the box extent up at which every signed box lag h keeps its
+    kernel value: |K(min(h mod T, T - h mod T)) - K(h)| <= limit * K(0).
+    """
+    lags = np.stack(np.meshgrid(*(np.arange(1 - n, n) for n in shape), indexing="ij"), axis=-1)
+    lags = lags.reshape(-1, len(shape))
+    k = kernels.cov_of_offsets(model, lags * spacing)
+    k0 = kernels.cov_of_offsets(model, np.zeros((1, len(shape))))[0]
+    torus = [None] * len(shape)  # None: not wrapped
+    for i, n in enumerate(shape):
+        for t in itertools.count(n):
+            if not _five_smooth(t):
+                continue
+            torus[i] = t
+            wrapped = np.abs(lags).astype(float)
+            for j, m in enumerate(torus):
+                if m is not None:
+                    r = lags[:, j] % m
+                    wrapped[:, j] = np.minimum(r, m - r)
+            if np.abs(kernels.cov_of_offsets(model, wrapped * spacing) - k).max() <= limit * k0:
+                break
+    return tuple(torus) if clipped_fraction(model, torus, spacing) <= limit else None
+
+
+def torus_support_cov(plan, cols, spatial=None) -> np.ndarray:
     """The covariance of a torus plan's moving averages at the box columns ``cols``, filter-major,
     as Q^T Q for the matrix Q that sums one noise per torus site into them: Q[y, f * m + j] =
-    k_f(s_j - y), the lag taken mod the torus, with k_f = irfftn(f) and s_j column j's site
-    relative to the grid origin (the box sits at the torus corner)."""
+    k_f(s_j - y), the lag taken mod the torus, with k_f = irfftn(f) (or the torus-shaped
+    real-space kernels ``spatial``) and s_j column j's site relative to the grid origin (the
+    box sits at the torus corner)."""
     torus = plan.torus_shape
     y = np.indices(torus).reshape(len(torus), -1, 1)
     s = np.unravel_index(cols, plan.grid.shape)
     lag = np.ravel_multi_index(tuple((sj - yj) % t for sj, yj, t in zip(s, y, torus)), torus)
-    q = np.concatenate([np.fft.irfftn(f, s=torus, axes=range(len(torus))).ravel()[lag] for f in plan._filters],
-                       axis=1)
+    if spatial is None:
+        spatial = [np.fft.irfftn(f, s=torus, axes=range(len(torus))) for f in plan._filters]
+    q = np.concatenate([k.ravel()[lag] for k in spatial], axis=1)
     return q.T @ q
 
 

@@ -239,12 +239,21 @@ def test_circulant_covariance_fidelity_audit():
 
 def test_circulant_torus_grows_until_the_spectrum_is_nonnegative():
     bf = kernels.bargmann_fock(2)
-    small = sampler.plan_circulant(bf, sampler.Grid((8, 8), 0.5), 0)  # 16^2 clips at padding 2
+    limit = sampler.SPECTRUM_CLIP_LIMIT
+    # an 8^2 box at spacing 0.5: the smallest exact torus clips, and so do the 16^2 tori of padding 2
+    assert oracles.smallest_exact_torus(bf, (8, 8), 0.5, limit) is None
+    small = sampler.plan_circulant(bf, sampler.Grid((8, 8), 0.5), 0)
     assert small.torus_shape == (32, 32)
-    assert small.clipped_fraction <= sampler.SPECTRUM_CLIP_LIMIT
-    big = sampler.plan_circulant(bf, sampler.Grid((24, 24), 0.5), 0)  # 5-smooth 48^2 clips nothing
-    assert big.torus_shape == (48, 48)
-    assert math.copysign(1.0, big.clipped_fraction) == 1.0  # +0.0, not -0.0
+    assert small.clipped_fraction <= limit
+    # a 24^2 box at spacing 0.5 is exact on 36^2, where padding 2 took 48^2
+    assert sampler.plan_circulant(bf, sampler.Grid((24, 24), 0.5), 0).torus_shape == (36, 36)
+    # the 32^2 crossing box: 40^2 passes the clip test but wraps its lags by 4e-5, so 45^2
+    assert oracles.clipped_fraction(bf, (40, 40), 0.5) <= limit
+    assert sampler.plan_circulant(bf, sampler.Grid((32, 32), 0.5), 0).torus_shape == (45, 45)
+    # Cauchy alpha = 2 decays too slowly to wrap a box lag: it keeps the doubled torus
+    cauchy = sampler.plan_circulant(kernels.cauchy(2.0, 2), sampler.Grid((32, 32), 0.5), 0)
+    assert cauchy.torus_shape == (64, 64)
+    assert math.copysign(1.0, cauchy.clipped_fraction) == 1.0  # +0.0, not -0.0
     with pytest.raises(EmbeddingError, match="at padding 4"):
         sampler.plan_circulant(kernels.monochromatic_wave(2), sampler.Grid((32, 32)), 0)
 
@@ -252,17 +261,62 @@ def test_circulant_torus_grows_until_the_spectrum_is_nonnegative():
 @pytest.mark.parametrize("spacing", [0.5, 1.0])
 def test_circulant_torus_never_exceeds_the_power_of_two_rule(spacing):
     bf = kernels.bargmann_fock(2)
+    limit = sampler.SPECTRUM_CLIP_LIMIT
     for s in range(2, 41):
-        old = oracles.pow2_torus(bf, (s, s), spacing, sampler.SPECTRUM_CLIP_LIMIT)
-        if old is None:  # the smallest boxes at spacing 0.5 embed on no torus
+        exact = oracles.smallest_exact_torus(bf, (s, s), spacing, limit)
+        old = oracles.pow2_torus(bf, (s, s), spacing, limit)
+        if exact is None and old is None:  # 3^2 and 4^2 at spacing 0.5 embed on no torus tried
             with pytest.raises(EmbeddingError):
                 sampler.plan_circulant(bf, sampler.Grid((s, s), spacing), 0)
             continue
         plan = sampler.plan_circulant(bf, sampler.Grid((s, s), spacing), 0)
-        assert all(m <= o for m, o in zip(plan.torus_shape, old)), (s, plan.torus_shape, old)
-        assert plan.clipped_fraction <= sampler.SPECTRUM_CLIP_LIMIT
-    if spacing == 0.5:  # 5-smooth 18^2 clips for a 9^2 box; 5-smooth-only would give 36^2
+        if exact is not None:
+            assert plan.torus_shape == exact, (s, plan.torus_shape, exact)
+        if old is not None:
+            assert all(m <= o for m, o in zip(plan.torus_shape, old)), (s, plan.torus_shape, old)
+        assert plan.clipped_fraction <= limit
+    if spacing == 0.5:
+        # a 2^2 box has no lag to wrap on 2^2, whose spectrum is nonnegative; every doubled torus clips
+        assert sampler.plan_circulant(bf, sampler.Grid((2, 2), spacing), 0).torus_shape == (2, 2)
+        # 9^2: the smallest exact torus and 5-smooth 18^2 clip; 5-smooth-only would give 36^2
         assert sampler.plan_circulant(bf, sampler.Grid((9, 9), spacing), 0).torus_shape == (32, 32)
+
+
+def _stated_limit(plan) -> float:
+    """How far a torus plan's box covariance may sit from the kernel: the wrap error, at most
+    SPECTRUM_CLIP_LIMIT * K(0), plus the clipped spectrum, at most c / (1 - 2c) * K(0) for a
+    clipped fraction c; and rounding."""
+    c = plan.clipped_fraction
+    return (sampler.SPECTRUM_CLIP_LIMIT + c / (1 - 2 * c)) * plan.max_abs_cov() + 1e-12
+
+
+def _wrapped_kernel(plan, pts) -> np.ndarray:
+    """The covariance the torus embeds between the sites ``pts``: the kernel at each lag h
+    taken per axis as min(|h| mod T, T - |h| mod T)."""
+    pts, torus = np.asarray(pts), np.array(plan.torus_shape)
+    lag = np.abs(pts[:, None, :] - pts[None, :, :]) % torus
+    wrapped = np.minimum(lag, torus - lag) * plan.grid.spacing
+    return kernels.cov_of_offsets(plan.model, wrapped.reshape(-1, pts.shape[1])).reshape(len(pts), len(pts))
+
+
+@pytest.mark.parametrize("model, shape, spacing", [
+    (kernels.bargmann_fock(2), (16, 16), 0.5), (kernels.bargmann_fock(2), (16, 16), 1.0),
+    (kernels.cauchy(2.0, 2), (16, 16), 0.5), (kernels.cauchy(4.0, 2), (16, 16), 0.5),
+    (kernels.polylog_decay(3.5, 1), (128,), 1.0), (kernels.iid_standard(2), (6, 5), 1.0),
+    (kernels.gff(3), (4, 4, 4), 1.0),
+], ids=["bf-0.5", "bf-1", "cauchy2", "cauchy4", "polylog", "iid", "gff"])
+def test_torus_covariance_matches_cov_block_on_the_box(model, shape, spacing):
+    # the circulant draw's covariance at box lag h is irfftn(|f|^2)(h mod torus), and the
+    # restriction of every box column factors the same law
+    plan = sampler.plan_circulant(model, sampler.Grid(shape, spacing), 0)
+    (f,) = plan._filters
+    c = np.fft.irfftn(np.abs(f) ** 2, s=plan.torus_shape, axes=range(len(shape)))
+    pts = np.array(plan.points)
+    lag = (pts[:, None, :] - pts[None, :, :]) % np.array(plan.torus_shape)
+    ref = plan.cov_block(plan.points, plan.points)
+    assert np.abs(c[tuple(np.moveaxis(lag, -1, 0))] - ref).max() <= _stated_limit(plan)
+    factor = plan._restriction(np.arange(len(plan.points)))
+    assert np.abs(factor @ factor.T - ref).max() <= _stated_limit(plan)
 
 
 def test_circulant_polylog_embedding_feasible():
@@ -344,18 +398,41 @@ def test_decomposed_x1_independence_across_separated_sets():
     assert np.abs(c1[dist > 2 * radius]).max() < 1e-12
 
 
+def test_decomposed_x1_independence_on_a_torus_smaller_than_the_doubled_one():
+    # X1 is independent across sets more than 2 radius apart in the torus metric; each torus
+    # axis at least the box plus 2 radius (or twice the box) makes the box metric agree
+    bf, grid, radius = kernels.bargmann_fock(2), sampler.Grid((24, 8), 1.0), 5.0
+    plan = sampler.plan_decomposed(bf, grid, radius, 3)
+    assert plan.torus_shape[0] < 2 * 24
+    assert all(t >= min(n + 2 * radius / grid.spacing, 2 * n) for t, n in zip(plan.torus_shape, grid.shape))
+    a = [plan.index[(x, y)] for x in range(3) for y in range(8)]
+    b = [plan.index[(x, y)] for x in range(21, 24) for y in range(8)]
+    assert 18 * grid.spacing > 2 * radius  # the blocks' box distance
+    cols, m = np.array(a + b), len(a)
+    # exactly 0 from the near kernel itself: no torus site lies within the radius of both blocks
+    assert np.all(oracles.torus_support_cov(plan, cols, [plan.q_near])[:m, m:] == 0.0)
+    # and through the near filter (rows and columns 0 .. 2m - 1 of two filters) up to rounding
+    assert np.abs(oracles.torus_support_cov(plan, cols)[:m, m : 2 * m]).max() < 1e-15
+    # the smallest exact torus alone is shorter than the box plus 2 radius: X1 wraps across the blocks
+    short = sampler.DecomposedPlan(sampler.plan_circulant(bf, grid, 3), radius)
+    assert short.torus_shape[0] < 24 + 2 * radius / grid.spacing
+    assert np.abs(oracles.torus_support_cov(short, cols, [short.q_near])[:m, m:]).max() > 1e-6
+
+
 @pytest.mark.parametrize("model", [kernels.bargmann_fock(2), kernels.cauchy(2.0, 2)], ids=["bf", "cauchy2"])
 @pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
 def test_torus_filters_reproduce_cov_block_exactly(model, split):
-    # the draws are irfftn(rfftn(w) * f) summed over the plan's filters, so
-    # their covariance at offset h is irfftn(|sum f|^2)(h mod torus)
+    # the draws are irfftn(rfftn(w) * f) summed over the plan's filters, so their covariance
+    # at offset h is irfftn(|sum f|^2)(h mod torus): exactly the kernel wrapped on the torus,
+    # and the kernel itself to the stated limit
     grid = sampler.Grid((16, 16), 0.5)
     plan = sampler.plan_decomposed(model, grid, 1.5, 0) if split else sampler.plan_circulant(model, grid, 0)
     c = np.fft.irfftn(np.abs(sum(plan._filters)) ** 2, s=plan.torus_shape, axes=(0, 1))
     pts = np.array(plan.points)
     off = (pts[:, None, :] - pts[None, :, :]) % np.array(plan.torus_shape)
     implied = c[off[..., 0], off[..., 1]]
-    assert np.abs(implied - plan.cov_block(plan.points, plan.points)).max() < 1e-12
+    assert np.abs(implied - _wrapped_kernel(plan, pts)).max() < 1e-12
+    assert np.abs(implied - plan.cov_block(plan.points, plan.points)).max() <= _stated_limit(plan)
 
 
 @pytest.mark.parametrize("shape, split", [
@@ -414,8 +491,9 @@ def test_support_draw_matches_the_fft_draw(shape, origin, split):
 @pytest.mark.parametrize("model", [kernels.bargmann_fock(2), kernels.cauchy(2.0, 2)], ids=["bf", "cauchy2"])
 @pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
 def test_restriction_blocks_sum_to_cov_block(model, split):
-    # the field is the sum of the filters' moving averages, so its covariance at the
-    # columns is the sum of the restriction's blocks
+    # the field is the sum of the filters' moving averages, so its covariance at the columns
+    # is the sum of the restriction's blocks: exactly the kernel wrapped on the torus, and the
+    # kernel itself to the stated limit
     grid = sampler.Grid((16, 16), 0.5)
     plan = sampler.plan_decomposed(model, grid, 1.5, 0) if split else sampler.plan_circulant(model, grid, 0)
     cols = np.random.default_rng(1).permutation(len(plan.points))[:40]
@@ -424,7 +502,8 @@ def test_restriction_blocks_sum_to_cov_block(model, split):
     cov = factor @ factor.T
     summed = sum(cov[a * m : (a + 1) * m, b * m : (b + 1) * m] for a in range(nf) for b in range(nf))
     pts = [plan.points[c] for c in cols]
-    assert np.abs(summed - plan.cov_block(pts, pts)).max() < 1e-12
+    assert np.abs(summed - _wrapped_kernel(plan, pts)).max() < 1e-12
+    assert np.abs(summed - plan.cov_block(pts, pts)).max() <= _stated_limit(plan)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
@@ -454,10 +533,10 @@ def test_support_draw_row_depends_on_the_replicate_alone(split):
 
 
 def test_cost_rule_draws_smoke_supports_by_restriction_and_crossing_boxes_by_fft():
-    # thm1.10 and prop1.8 read two 5 x 5 boxes of a 24^2 grid on the 48^2 torus; the
-    # one-arm table reads 797 sites on 72^2, and a crossing of a whole 32^2 box 1,024 on 64^2
-    assert sampler._restriction_wins(50, 48 * 48) and sampler._restriction_wins(2 * 50, 48 * 48)
-    assert not sampler._restriction_wins(1024, 64 * 64) and not sampler._restriction_wins(797, 72 * 72)
+    # thm1.10 and prop1.8 read two 5 x 5 boxes of a 24^2 grid on the 36^2 torus; the
+    # one-arm table reads 797 sites on 40^2, and a crossing of a whole 32^2 box 1,024 on 45^2
+    assert sampler._restriction_wins(50, 36 * 36) and sampler._restriction_wins(2 * 50, 36 * 36)
+    assert not sampler._restriction_wins(1024, 45 * 45) and not sampler._restriction_wins(797, 40 * 40)
     # the factor's size, not the torus's, bounds the cache: 100 columns on 128^3 take an
     # 80 kB factor, and the factor outgrows BANK_BYTES past 1,448 columns
     assert sampler._restriction_wins(100, 128**3)
