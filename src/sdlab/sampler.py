@@ -30,27 +30,34 @@ the power of two alone would give it, and the plan's covariance at every box lag
 is the kernel's to within SPECTRUM_CLIP_LIMIT * K(0) (the wrap) plus c / (1 - 2c)
 * K(0) for the clipped fraction c (the spectrum).
 
-Reproducibility contract: every replicate's noise comes from a counter-based
-Philox stream keyed by (base_seed, replicate), so the row of replicate r in
-plan.draw_batch(replicates, cols) is a pure function of the plan, the column
-list and r, independent of the other rows, evaluation order and thread count:
-the cost rule reads only the plan and the column list, and a support draw
-applies the restriction's factor to the first normals of (base_seed, r).  A
-batch builds one Philox generator and re-keys it for each replicate (key
-(base_seed, replicate), counter 0, empty buffer); being counter-based, the
-re-keyed generator gives exactly the stream of a fresh generator with that key.
+Reproducibility contract: the row of replicate r in plan.draw_batch(replicates,
+cols) is a pure function of the plan, the column list and r, independent of the
+other rows, evaluation order and thread count (the cost rule reads only the plan
+and the column list).  Noise comes from counter-based Philox streams (Salmon et
+al., SC '11) in two layouts:
 
-Every plan draws a batch by its runs within one block of ``BANK_ROWS``
-replicates (block r // BANK_ROWS; mc asks for one block per draw).  Dense
-plans read their noise from a per-process bank, so plans that share a seed
-draw each stream once: block (base_seed, b) is kept at the widest width asked
-of it so far; a narrower request slices it, a wider one redraws it.  Slicing
-rests on the prefix property of the stream: the first k normals of (base_seed,
-r) do not depend on how many are drawn (the ziggurat consumes the stream
-sequentially, its rejection branch included).  A torus support draw reads the
-same streams but not the bank: its wider blocks would stay for the life of the
-process and push out the blocks the dense plans share.  The bank, mc's
-threshold cache and each torus plan's restriction factors are each a
+- A factor draw, a factor applied to white noise (a dense plan, or a torus
+  plan's restriction at ``cols``), reads the stream of its replicate's block of
+  ``BANK_ROWS``: block b = r // BANK_ROWS is keyed (base_seed, b) with counter
+  word 3 set to 1, and fills its (BANK_ROWS, width) normals column by column,
+  so row i's first k normals are stream positions j * BANK_ROWS + i for j < k,
+  whatever the width.  One key serves 256 replicates.
+- An FFT draw reads one stream per replicate, keyed (base_seed, r) with
+  counter 0: a batch re-keys one Philox generator for each replicate, which
+  gives exactly the stream of a fresh generator with that key.  The counter
+  word 3 keeps the two layouts' streams disjoint.
+
+Every plan draws a batch by its runs within one block (mc asks for one block
+per draw).  Dense plans read their noise from a per-process bank, so plans that
+share a seed draw each block once: block (base_seed, b) is kept at the widest
+width asked of it so far; a narrower request slices it, a wider one redraws it.
+Slicing rests on the prefix property of the stream: its first k normals do not
+depend on how many are drawn (the ziggurat consumes the stream sequentially,
+its rejection branch included), and the column-major fill makes each row's
+first k normals a prefix of the block's stream.  A torus restriction reads its
+blocks the same way but not through the bank: its wider blocks would stay for
+the life of the process and push out the blocks the dense plans share.  The
+bank, mc's threshold cache and each torus plan's restriction factors are each a
 ``_Store`` of read-only arrays, bounded at ``BANK_BYTES``.
 """
 
@@ -101,7 +108,8 @@ def _replicate_indices(replicates) -> range | list[int]:
 
 
 def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normal noise of ``shape`` per replicate, stacked; row k keyed by (base_seed, replicates[k])."""
+    """Standard normal noise of ``shape`` per replicate, stacked; row k keyed by (base_seed,
+    replicates[k]), counter 0.  The FFT draws' streams: a factor draw reads ``_block_noise``."""
     reps = _replicate_indices(replicates)
     out = np.empty((len(reps),) + shape)
     bits = np.random.Philox(0)
@@ -121,6 +129,10 @@ def _runs(reps: range | list[int]):
     """(lo, hi, rows) per run of consecutive positions whose replicates (checked
     indices) lie in one block: rows holds reps[lo:hi] as offsets in that block."""
     if not reps:
+        return
+    if isinstance(reps, range) and reps.step == 1 and reps[0] // BANK_ROWS == reps[-1] // BANK_ROWS:
+        first = reps[0] % BANK_ROWS  # mc asks for every block this way
+        yield 0, len(reps), np.arange(first, first + len(reps), dtype=np.intp)
         return
     reps = np.fromiter(reps, dtype=np.uint64, count=len(reps))
     blocks = reps // BANK_ROWS
@@ -163,14 +175,22 @@ class _Store:
             self._nbytes = 0
 
 
+def _block_noise(base_seed: int, b: int, width: int) -> np.ndarray:
+    """The (BANK_ROWS, width) normals of replicates b*BANK_ROWS .. (b+1)*BANK_ROWS - 1 for a
+    factor draw: one Philox stream keyed (base_seed, b), counter [0, 0, 0, 1], drawn as
+    (width, BANK_ROWS) and transposed, so each row's first k normals do not depend on width."""
+    bits = np.random.Philox(key=np.array([base_seed & _UINT64, b], dtype=np.uint64), counter=[0, 0, 0, 1])
+    return np.random.Generator(bits).standard_normal((width, BANK_ROWS)).T
+
+
 _BANK = _Store(BANK_BYTES)
 
 
 def _bank_block(base_seed: int, b: int, width: int) -> np.ndarray:
-    """Noise of replicates b*BANK_ROWS .. (b+1)*BANK_ROWS - 1, at least ``width`` columns."""
+    """``_block_noise`` of block b, at least ``width`` columns, shared by the dense plans."""
     blk = _BANK.get((base_seed, b))
     if blk is None or blk.shape[1] < width:
-        blk = _BANK.put((base_seed, b), _noise(base_seed, range(b * BANK_ROWS, (b + 1) * BANK_ROWS), (width,)))
+        blk = _BANK.put((base_seed, b), _block_noise(base_seed, b, width))
     return blk
 
 
@@ -286,7 +306,7 @@ class DensePlan(SamplerPlan):
 
     def _draws(self, replicates, copies: int) -> list[np.ndarray]:
         """``copies`` independent draws per replicate: copy c applies the factor to
-        normals c*m .. (c+1)*m - 1 of the replicate's stream, read from the bank."""
+        normals c*m .. (c+1)*m - 1 of the replicate's row of its block, read from the bank."""
         m = self.factor.shape[1]
         reps = _replicate_indices(replicates)
         outs = [np.empty((len(reps), m)) for _ in range(copies)]
@@ -373,15 +393,18 @@ class CirculantPlan(SamplerPlan):
     def _filter_noise(self, replicates, cols=None) -> list[np.ndarray]:
         """Per filter f, the moving average of white noise by f's real-space kernel, one row per
         replicate, at every box site or at the sites of columns ``cols``: from the filters' joint
-        law at ``cols``, its ``_restriction`` factor applied to each replicate's normals, when
+        law at ``cols``, its ``_restriction`` factor applied to each replicate's block normals, when
         ``_restriction_wins``; else as irfftn(rfftn(w) * f) on the box for one noise w on the torus."""
         reps = _replicate_indices(replicates)
         if cols is not None:
             cols = _check_columns(cols, len(self.points))
             if _restriction_wins(len(self._filters) * len(cols), math.prod(self.torus_shape)):
                 factor = self._restriction(cols)
-                z = _noise(self.base_seed, reps, (factor.shape[1],))
-                return np.split(_apply(factor, z), len(self._filters), axis=1)
+                x = np.empty((len(reps), factor.shape[0]))
+                for lo, hi, rows in _runs(reps):
+                    z = _block_noise(self.base_seed, reps[lo] // BANK_ROWS, factor.shape[1])[rows]
+                    x[lo:hi] = _apply(factor, z)
+                return np.split(x, len(self._filters), axis=1)
         at = None if cols is None else (slice(None),) + np.unravel_index(cols, self.grid.shape)
         axes = tuple(range(1, len(self.torus_shape) + 1))
         outs = [np.empty((len(reps), len(self.points) if at is None else len(cols))) for _ in self._filters]

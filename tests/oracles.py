@@ -4,6 +4,7 @@ These deliberately avoid the code paths they check: exhaustive path
 enumeration and breadth-first search instead of batched labelling, mpmath
 special functions instead of scipy, grid search and Frank-Wolfe with away
 steps instead of the active-set capacity solve, a fresh Philox generator per replicate instead of one re-keyed generator,
+a fresh generator per block read at stream positions j * 256 + i instead of a transposed block,
 row-wise ``np.unique(axis=0)`` and per-row Bessel factors instead of integer
 row keys and one Bessel table, the kernel on all n^2 point pairs instead of
 once per distinct displacement, the power-of-two torus of each padding
@@ -34,6 +35,20 @@ def philox_normals(base_seed: int, replicate: int, shape) -> np.ndarray:
     """One replicate's standard normal noise of ``shape``, keyed by (base_seed, replicate)."""
     key = np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(replicate)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+
+
+def block_normals(base_seed: int, b: int, width: int) -> np.ndarray:
+    """Block b's factor-draw noise, (256, width): entry (i, j) is normal j * 256 + i of a fresh
+    Philox keyed (base_seed, b) at counter [0, 0, 0, 1]."""
+    key = np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(b)], dtype=np.uint64)
+    flat = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, 1])).standard_normal(256 * width)
+    i, j = np.meshgrid(np.arange(256), np.arange(width), indexing="ij")
+    return flat[j * 256 + i]
+
+
+def block_row_normals(base_seed: int, replicate: int, width: int) -> np.ndarray:
+    """Replicate ``replicate``'s row of ``block_normals``: its first ``width`` factor-draw normals."""
+    return block_normals(base_seed, replicate // 256, width)[replicate % 256]
 
 
 def clipped_fraction(model, torus, spacing: float) -> float:

@@ -66,10 +66,10 @@ def test_dense_draws_match_fresh_philox_streams(d, base_seed):
     x = plan.draw_batch(STREAM_REPLICATES)
     a, b = plan.draw_pair_batch(STREAM_REPLICATES)
     for k, r in enumerate(STREAM_REPLICATES):
-        assert np.array_equal(x[k], plan.factor @ oracles.philox_normals(base_seed, r, d))
-        z = oracles.philox_normals(base_seed, r, (2, d))
-        assert np.array_equal(a[k], plan.factor @ z[0])
-        assert np.array_equal(b[k], plan.factor @ z[1])
+        assert np.array_equal(x[k], plan.factor @ oracles.block_row_normals(base_seed, r, d))
+        z = oracles.block_row_normals(base_seed, r, 2 * d)
+        assert np.array_equal(a[k], plan.factor @ z[:d])
+        assert np.array_equal(b[k], plan.factor @ z[d:])
 
 
 @pytest.mark.parametrize("base_seed", [0, -1, 2**63 + 7])
@@ -80,8 +80,8 @@ def test_torus_noise_matches_fresh_philox_streams(base_seed):
 
 
 def test_philox_normals_prefix_property():
-    """The first k normals of a stream do not depend on how many are drawn: the noise
-    bank serves a narrower request by slicing a wider block.  Some replicates must reach
+    """The first k normals of a stream do not depend on how many are drawn, which the noise
+    bank's slicing of a block stream rests on.  Some replicates must reach
     the ziggurat's rejection branch, which reads more than one 64-bit word per normal."""
     width, rejected = 8, 0
     for r in range(2000):
@@ -111,10 +111,78 @@ def test_dense_draws_do_not_depend_on_the_bank_state():
         for k in order:
             assert np.array_equal(draws[k](), cold[k])
     for k, r in enumerate(reps):
-        z = oracles.philox_normals(21, r, (2, 5))
-        assert np.array_equal(cold[2][k], wide.factor @ z[0])
-        assert np.array_equal(cold[3][0][k], wide.factor @ z[0])
-        assert np.array_equal(cold[3][1][k], wide.factor @ z[1])
+        z = oracles.block_row_normals(21, r, 10)
+        assert np.array_equal(cold[2][k], wide.factor @ z[:5])
+        assert np.array_equal(cold[3][0][k], wide.factor @ z[:5])
+        assert np.array_equal(cold[3][1][k], wide.factor @ z[5:])
+
+
+def test_block_noise_prefix_across_widths():
+    """Row i of a block holds stream positions j * 256 + i, so a narrower block is a column
+    slice of a wider one: the bank's slicing rule and the pair draw's two copies rest on it.
+    The block must reach the ziggurat's rejection branch, which reads more than one 64-bit
+    word per normal."""
+    width = 8
+    wide = sampler._block_noise(3, 11, width)
+    assert wide.shape == (sampler.BANK_ROWS, width)
+    assert np.array_equal(wide, oracles.block_normals(3, 11, width))
+    for k in range(1, width):
+        assert np.array_equal(sampler._block_noise(3, 11, k), wide[:, :k])
+    bits = np.random.Philox(key=np.array([3, 11], dtype=np.uint64), counter=[0, 0, 0, 1])
+    np.random.Generator(bits).standard_normal(width * sampler.BANK_ROWS)
+    st = bits.state
+    assert 4 * st["state"]["counter"][0] - 4 + st["buffer_pos"] > width * sampler.BANK_ROWS  # words drawn
+
+
+@pytest.mark.parametrize("base_seed", [0, -1, 2**63 + 7])
+def test_block_streams_are_disjoint_from_replicate_streams(base_seed):
+    """Counter word 3 = 1 keeps block (s, b) off per-replicate stream (s, b), which shares its key."""
+    for b in (0, 1, 2**56 - 1):
+        block = sampler._block_noise(base_seed, b, 1)[:, 0]  # the block stream's first 256 normals
+        assert np.intersect1d(block, sampler._noise(base_seed, [b], (256,))[0]).size == 0
+
+
+def test_runs_of_a_range_inside_one_block_match_the_general_path():
+    top = 2**64 - 1
+    cases = [range(0, 256), range(10, 20), range(255, 256), range(256, 300), range(250, 262),
+             range(top - 255, top + 1), range(top - 4, top + 1), range(top, top + 1), range(0, 600, 3),
+             range(7, 7), [3, 2, 700, 701], [top, 0, top - 1]]
+    for reps in cases:
+        fast = list(sampler._runs(sampler._replicate_indices(reps)))
+        general = list(sampler._runs(list(reps)))
+        assert len(fast) == len(general)
+        for (lo, hi, rows), (glo, ghi, grows) in zip(fast, general):
+            assert (lo, hi) == (glo, ghi) and rows.dtype == grows.dtype and np.array_equal(rows, grows)
+
+
+@pytest.mark.parametrize("kind", ["dense", "circulant", "split"])
+def test_one_replicate_draw_is_its_row_of_the_block_draw(kind):
+    """Row r of a factor draw depends on (plan, cols, seed, r) alone: draw_batch([r]) equals row
+    r of the draw of r's whole block, for a dense plan and for a torus restriction."""
+    top = 2**64 - 1
+    if kind == "dense":
+        plan, cols = sampler.plan_dense(_random_cov(6, 2), 9), None
+    else:
+        plan = _torus_plan((10, 9), None, kind == "split", seed=9)
+        cols = np.random.default_rng(4).permutation(len(plan.points))[:12]
+    draw = plan.draw_split_batch if kind == "split" else plan.draw_batch
+    for r in (0, 255, 256, top):
+        b = r // sampler.BANK_ROWS
+        sampler._BANK.clear()
+        block = draw(range(b * sampler.BANK_ROWS, (b + 1) * sampler.BANK_ROWS), cols)
+        sampler._BANK.clear()
+        one = draw([r], cols)
+        for got, full in zip(one, block) if kind == "split" else [(one, block)]:
+            assert got.shape == (1, full.shape[1]) and np.array_equal(got[0], full[r % sampler.BANK_ROWS])
+        if kind == "dense":
+            x, xp = plan.draw_pair_batch([r])
+            z = oracles.block_row_normals(9, r, 12)
+            assert np.array_equal(x[0], one[0]) and np.array_equal(x[0], plan.factor @ z[:6])
+            assert np.array_equal(xp[0], plan.factor @ z[6:])
+        else:
+            factor = plan._restriction(np.asarray(cols))
+            z = factor @ oracles.block_row_normals(9, r, factor.shape[1])
+            assert np.array_equal(np.concatenate(one, axis=1)[0] if kind == "split" else one[0], z)
 
 
 def test_noise_bank_evicts_least_recently_used_blocks(monkeypatch):
@@ -132,7 +200,7 @@ def test_noise_bank_evicts_least_recently_used_blocks(monkeypatch):
     assert wider.shape == (sampler.BANK_ROWS, 8) and not wider.flags.writeable
     assert list(bank._entries) == [(7, 4), (7, 3)]
     assert bank._nbytes == 3 * block_bytes
-    assert np.array_equal(wider, sampler._noise(7, range(3 * sampler.BANK_ROWS, 4 * sampler.BANK_ROWS), (8,)))
+    assert np.array_equal(wider, oracles.block_normals(7, 3, 8))
 
 
 def test_noise_bank_under_threads(monkeypatch):
@@ -467,7 +535,7 @@ def _torus_plan(shape, origin, split, seed=5):
 def test_support_draw_matches_the_fft_draw(shape, origin, split):
     """In law: the support draw is the dense restriction whose factor times its transpose is
     the FFT draw's covariance at the columns, Q^T Q, and row r applies that factor to the
-    normals of (seed, r).  Bargmann-Fock's kernels are even, so a slip of the lag's sign or
+    normals of r's row of block (seed, r // 256).  Bargmann-Fock's kernels are even, so a slip of the lag's sign or
     a dropped conj would not show on them; the plan is also run with random filters."""
     plan = _torus_plan(shape, tuple(range(-3, 2 * len(shape) - 3, 2)) if origin else None, split)
     cols = np.random.default_rng(len(shape)).permutation(len(plan.points))[:30]  # any order
@@ -482,7 +550,7 @@ def test_support_draw_matches_the_fft_draw(shape, origin, split):
         assert np.abs(factor @ factor.T - ref).max() <= 1e-12 * ref.diagonal().max()
         got = plan.draw_split_batch(reps, cols) if split else (plan.draw_batch(reps, cols),)
         for k, r in enumerate(reps):
-            x = factor @ oracles.philox_normals(5, r, factor.shape[1])
+            x = factor @ oracles.block_row_normals(5, r, factor.shape[1])
             for a, g in enumerate(got):  # the circulant filter, or the near and far filters
                 assert g.shape == (len(reps), 30) and np.array_equal(g[k], x[30 * a : 30 * (a + 1)])
     assert not sampler._BANK._entries  # the dense plans' shared blocks stay theirs
