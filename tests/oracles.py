@@ -13,7 +13,8 @@ box lag instead of ``next_fast_len`` and the lags h >= 0 for the smallest
 exact torus, bisection over every replicate's
 sorted values instead of a path lower bound and one confirming labelling,
 a torus plan's kernels summed against one noise per torus site instead of
-the cross-spectra of its filters.
+the cross-spectra of its filters, the bivariate normal cdf's regression form
+in x instead of the fixed rule in theta = asin r.
 """
 
 from __future__ import annotations
@@ -281,14 +282,22 @@ def neg_bound_exponent_mp(kappa: float, u: float) -> float:
 
 
 def bvn_mp(rho: float, u: float, v: float) -> float:
-    """Bivariate normal cdf by 1-d mpmath quadrature of the regression form."""
-    rho_, u_, v_ = mp.mpf(str(rho)), mp.mpf(str(u)), mp.mpf(str(v))
+    """Bivariate normal cdf by 30-digit mpmath quadrature of the regression form.
+
+    P[Z1 <= u, Z2 <= v] = int_{-inf}^u phi(x) Phi((v - rho x) / sqrt(1 - rho^2)) dx.  Near
+    |rho| = 1 the factor Phi(...) is a near-step at x = v / rho, of width sqrt(1 - rho^2) / |rho|,
+    so the interval is split there and the step becomes an endpoint of both pieces.
+    """
+    rho_, u_, v_ = mp.mpf(rho), mp.mpf(u), mp.mpf(v)
+    if rho_ == 0:
+        return float(mp.ncdf(u_) * mp.ncdf(v_))
     if abs(rho_) == 1:
         if rho_ == 1:
             return float(mp.ncdf(min(u_, v_)))
         return float(max(0, mp.ncdf(u_) + mp.ncdf(v_) - 1))
-    om = mp.sqrt(1 - rho_**2)
-    return float(mp.quad(lambda x: mp.npdf(x) * mp.ncdf((v_ - rho_ * x) / om), [-mp.inf, u_]))
+    om, step = mp.sqrt(1 - rho_**2), v_ / rho_
+    points = [-mp.inf, step, u_] if step < u_ else [-mp.inf, u_]
+    return float(mp.quad(lambda x: mp.npdf(x) * mp.ncdf((v_ - rho_ * x) / om), points))
 
 
 def watson_g3_origin() -> float:

@@ -84,6 +84,54 @@ def test_bivariate_cdf_against_oracle(rho, u, v, want):
     assert analytic.bivariate_cdf(rho, u, v) == pytest.approx(want, abs=1e-12)
 
 
+def _bvn_grid():
+    # a seeded grid, then u = +-v at the correlations where the regression form has a near-step
+    rng = np.random.default_rng(20260)
+    cases = [(float(r), float(u), float(v))
+             for r, u, v in zip(rng.uniform(-1, 1, 40), rng.uniform(-8, 8, 40), rng.uniform(-8, 8, 40))]
+    for rho in (0.9999999, -0.9999999, 1 - 2**-52, -(1 - 2**-52)):
+        for x in (-6.0, -3.0, -0.5, 0.0, 1.0, 4.0):
+            cases += [(rho, x, x)] + ([(rho, x, -x)] if x else [])
+    return cases
+
+
+BVN_GRID = _bvn_grid()
+
+
+@pytest.mark.parametrize("rho,u,v", BVN_GRID)
+def test_bivariate_cdf_against_mended_oracle(rho, u, v):
+    assert abs(analytic.bivariate_cdf(rho, u, v) - oracles.bvn_mp(rho, u, v)) <= 1e-13
+
+
+def test_bivariate_cdf_is_symmetric_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cases = BVN_GRID + [(float(r), float(u), float(v))
+                        for r, u, v in zip(rng.uniform(-1, 1, 500), rng.normal(0, 4, 500), rng.normal(0, 4, 500))]
+    for rho, u, v in cases:
+        assert analytic.bivariate_cdf(rho, u, v) == analytic.bivariate_cdf(rho, v, u)
+
+
+def test_bivariate_cdf_near_unit_correlation_regression():
+    # 4.3e-5 below the rho = 1 limit Phi(1) = 0.8413447460659952, which a rule that misses the
+    # near-step of the regression form reads
+    assert analytic.bivariate_cdf(0.9999999, 1.0, 1.0) == pytest.approx(0.8413015754880525, abs=1e-13)
+
+
+@pytest.mark.parametrize("rho", [0.9999999, 1 - 2**-52])
+def test_bvn_oracle_asin_identity_and_unit_limits(rho):
+    for r in (-rho, -0.5, 0.3, rho):
+        assert oracles.bvn_mp(r, 0.0, 0.0) == pytest.approx(0.25 + math.asin(r) / (2 * math.pi), abs=1e-15)
+    phi = analytic.std_cdf
+    # where the levels differ (rho -> 1) or are equal (rho -> -1), the gap to the limit is
+    # exp(-c / (1 - |rho|)) and far below double precision
+    assert oracles.bvn_mp(rho, 1.0, 2.0) == pytest.approx(phi(1.0), abs=1e-15)
+    assert oracles.bvn_mp(rho, 2.0, -0.5) == pytest.approx(phi(-0.5), abs=1e-15)
+    assert oracles.bvn_mp(-rho, 1.0, 1.0) == pytest.approx(2 * phi(1.0) - 1, abs=1e-15)
+    assert oracles.bvn_mp(-rho, -0.5, 0.2) == pytest.approx(0.0, abs=1e-15)
+    assert oracles.bvn_mp(1.0, 1.0, 1.0) == pytest.approx(phi(1.0), abs=1e-16)
+    assert oracles.bvn_mp(-1.0, 1.0, 1.0) == pytest.approx(2 * phi(1.0) - 1, abs=1e-16)
+
+
 def test_bivariate_cdf_independence():
     for u, v in [(-1.0, 2.0), (0.4, 0.4), (3.0, -3.0)]:
         got = analytic.bivariate_cdf(0.0, u, v)
@@ -158,6 +206,19 @@ def test_bivariate_derivs_at_infinite_levels_are_their_limits(rho):
         got = analytic.bivariate_cdf_derivs(rho, u, v)
         assert got == analytic.bivariate_cdf_derivs(rho, max(-40.0, min(40.0, u)), max(-40.0, min(40.0, v)))
         assert got[2] == 0.0
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.35, 0.5, 0.9999999])
+def test_bivariate_at_huge_finite_levels_equals_clipped_and_infinite(rho):
+    # a finite level past PDF_CLIP is clipped inside the integrand and phi_rho, where each
+    # term has underflowed to 0 already; unclipped, u * u overflows and inf - inf is nan
+    big = 1e200
+    for u, v in [(big, 0.3), (-big, 0.3), (-0.7, big), (0.2, -big), (big, big), (-big, big), (-big, -big)]:
+        clipped = [max(-40.0, min(40.0, x)) for x in (u, v)]
+        limit = [math.copysign(math.inf, x) if abs(x) == big else x for x in (u, v)]
+        for call in (analytic.bivariate_cdf, analytic.bivariate_cdf_derivs):
+            assert call(rho, u, v) == call(rho, *clipped) == call(rho, *limit)
+    assert analytic.bivariate_cdf(rho, big, big) == 1.0
 
 
 def test_rho_deriv_equals_mixed_second_derivative():

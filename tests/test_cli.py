@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -464,6 +466,32 @@ def test_bvn_nan_level_exits_1(capsys):
     assert run(["bvn", "0.5", "nan", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: levels u and v must not be nan") and not captured.out
+
+
+@pytest.mark.parametrize("argv", [["0.9999999", "1", "1"], ["-0.9999999", "1", "-1"], ["0.5", "1e200", "1e200"]])
+def test_bvn_prints_strict_json_without_warnings(argv, capsys):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["bvn", *argv]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert 0.0 <= out["cdf"] <= 1.0
+
+
+def test_import_and_bvn_load_no_scipy_integrate_optimize_or_sparse():
+    # scipy.integrate would pull in scipy.optimize, scipy.sparse and scipy.spatial: about 0.15 s
+    # of each process's set-up
+    code = ("import sys, sdlab, sdlab.cli\n"
+            "assert sdlab.cli.main(['bvn', '0.5', '0.3', '-0.2']) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'])))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    *_, loaded = done.stdout.splitlines()
+    assert loaded == ""
 
 
 def test_negbound_csv(tmp_path, capsys):
