@@ -484,8 +484,9 @@ def _crossing_event(kind: str, R_sites: int, aspect: float):
     if kind == "one_arm":
         return AnnulusCrossing((0,) * 2, 0.0, R_sites)
     if kind in ("hcross", "vcross"):
-        nx = max(2, int(round(aspect * R_sites)))
-        ny = max(2, int(R_sites))
+        nx, ny = int(round(aspect * R_sites)), int(R_sites)
+        if nx < 2:
+            raise ParameterError(f"box too short: aspect {aspect!r} * R = {R_sites} sites rounds to {nx} < 2 sites")
         if kind == "vcross":
             nx, ny = ny, nx
         axis = 0 if kind == "hcross" else 1

@@ -352,6 +352,18 @@ def test_crossing_drivers_refuse_non_finite_numbers(value):
                     driver(model, **{**kwargs, name: bad})
 
 
+@pytest.mark.parametrize("kind", ["hcross", "vcross"])
+@pytest.mark.parametrize("aspect", [-1.0, 0.0, 0.01, 0.24])
+def test_box_crossing_shorter_than_two_sites_is_refused(kind, aspect):
+    # the crossing length used to be raised to 2 sites in silence: aspect -1 gave estimate 1.0, se 0.0
+    with pytest.raises(ParameterError, match="box too short"):
+        bootstrap._crossing_event(kind, 6, aspect)
+    with pytest.raises(ParameterError, match="box too short"):
+        bootstrap.estimate_crossing(kernels.bargmann_fock(2), 1.0, 0.0, 6.0, kind, 64, 3, aspect=aspect)
+    box = bootstrap._crossing_event(kind, 6, 0.25)  # 1.5 rounds to 2 sites, the shortest box kept
+    assert np.ptp(np.array(box.support), axis=0).tolist() == ([1, 5] if kind == "hcross" else [5, 1])
+
+
 def test_decay_table_monotone_and_envelope():
     model = kernels.bargmann_fock(2)
     table = bootstrap.subcritical_decay_table(model, -0.5, [4, 8], 400, 7,

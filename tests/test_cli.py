@@ -342,6 +342,11 @@ def test_verify_theorem_choices_omit_none(capsys):
     (["bootstrap", "decay-table", "--Rs", "inf"], "R must be finite, got inf"),
     (["bootstrap", "decay-table", "--spacing", "nan"], "spacing must be finite and > 0"),
     (["bootstrap", "decay-table", "--ell", "nan"], "ell must be finite"),
+    # a crossing box shorter than two sites, which was once raised to two in silence
+    (["bootstrap", "crossing", "--aspect", "-1", "-n", "64"], "box too short"),
+    (["bootstrap", "crossing", "--aspect", "0", "-n", "64"], "box too short"),
+    (["bootstrap", "crossing", "--aspect", "0.01", "-n", "64"], "box too short"),
+    (["bootstrap", "crossing", "--kind", "vcross", "--aspect", "0.01", "-n", "64"], "box too short"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):

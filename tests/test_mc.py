@@ -266,26 +266,30 @@ def test_hoeffding_correlated_2x2():
     assert rep.verdict == mc.VERDICT_PASS
 
 
-@pytest.mark.parametrize("var, level", [(9.0, 0.0), (1.0, 12.0)], ids=["variance-9", "level-12"])
+@pytest.mark.parametrize("var, level", [(9.0, 0.0), (1.0, 12.0), (1.0, 1e6)],
+                         ids=["variance-9", "level-12", "level-1e6"])
 def test_hoeffding_box_follows_level_and_scale(var, level):
-    # the box is level +- 8 sd here; a (-8, 8)^2 box would leave a truncation budget above 2
+    # the box is the replicates' span, outside which the empirical defect is 0, so the
+    # allowance has no truncation term; a fixed (-8, 8)^2 box would miss every threshold
+    # at level 12 and 1e6 and integrate to 0
     plan = sampler.plan_dense(np.full((2, 2), var), 2)
     rep = mc.verify_hoeffding(plan, *single_events(level), 5_000)
     assert rep.verdict == mc.VERDICT_PASS
-    assert rep.constants["budget"] <= mc.HOEFFDING_BUDGET
+    assert rep.sides[0].bound == mc.NOISE_SES * rep.terms["cov"].se + rep.constants["resolution"]
     assert rep.terms["integral"].value == pytest.approx(var, rel=0.05)
 
 
 @pytest.mark.parametrize("level", [0.0, 0.3])
 @pytest.mark.parametrize("constant_first", [True, False], ids=["constant-first", "constant-second"])
 def test_hoeffding_zero_variance_site_is_no_false_fail(level, constant_first):
-    # a zero-variance site's threshold is constant: its truncation budget, covariance
-    # and Hoeffding integral are all 0, where dividing by its sd made the budget nan
+    # a zero-variance site's threshold is constant: its span and the Hoeffding integral
+    # are 0 and the allowance is the noise alone, where dividing by its sd made a budget nan
     plan = sampler.plan_dense(np.array([[0.0, 0.0], [0.0, 1.0]]), 3)
     A_const, A_var = single_events(level)
     rep = mc.verify_hoeffding(plan, *((A_const, A_var) if constant_first else (A_var, A_const)), 4_000)
     assert rep.verdict == mc.VERDICT_PASS
-    assert rep.constants["budget"] == 0.0
+    assert rep.constants["resolution"] == 0.0
+    assert rep.sides[0].bound == mc.NOISE_SES * rep.terms["cov"].se
     assert rep.terms["integral"].value == 0.0
     assert math.isfinite(rep.sides[0].slack) and rep.sides[0].slack >= 0
 
@@ -400,6 +404,30 @@ def test_interp_linear_and_max_cases():
     X = rng.standard_normal((200_000, 3)) @ L.T
     direct = np.cov(np.maximum(X[:, 0], X[:, 1]), X[:, 2])[0, 1]
     assert rep.terms["rhs2"].value == pytest.approx(direct, abs=0.02)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_interp_rhs_is_steins_mean_so_no_quadrature_budget(dim, seed):
+    # every built-in case has a linear g = X_j, so the interpolation integrand does not
+    # depend on the node: the 24-node rule returns Stein's mean of K[grad f index, j] up
+    # to rounding, and no quadrature error enters the allowance; a case with a
+    # non-linear g would need its own quadrature budget
+    A = np.random.default_rng(100 + seed).standard_normal((dim, dim))
+    K = A @ A.T + 0.1 * np.eye(dim)
+    plan = sampler.plan_dense(K, seed)
+    n = 2_000
+    rep = mc.verify_interp_formula(plan, n)
+    X, _ = plan.draw_pair_batch(range(n))
+    cases = [(np.zeros(n, dtype=np.intp), min(1, dim - 1)), (np.zeros(n, dtype=np.intp), 0)]
+    if dim >= 3:  # f = max(X0, X1), whose gradient picks the larger site, and g = X2
+        cases.append((np.where(X[:, 0] >= X[:, 1], 0, 1), 2))
+    assert [s.name.split(":")[0] for s in rep.sides] == [f"case{ci}" for ci in range(len(cases))]
+    assert all(s.name.endswith("-linear") for s in rep.sides)
+    for ci, (fidx, j) in enumerate(cases):
+        col = K[fidx, j]
+        stein = float(np.mean(col))
+        assert abs(rep.terms[f"rhs{ci}"].value - stein) <= 64 * np.finfo(float).eps * float(np.mean(np.abs(col)))
 
 
 # --- finite range ------------------------------------------------------------------
