@@ -24,7 +24,7 @@ from scipy import ndimage
 
 from .errors import InputError, SpecError
 from .kernels import Point
-from .sampler import _columns
+from .sampler import _check_sites, _columns
 
 
 def _check_real(name: str, v) -> None:
@@ -84,6 +84,7 @@ class BoxCrossing:
             raise InputError(f"axis must be an integer, got {self.axis!r}")
         if not (0 <= self.axis < len(self.lo)):
             raise InputError("axis outside box dimension")
+        _check_sites("crossing box", (b - a + 1 for a, b in zip(self.lo, self.hi)))
         _check_real("level", self.level)
 
     @property
@@ -123,6 +124,7 @@ def lattice_ball(center, radius: float) -> tuple[Point, ...]:
         raise InputError(f"ball radius must be finite, got {radius!r}")
     c = np.asarray(center)
     m = int(np.ceil(radius))
+    _check_sites(f"the bounding box of a ball of radius {radius!r}", (max(2 * m + 1, 0),) * len(c))
     mesh = np.meshgrid(*[np.arange(v - m, v + m + 1) for v in c], indexing="ij")
     coords = np.stack([g.ravel() for g in mesh], axis=1)
     return _norm_sites(coords[((coords - c) ** 2).sum(axis=1) <= radius**2])

@@ -183,9 +183,9 @@ def _gap(t1: np.ndarray, t2: np.ndarray, e1: float, e2: float) -> tuple[TermEsti
 
 
 # ---------------------------------------------------------------------------
-# verifier spine: a verifier builds classified sides with _upper or _lower (_side
-# for any other slack), pass-or-fail sides with _allowance, and returns _report(...),
-# with no sides where the theorem does not apply; cli.run_config stamps wall_time_s.
+# verifier spine: a verifier builds every side with _upper or _lower (_side for any
+# other slack), so classify decides every verdict, and returns _report(...), with no
+# sides where the theorem does not apply; cli.run_config stamps wall_time_s.
 
 
 def _report(theorem_id, terms, sides, constants, seed, n, notes=()):
@@ -207,12 +207,6 @@ def _upper(name, est: float, se: float, bound: float) -> SideCheck:
 def _lower(name, est: float, se: float, bound: float) -> SideCheck:
     """est >= bound, with slack est - bound."""
     return _side(name, est, se, bound, est - bound)
-
-
-def _allowance(name, diff: float, se: float, allowance: float) -> SideCheck:
-    """|difference| <= allowance: pass or fail only, the noise is already in the allowance."""
-    slack = allowance - diff
-    return SideCheck(name, diff, se, allowance, slack, classify(slack, 0.0))
 
 
 # a cross covariance within SIGN_FLOOR times the largest variance on the two
@@ -326,8 +320,8 @@ def verify_hoeffding(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport
     The integral is taken from the empirical cdfs of the replicates over the
     box [min T1, max T1] x [min T2, max T2], at HOEFFDING_BINS bins per axis.
     The empirical defect F12 - F1 F2 is 0 outside that box, so the box
-    truncates nothing: the allowance is NOISE_SES standard errors plus the
-    change from half the bins.
+    truncates nothing: the bound on |cov - integral| is the change from half
+    the bins, and classify reads the noise.
     """
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     cov_est = _cov(t1, t2)
@@ -347,8 +341,7 @@ def verify_hoeffding(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport
 
     integral = box_integral(HOEFFDING_BINS)
     resolution = abs(integral - box_integral(HOEFFDING_BINS // 2))
-    side = _allowance("cov=integral", abs(cov_est.value - integral), cov_est.se,
-                      NOISE_SES * cov_est.se + resolution)
+    side = _upper("cov=integral", abs(cov_est.value - integral), cov_est.se, resolution)
     terms = {"cov": cov_est, "integral": TermEstimate(integral, 0.0, n)}
     consts = {"resolution": resolution, "bins": HOEFFDING_BINS}
     return _report("hoeffding", terms, [side], consts, plan.base_seed, n)
@@ -396,7 +389,7 @@ def verify_interp_formula(plan: DensePlan, n: int) -> InequalityReport:
     set.  The cases are linear-linear across two sites and on one site, plus
     max-linear when the plan has three sites.  In each g is linear, so the
     integrand does not depend on s, the rule makes no quadrature error, and
-    each allowance is NOISE_SES standard errors.
+    each case's bound on |lhs - rhs| is 0: classify reads the noise.
     """
     if not isinstance(plan, DensePlan):
         raise InputError("interpolation check needs a dense plan with explicit covariance")
@@ -415,7 +408,7 @@ def verify_interp_formula(plan: DensePlan, n: int) -> InequalityReport:
         rhs = _mean_se(sum(wk * K[fidx, _grad_index(gd, lambda i: s * X[:, i] + np.sqrt(1.0 - s * s) * Xp[:, i], n)]
                            for s, wk in zip(s_nodes, s_w)))
         se = float(np.hypot(lhs.se, rhs.se))
-        sides.append(_allowance(f"case{ci}:{fd[0]}-{gd[0]}", abs(lhs.value - rhs.value), se, NOISE_SES * se))
+        sides.append(_upper(f"case{ci}:{fd[0]}-{gd[0]}", abs(lhs.value - rhs.value), se, 0.0))
         terms[f"lhs{ci}"] = lhs
         terms[f"rhs{ci}"] = rhs
     return _report("interp", terms, sides, {"t_nodes": INTERP_NODES}, plan.base_seed, n)

@@ -209,6 +209,20 @@ def _integers(xs) -> bool:
         isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in xs)
 
 
+# The most sites a grid, an event box or a lattice ball may span.  A plan's points and
+# index take about 132 bytes a site (tracemalloc, 512^2 grid), so 2**24 sites is about
+# 2.2 GB before any draw, and one BANK_ROWS-replicate draw block of them is 32 GiB.
+MAX_SITES = 2**24
+
+
+def _check_sites(what: str, extents) -> None:
+    """InputError when a box of these extents spans more than MAX_SITES sites; callers check
+    before they build anything per site."""
+    sites = math.prod(extents)
+    if sites > MAX_SITES:
+        raise InputError(f"{what} spans {sites} sites, more than MAX_SITES = {MAX_SITES}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Rectangular box of lattice sites with a physical spacing."""
@@ -220,6 +234,7 @@ class Grid:
     def __post_init__(self):
         if not (_integers(self.shape) and self.shape and min(self.shape) > 0):
             raise InputError(f"grid shape must be a nonempty list of positive integers, got {self.shape!r}")
+        _check_sites("grid", self.shape)
         if not (isinstance(self.spacing, numbers.Real) and math.isfinite(self.spacing) and self.spacing > 0):
             raise InputError(f"grid spacing must be a finite number > 0, got {self.spacing!r}")
         if self.origin is not None and not (_integers(self.origin) and len(self.origin) == len(self.shape)):
@@ -466,16 +481,19 @@ def _smallest_torus(model, grid: Grid, floor) -> tuple[int, ...]:
     on the whole lag grid, with the axes before it at their chosen extents and those after it
     at twice the box.  Twice the box wraps no lag, so every search ends by then, and the last
     axis's test is the whole torus's wrap error.  The stationary kernels read no lag's signs,
-    so the lags h >= 0 are all of them."""
+    so the lags h >= 0 are all of them.  The kernel is evaluated once, k = K(h) at the box
+    lags: a torus at least the box wraps h to min(h, T - h), itself a box lag, so each
+    candidate's covariance is gathered from k."""
+    torus = [2 * n for n in grid.shape]  # wraps no box lag
+    k = cov_of_offsets(model, _torus_offsets(grid, torus, grid.shape).reshape(-1, model.dim)).reshape(grid.shape)
+    lags = [np.arange(n) for n in grid.shape]
 
-    def box_cov(torus):  # the torus covariance K(min(h, T - h)) at the box lags h
-        return cov_of_offsets(model, _torus_offsets(grid, torus, grid.shape).reshape(-1, model.dim))
+    def wrapped(torus):  # the torus covariance K(min(h, T - h)) at the box lags h
+        return k[np.ix_(*(np.minimum(h, t - h) for h, t in zip(lags, torus)))]
 
-    torus = [2 * n for n in grid.shape]
-    k = box_cov(torus)
     for i, lo in enumerate(floor):
         torus[i] = next_fast_len(lo, real=True)
-        while np.abs(box_cov(torus) - k).max() > SPECTRUM_CLIP_LIMIT * k[0]:
+        while np.abs(wrapped(torus) - k).max() > SPECTRUM_CLIP_LIMIT * k.flat[0]:
             torus[i] = next_fast_len(torus[i] + 1, real=True)
     return tuple(torus)
 

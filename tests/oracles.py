@@ -25,8 +25,9 @@ from collections import deque
 import mpmath as mp
 import numpy as np
 from scipy import ndimage, special
+from scipy.fft import next_fast_len
 
-from sdlab import kernels, measures
+from sdlab import kernels, measures, sampler
 from sdlab.errors import InputError
 
 mp.mp.dps = 30
@@ -103,6 +104,22 @@ def smallest_exact_torus(model, shape, spacing: float, limit: float) -> tuple[in
             if np.abs(kernels.cov_of_offsets(model, wrapped * spacing) - k).max() <= limit * k0:
                 break
     return tuple(torus) if clipped_fraction(model, torus, spacing) <= limit else None
+
+
+def smallest_torus_per_candidate(model, grid, floor) -> tuple[int, ...]:
+    """``sampler._smallest_torus`` with the kernel evaluated afresh at every candidate torus T,
+    K(min(h, T - h)) over the box lags h, instead of gathered from one evaluation at the box lags."""
+
+    def box_cov(torus):
+        return kernels.cov_of_offsets(model, sampler._torus_offsets(grid, torus, grid.shape).reshape(-1, model.dim))
+
+    torus = [2 * n for n in grid.shape]
+    k = box_cov(torus)
+    for i, lo in enumerate(floor):
+        torus[i] = next_fast_len(lo, real=True)
+        while np.abs(box_cov(torus) - k).max() > sampler.SPECTRUM_CLIP_LIMIT * k[0]:
+            torus[i] = next_fast_len(torus[i] + 1, real=True)
+    return tuple(torus)
 
 
 def torus_support_cov(plan, cols, spatial=None) -> np.ndarray:

@@ -275,78 +275,92 @@ def test_verify_theorem_choices_omit_none(capsys):
     assert "thm1.1" in out and "None" not in out
 
 
+def _case(argv, message, key=None):
+    """A malformed-option case whose id is its argv (or the key it was first named by) and its
+    message, never its place in the table: a row can sit beside the rows it belongs with, and
+    no other case is renamed.  The keys argv0 to argv69 are the positional names those rows had."""
+    return pytest.param(argv, message, id=f"{key or ' '.join(argv)}-{message}")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["sample", "--shape", "3,x"], "--shape must be comma-separated int"),
-    (["sample", "--shape", "0,4"], "positive integers"),
-    (["sample", "--model", "{bad"], "--model"),
-    (["capacity", "--matrix", "{m}", "--set", "0,x"], "--set"),
-    (["maxcorr", "--matrix", "{m}", "--i1", "0,x", "--i2", "1"], "--i1"),
-    (["bootstrap", "decay-table", "--Rs", "8,x"], "--Rs"),
-    (["bootstrap", "run-recursion", "--g", "polylog"], "polylog:3.5"),
-    (["bootstrap", "run-recursion", "--g", "stretched"], "polylog:3.5"),
-    (["bootstrap", "run-recursion", "--g", "polylog:x"], "polylog:3.5"),
-    (["capacity", "--matrix", "{m}", "--set", "0,-1"], "lie in [0, 2)"),
-    (["capacity", "--matrix", "{m}", "--set", "0,2"], "lie in [0, 2)"),
-    (["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "-1"], "lie in [0, 2)"),
-    (["maxcorr", "--matrix", "{m}", "--i1", "5", "--i2", "1"], "lie in [0, 2)"),
-    (["capacity", "--matrix", "{wide}"], "got shape (2, 3)"),
-    (["maxcorr", "--matrix", "{wide}", "--i1", "0", "--i2", "1"], "got shape (2, 3)"),
-    (["capacity", "--matrix", "{nan}"], "finite, square and nonempty, got shape (2, 2)"),
-    (["capacity", "--matrix", "{missing}"], "--matrix"),
-    (["maxcorr", "--matrix", "{text}", "--i1", "0", "--i2", "1"], "--matrix"),
-    (["bootstrap", "crossing", "-n", "0", "--R", "8"], "n must be an integer >= 2"),
-    (["bootstrap", "crossing", "-n", "1", "--R", "8"], "n must be an integer >= 2"),
-    (["bootstrap", "crossing", "-n", "-3", "--R", "8"], "n must be an integer >= 2"),
-    (["bootstrap", "decay-table", "-n", "0"], "n must be an integer >= 2"),
-    (["bootstrap", "decay-table", "-n", "1"], "n must be an integer >= 2"),
-    (["capacity", "--matrix", "{empty}"], "--matrix"),
-    (["sample", "--shape", "4,4", "--replicate", "-1"], "replicate"),
-    (["sample", "--shape", "4,4", "--replicate", str(2**64)], "replicate"),
-    (["bootstrap", "run-recursion", "--n-d", "-3"], "n_d must be an integer >= 1"),
-    (["bootstrap", "run-recursion", "--n-d", "0"], "n_d must be an integer >= 1"),
-    (["bootstrap", "run-recursion", "--n-d", "0", "--R0", "100"], "n_d must be an integer >= 1"),
-    (["bootstrap", "run-recursion", "--c", "-1"], "c must be finite and positive"),
-    (["bootstrap", "run-recursion", "--R0", "-5"], "R0 must exceed 1"),
-    (["bootstrap", "run-recursion", "--R0", "1e400"], "log R0 must be finite and positive"),
-    (["bootstrap", "run-recursion", "--log-R0", "1e400"], "log R0 must be finite and positive"),
-    (["bootstrap", "run-recursion", "--log-R0", "-1"], "log R0 must be finite and positive"),
-    (["bootstrap", "schedule", "--R0", "1e400"], "log R0 must be finite and positive"),
-    (["bootstrap", "run-recursion", "--n-steps", "0"], "n_steps must be an integer >= 1"),
-    (["bootstrap", "schedule", "--n-max", "0"], "n_max must be an integer >= 1"),
-    (["bootstrap", "schedule", "--n-max", "-2"], "n_max must be an integer >= 1"),
-    (["bootstrap", "run-recursion", "--g", "polylog:3.5,0"], "decay constant c must be positive"),
-    (["bootstrap", "run-recursion", "--g", "polylog:3.5,-1"], "decay constant c must be positive"),
-    (["bootstrap", "run-recursion", "--g", "polylog:3.5,1,2"], "one or two numbers"),
-    (["bootstrap", "run-recursion", "--g", "polylog:nan"], "decay parameters must be finite"),
-    (["bootstrap", "run-recursion", "--delta", "nan"], "delta must be positive"),
-    (["bootstrap", "schedule", "--R0", "10", "--delta", "nan"], "delta must be positive"),
-    (["bootstrap", "schedule", "--R0", "10", "--ell-prime", "nan"], "ell' must be finite"),
-    (["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "1", "--ridge", "nan"], "ridge must be finite and >= 0"),
-    (["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "1", "--ridge", "inf"], "ridge must be finite and >= 0"),
-    (["capacity", "--d", "3", "--ball", "1", "--tol", "nan"], "tol must be finite and positive"),
-    (["capacity", "--d", "3", "--ball", "1", "--tol", "inf"], "tol must be finite and positive"),
-    (["negbound", "--u-step", "0"], "--u-step must be finite and > 0"),
-    (["negbound", "--u-max", "nan"], "--u-max finite"),
-    (["negbound", "--u-step", "inf"], "--u-step must be finite and > 0"),
-    (["negbound", "--u-step", "-1"], "--u-step must be finite and > 0"),
-    (["negbound", "--u-max", "0.5"], "got 1.0 and 0.5"),
-    (["bootstrap", "crossing", "--R", "nan"], "R must be finite, got nan"),
-    (["bootstrap", "crossing", "--R", "inf"], "R must be finite, got inf"),
-    (["bootstrap", "crossing", "--spacing", "nan"], "spacing must be finite and > 0"),
-    (["bootstrap", "crossing", "--spacing", "inf"], "spacing must be finite and > 0"),
-    (["bootstrap", "crossing", "--spacing", "0"], "spacing must be finite and > 0"),
-    (["bootstrap", "crossing", "--aspect", "inf"], "aspect must be finite"),
-    (["bootstrap", "crossing", "--aspect", "nan"], "aspect must be finite"),
-    (["bootstrap", "crossing", "--ell", "nan"], "ell must be finite"),
-    (["bootstrap", "decay-table", "--Rs", "8,nan"], "R must be finite, got nan"),
-    (["bootstrap", "decay-table", "--Rs", "inf"], "R must be finite, got inf"),
-    (["bootstrap", "decay-table", "--spacing", "nan"], "spacing must be finite and > 0"),
-    (["bootstrap", "decay-table", "--ell", "nan"], "ell must be finite"),
+    _case(["sample", "--shape", "3,x"], "--shape must be comma-separated int", "argv0"),
+    _case(["sample", "--shape", "0,4"], "positive integers", "argv1"),
+    _case(["sample", "--model", "{bad"], "--model", "argv2"),
+    _case(["capacity", "--matrix", "{m}", "--set", "0,x"], "--set", "argv3"),
+    _case(["maxcorr", "--matrix", "{m}", "--i1", "0,x", "--i2", "1"], "--i1", "argv4"),
+    _case(["bootstrap", "decay-table", "--Rs", "8,x"], "--Rs", "argv5"),
+    _case(["bootstrap", "run-recursion", "--g", "polylog"], "polylog:3.5", "argv6"),
+    _case(["bootstrap", "run-recursion", "--g", "stretched"], "polylog:3.5", "argv7"),
+    _case(["bootstrap", "run-recursion", "--g", "polylog:x"], "polylog:3.5", "argv8"),
+    _case(["capacity", "--matrix", "{m}", "--set", "0,-1"], "lie in [0, 2)", "argv9"),
+    _case(["capacity", "--matrix", "{m}", "--set", "0,2"], "lie in [0, 2)", "argv10"),
+    _case(["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "-1"], "lie in [0, 2)", "argv11"),
+    _case(["maxcorr", "--matrix", "{m}", "--i1", "5", "--i2", "1"], "lie in [0, 2)", "argv12"),
+    _case(["capacity", "--matrix", "{wide}"], "got shape (2, 3)", "argv13"),
+    _case(["maxcorr", "--matrix", "{wide}", "--i1", "0", "--i2", "1"], "got shape (2, 3)", "argv14"),
+    _case(["capacity", "--matrix", "{nan}"], "finite, square and nonempty, got shape (2, 2)", "argv15"),
+    _case(["capacity", "--matrix", "{missing}"], "--matrix", "argv16"),
+    _case(["maxcorr", "--matrix", "{text}", "--i1", "0", "--i2", "1"], "--matrix", "argv17"),
+    _case(["bootstrap", "crossing", "-n", "0", "--R", "8"], "n must be an integer >= 2", "argv18"),
+    _case(["bootstrap", "crossing", "-n", "1", "--R", "8"], "n must be an integer >= 2", "argv19"),
+    _case(["bootstrap", "crossing", "-n", "-3", "--R", "8"], "n must be an integer >= 2", "argv20"),
+    _case(["bootstrap", "decay-table", "-n", "0"], "n must be an integer >= 2", "argv21"),
+    _case(["bootstrap", "decay-table", "-n", "1"], "n must be an integer >= 2", "argv22"),
+    _case(["capacity", "--matrix", "{empty}"], "--matrix", "argv23"),
+    _case(["sample", "--shape", "4,4", "--replicate", "-1"], "replicate", "argv24"),
+    _case(["sample", "--shape", "4,4", "--replicate", str(2**64)], "replicate", "argv25"),
+    _case(["bootstrap", "run-recursion", "--n-d", "-3"], "n_d must be an integer >= 1", "argv26"),
+    _case(["bootstrap", "run-recursion", "--n-d", "0"], "n_d must be an integer >= 1", "argv27"),
+    _case(["bootstrap", "run-recursion", "--n-d", "0", "--R0", "100"], "n_d must be an integer >= 1", "argv28"),
+    _case(["bootstrap", "run-recursion", "--c", "-1"], "c must be finite and positive", "argv29"),
+    _case(["bootstrap", "run-recursion", "--R0", "-5"], "R0 must exceed 1", "argv30"),
+    _case(["bootstrap", "run-recursion", "--R0", "1e400"], "log R0 must be finite and positive", "argv31"),
+    _case(["bootstrap", "run-recursion", "--log-R0", "1e400"], "log R0 must be finite and positive", "argv32"),
+    _case(["bootstrap", "run-recursion", "--log-R0", "-1"], "log R0 must be finite and positive", "argv33"),
+    _case(["bootstrap", "schedule", "--R0", "1e400"], "log R0 must be finite and positive", "argv34"),
+    _case(["bootstrap", "run-recursion", "--n-steps", "0"], "n_steps must be an integer >= 1", "argv35"),
+    _case(["bootstrap", "schedule", "--n-max", "0"], "n_max must be an integer >= 1", "argv36"),
+    _case(["bootstrap", "schedule", "--n-max", "-2"], "n_max must be an integer >= 1", "argv37"),
+    _case(["bootstrap", "run-recursion", "--g", "polylog:3.5,0"], "decay constant c must be positive", "argv38"),
+    _case(["bootstrap", "run-recursion", "--g", "polylog:3.5,-1"], "decay constant c must be positive", "argv39"),
+    _case(["bootstrap", "run-recursion", "--g", "polylog:3.5,1,2"], "one or two numbers", "argv40"),
+    _case(["bootstrap", "run-recursion", "--g", "polylog:nan"], "decay parameters must be finite", "argv41"),
+    _case(["bootstrap", "run-recursion", "--delta", "nan"], "delta must be positive", "argv42"),
+    _case(["bootstrap", "schedule", "--R0", "10", "--delta", "nan"], "delta must be positive", "argv43"),
+    _case(["bootstrap", "schedule", "--R0", "10", "--ell-prime", "nan"], "ell' must be finite", "argv44"),
+    _case(["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "1", "--ridge", "nan"], "ridge must be finite and >= 0", "argv45"),
+    _case(["maxcorr", "--matrix", "{m}", "--i1", "0", "--i2", "1", "--ridge", "inf"], "ridge must be finite and >= 0", "argv46"),
+    _case(["capacity", "--d", "3", "--ball", "1", "--tol", "nan"], "tol must be finite and positive", "argv47"),
+    _case(["capacity", "--d", "3", "--ball", "1", "--tol", "inf"], "tol must be finite and positive", "argv48"),
+    _case(["negbound", "--u-step", "0"], "--u-step must be finite and > 0", "argv49"),
+    _case(["negbound", "--u-max", "nan"], "--u-max finite", "argv50"),
+    _case(["negbound", "--u-step", "inf"], "--u-step must be finite and > 0", "argv51"),
+    _case(["negbound", "--u-step", "-1"], "--u-step must be finite and > 0", "argv52"),
+    _case(["negbound", "--u-max", "0.5"], "got 1.0 and 0.5", "argv53"),
+    _case(["bootstrap", "crossing", "--R", "nan"], "R must be finite, got nan", "argv54"),
+    _case(["bootstrap", "crossing", "--R", "inf"], "R must be finite, got inf", "argv55"),
+    _case(["bootstrap", "crossing", "--spacing", "nan"], "spacing must be finite and > 0", "argv56"),
+    _case(["bootstrap", "crossing", "--spacing", "inf"], "spacing must be finite and > 0", "argv57"),
+    _case(["bootstrap", "crossing", "--spacing", "0"], "spacing must be finite and > 0", "argv58"),
+    _case(["bootstrap", "crossing", "--aspect", "inf"], "aspect must be finite", "argv59"),
+    _case(["bootstrap", "crossing", "--aspect", "nan"], "aspect must be finite", "argv60"),
+    # more sites than sampler.MAX_SITES: an InputError before any site is built, not a
+    # MemoryError traceback or a process that grows until it is killed
+    _case(["bootstrap", "crossing", "--aspect", "1e6", "-n", "64"], "crossing box spans 4096000000 sites"),
+    _case(["bootstrap", "crossing", "--kind", "annulus", "--R", "1e7", "-n", "64"], "ball of radius 40000000 spans"),
+    _case(["bootstrap", "decay-table", "--Rs", "1e7", "-n", "64"], "ball of radius 10000000 spans"),
+    _case(["capacity", "--ball", "1e6"], "ball of radius 1000000.0 spans"),
+    _case(["sample", "--shape", "100000,100000"], "grid spans 10000000000 sites"),
+    _case(["bootstrap", "crossing", "--ell", "nan"], "ell must be finite", "argv61"),
+    _case(["bootstrap", "decay-table", "--Rs", "8,nan"], "R must be finite, got nan", "argv62"),
+    _case(["bootstrap", "decay-table", "--Rs", "inf"], "R must be finite, got inf", "argv63"),
+    _case(["bootstrap", "decay-table", "--spacing", "nan"], "spacing must be finite and > 0", "argv64"),
+    _case(["bootstrap", "decay-table", "--ell", "nan"], "ell must be finite", "argv65"),
     # a crossing box shorter than two sites, which was once raised to two in silence
-    (["bootstrap", "crossing", "--aspect", "-1", "-n", "64"], "box too short"),
-    (["bootstrap", "crossing", "--aspect", "0", "-n", "64"], "box too short"),
-    (["bootstrap", "crossing", "--aspect", "0.01", "-n", "64"], "box too short"),
-    (["bootstrap", "crossing", "--kind", "vcross", "--aspect", "0.01", "-n", "64"], "box too short"),
+    _case(["bootstrap", "crossing", "--aspect", "-1", "-n", "64"], "box too short", "argv66"),
+    _case(["bootstrap", "crossing", "--aspect", "0", "-n", "64"], "box too short", "argv67"),
+    _case(["bootstrap", "crossing", "--aspect", "0.01", "-n", "64"], "box too short", "argv68"),
+    _case(["bootstrap", "crossing", "--kind", "vcross", "--aspect", "0.01", "-n", "64"], "box too short", "argv69"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):

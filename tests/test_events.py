@@ -402,3 +402,24 @@ def test_lattice_ball_is_the_row_major_euclidean_ball(center, radius):
 def test_lattice_ball_needs_a_finite_radius(radius):
     with pytest.raises(InputError, match="ball radius must be finite"):
         events.lattice_ball((0, 0), radius)
+
+
+@pytest.mark.parametrize("build", [
+    lambda hi: events.BoxCrossing((0, 0), hi),
+    lambda hi: events.event_from_dict({"kind": "box_crossing", "lo": [0, 0], "hi": list(hi)}),
+], ids=["box", "config-box"])
+def test_a_crossing_box_spans_at_most_max_sites(build):
+    # 4096^2 = 2**24 sites construct (the support is built only when read); 24929 * 673 = 2**24 + 1 raise
+    assert build((4095, 4095)).hi == (4095, 4095)
+    with pytest.raises(InputError, match="MAX_SITES"):
+        build((24928, 672))
+
+
+def test_a_lattice_ball_bounding_box_spans_at_most_max_sites():
+    # the (2 ceil(r) + 1)^d bounding box is checked before any site is built: 4097^2 > 2**24
+    with pytest.raises(InputError, match="MAX_SITES"):
+        events.lattice_ball((0, 0), 2048)
+    annulus = events.AnnulusCrossing((0, 0), 1e7, 2e7)
+    with pytest.raises(InputError, match="MAX_SITES"):
+        annulus.support
+    assert events.lattice_ball((0, 0), -1e9) == ()  # an empty ball spans no sites

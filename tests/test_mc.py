@@ -249,7 +249,7 @@ def test_threshold_cov_bf_grid():
 
 def test_hoeffding_independent_integral_near_zero():
     rep = mc.verify_hoeffding(iid_plan(), *block_events(), 20_000)
-    assert rep.verdict == mc.VERDICT_PASS
+    assert rep.verdict != mc.VERDICT_FAIL
     assert abs(rep.terms["integral"].value) < 0.05
 
 
@@ -270,28 +270,29 @@ def test_hoeffding_correlated_2x2():
                          ids=["variance-9", "level-12", "level-1e6"])
 def test_hoeffding_box_follows_level_and_scale(var, level):
     # the box is the replicates' span, outside which the empirical defect is 0, so the
-    # allowance has no truncation term; a fixed (-8, 8)^2 box would miss every threshold
+    # bound has no truncation term; a fixed (-8, 8)^2 box would miss every threshold
     # at level 12 and 1e6 and integrate to 0
     plan = sampler.plan_dense(np.full((2, 2), var), 2)
     rep = mc.verify_hoeffding(plan, *single_events(level), 5_000)
-    assert rep.verdict == mc.VERDICT_PASS
-    assert rep.sides[0].bound == mc.NOISE_SES * rep.terms["cov"].se + rep.constants["resolution"]
+    assert rep.verdict != mc.VERDICT_FAIL
+    assert rep.sides[0].bound == rep.constants["resolution"]
     assert rep.terms["integral"].value == pytest.approx(var, rel=0.05)
 
 
 @pytest.mark.parametrize("level", [0.0, 0.3])
 @pytest.mark.parametrize("constant_first", [True, False], ids=["constant-first", "constant-second"])
 def test_hoeffding_zero_variance_site_is_no_false_fail(level, constant_first):
-    # a zero-variance site's threshold is constant: its span and the Hoeffding integral
-    # are 0 and the allowance is the noise alone, where dividing by its sd made a budget nan
+    # a zero-variance site's threshold is constant: its span, the Hoeffding integral and
+    # the bound are 0 and classify reads the noise alone, where dividing by its sd made a
+    # budget nan; at level 0.3 the covariance rounds to 3e-33 at se 2e-18
     plan = sampler.plan_dense(np.array([[0.0, 0.0], [0.0, 1.0]]), 3)
     A_const, A_var = single_events(level)
     rep = mc.verify_hoeffding(plan, *((A_const, A_var) if constant_first else (A_var, A_const)), 4_000)
-    assert rep.verdict == mc.VERDICT_PASS
+    assert rep.verdict != mc.VERDICT_FAIL
     assert rep.constants["resolution"] == 0.0
-    assert rep.sides[0].bound == mc.NOISE_SES * rep.terms["cov"].se
+    assert rep.sides[0].bound == 0.0
     assert rep.terms["integral"].value == 0.0
-    assert math.isfinite(rep.sides[0].slack) and rep.sides[0].slack >= 0
+    assert math.isfinite(rep.sides[0].slack)
 
 
 # --- positive association -------------------------------------------------------
@@ -377,7 +378,8 @@ def test_interp_zero_variance_site_is_no_false_fail():
     plan = sampler.plan_dense(K, 0)
     assert np.all(plan.factor[1] == 0.0)
     rep = mc.verify_interp_formula(plan, 4_000)
-    assert rep.verdict == mc.VERDICT_PASS
+    assert rep.verdict != mc.VERDICT_FAIL
+    assert [s.bound for s in rep.sides] == [0.0] * len(rep.sides)
     assert rep.terms["lhs0"].value == 0.0
 
 
@@ -392,7 +394,8 @@ def test_interp_linear_and_max_cases():
     K = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]])
     plan = sampler.plan_dense(K, 31)
     rep = mc.verify_interp_formula(plan, 30_000)
-    assert rep.verdict == mc.VERDICT_PASS
+    assert rep.verdict != mc.VERDICT_FAIL
+    assert [s.bound for s in rep.sides] == [0.0] * 3
     # linear-linear case: both sides estimate K(0,1) = 0.5
     assert rep.terms["lhs0"].value == pytest.approx(0.5, abs=4 * rep.terms["lhs0"].se)
     assert rep.terms["rhs0"].value == pytest.approx(0.5, abs=1e-9)  # gradient indices constant
@@ -411,7 +414,7 @@ def test_interp_linear_and_max_cases():
 def test_interp_rhs_is_steins_mean_so_no_quadrature_budget(dim, seed):
     # every built-in case has a linear g = X_j, so the interpolation integrand does not
     # depend on the node: the 24-node rule returns Stein's mean of K[grad f index, j] up
-    # to rounding, and no quadrature error enters the allowance; a case with a
+    # to rounding, and no quadrature error enters the bound; a case with a
     # non-linear g would need its own quadrature budget
     A = np.random.default_rng(100 + seed).standard_normal((dim, dim))
     K = A @ A.T + 0.1 * np.eye(dim)
@@ -590,13 +593,18 @@ def test_side_helpers_slack_conventions():
     assert (lo.estimate, lo.se, lo.bound) == (0.25, 0.1, 0.5)
 
 
-@pytest.mark.parametrize("diff, verdict", [(1.0, mc.VERDICT_PASS), (1.0 + 1e-12, mc.VERDICT_FAIL),
-                                           (3.0, mc.VERDICT_FAIL)])
-def test_allowance_sides_are_pass_or_fail_only(diff, verdict):
-    # a slack of -1e-12 against se = 1 would be pass-within-noise under classify
-    side = mc._allowance("x", diff, 1.0, 1.0)
-    assert side.verdict == verdict
-    assert side.slack == 1.0 - diff
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_decides_every_side_of_every_desk_instance(seed):
+    # one verdict rule: no side folds the noise into its bound, so hoeffding's bound is the
+    # 256 -> 128-bin change alone and each interp case's bound is the identity's 0
+    for tid in cli.THEOREM_IDS:
+        rep = cli.run_config(cli.default_config(tid, 2_000, seed, 1))
+        for side in rep.sides:
+            assert side.verdict == mc.classify(side.slack, side.se), (tid, side)
+        if tid == "hoeffding":
+            assert [s.bound for s in rep.sides] == [rep.constants["resolution"]]
+        if tid == "interp":
+            assert rep.sides and all(s.bound == 0.0 for s in rep.sides)
 
 
 def test_report_verdict_is_derived_from_its_sides():
@@ -630,9 +638,7 @@ def test_not_applicable_reports_are_timed():
     lambda x: mc._upper("u", x, 0.1, 1.0),
     lambda x: mc._upper("u", 0.5, x, 1.0),
     lambda x: mc._side("s", -x, 0.1, 0.0, x),
-    lambda x: mc._allowance("a", x, 0.1, 1.0),
-    lambda x: mc._allowance("a", 0.5, 0.1, x),
-], ids=["upper-estimate", "upper-se", "side-slack", "allowance-difference", "allowance"])
+], ids=["upper-estimate", "upper-se", "side-slack"])
 def test_a_nan_side_is_a_numerical_error_not_a_verdict(side):
     # classify read a NaN slack as fail, and a NaN se beside a positive slack as pass
     assert side(0.5).verdict == mc.VERDICT_PASS

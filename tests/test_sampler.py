@@ -350,6 +350,37 @@ def test_circulant_torus_never_exceeds_the_power_of_two_rule(spacing):
         assert sampler.plan_circulant(bf, sampler.Grid((9, 9), spacing), 0).torus_shape == (32, 32)
 
 
+@pytest.mark.parametrize("model, spacings", [
+    (kernels.bargmann_fock(2), (0.5, 1.0)), (kernels.cauchy(2.0, 2), (0.5, 1.0)), (kernels.cauchy(4.0, 2), (0.5, 1.0)),
+    (kernels.polylog_decay(3.5, 2), (0.5, 1.0)), (kernels.iid_standard(2), (1.0,)),
+    (kernels.bargmann_fock(3), (0.5, 1.0)), (kernels.gff(3), (1.0,)),
+], ids=["bf", "cauchy-2", "cauchy-4", "polylog-3.5", "iid", "bf-3d", "gff-3d"])
+def test_smallest_torus_gathers_one_kernel_evaluation(monkeypatch, model, spacings):
+    # each candidate's wrapped covariance is gathered from K at the box lags, evaluated once,
+    # and the search ends where evaluating the kernel afresh for every candidate ends
+    shapes = [(2, 2), (5, 12), (9, 9), (24, 24), (33, 33), (64, 20)] if model.dim == 2 else [(2, 2, 2), (6, 5, 4), (9, 9, 9)]
+    calls = []
+    cov_of_offsets = sampler.cov_of_offsets
+    monkeypatch.setattr(sampler, "cov_of_offsets", lambda *a: calls.append(1) or cov_of_offsets(*a))
+    for shape in shapes:
+        for spacing in spacings:
+            for margin in (0.0, 3.0):
+                grid = sampler.Grid(shape, spacing)
+                floor = [math.ceil(min(n + margin / spacing, 2 * n)) for n in shape]
+                calls.clear()
+                torus = sampler._smallest_torus(model, grid, floor)
+                assert len(calls) == 1
+                assert torus == oracles.smallest_torus_per_candidate(model, grid, floor), (shape, spacing, margin)
+
+
+def test_a_grid_spans_at_most_max_sites():
+    # the shape's product is checked before any site is built: 2**24 sites construct, 24929 * 673 = 2**24 + 1 raise
+    assert sampler.Grid((4096, 4096)).shape == (4096, 4096)
+    for shape in [(24929, 673), (100_000, 100_000), (2**40,)]:
+        with pytest.raises(InputError, match="MAX_SITES"):
+            sampler.Grid(shape)
+
+
 def _stated_limit(plan) -> float:
     """How far a torus plan's box covariance may sit from the kernel: the wrap error, at most
     SPECTRUM_CLIP_LIMIT * K(0), plus the clipped spectrum, at most c / (1 - 2c) * K(0) for a
