@@ -18,7 +18,7 @@ import numpy as np
 from . import mc
 from .errors import DomainError, InputError, ParameterError
 from .events import AnnulusCrossing, BoxCrossing
-from .sampler import Grid, plan_circulant
+from .sampler import MAX_SITES, Grid, plan_circulant
 
 LOG2 = math.log(2.0)
 LOG5 = math.log(5.0)
@@ -96,15 +96,11 @@ def decay_from_string(text: str) -> DecayFunction:
         raise ParameterError(f"decay {text!r} must be family:numbers, as in 'polylog:3.5'") from None
     if len(vals) > 2:
         raise ParameterError(f"decay {text!r} takes one or two numbers, as in 'polylog:3.5,1'")
-    if name == "polylog":
-        return polylog(*vals)
-    if name == "loginv":
-        return loginv(*vals)
-    if name == "power":
-        return power(*vals)
-    if name == "stretched":
-        return stretched_exp(*vals)
-    raise ParameterError(f"unknown decay family {name!r}")
+    # the table is built per call, so each name reaches the module's binding of its factory
+    factory = {"polylog": polylog, "loginv": loginv, "power": power, "stretched": stretched_exp}.get(name)
+    if factory is None:
+        raise ParameterError(f"unknown decay family {name!r}")
+    return factory(*vals)
 
 
 @dataclass(frozen=True)
@@ -247,9 +243,12 @@ def annulus_covering(d: int, R: float) -> AnnulusCovering:
 # sprinkling schedule
 
 
-def _check_count(name: str, value) -> None:
+def _check_count(name: str, value, most: int | None = None) -> None:
+    """ParameterError unless value is an integer >= 1 and, when ``most`` is given, at most it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+    if most is not None and value > most:
+        raise ParameterError(f"{name} must be at most {most}, got {value!r}")
 
 
 def _log_R0(R0: float | None, log_R0: float | None) -> float:
@@ -283,7 +282,7 @@ def sprinkle_schedule(R0: float | None, delta: float, ell_prime: float, n_max: i
                              "diverge and ell_inf = -infinity")
     if not math.isfinite(ell_prime):
         raise ParameterError(f"ell' must be finite, got {ell_prime!r}")
-    _check_count("n_max", n_max)
+    _check_count("n_max", n_max, MAX_SITES)  # one float per level
     log_R0 = _log_R0(R0, log_R0)
     p = 1.0 + delta / 2.0
     n = np.arange(1, n_max + 1, dtype=float)
@@ -416,7 +415,7 @@ def run_recursion(g: DecayFunction, delta: float, n_d: int, c: float, R0: float 
     """
     if not 0.0 <= p1 <= 1.0:
         raise ParameterError("p1 must be a probability")
-    _check_count("n_steps", n_steps)
+    _check_count("n_steps", n_steps, MAX_SITES)  # a few floats per step
     hp, cp = _closure_args(g, delta, n_d, c, h_prime)
     log_R0 = _log_R0(R0, log_R0)
     h = HFromG(g, delta)

@@ -24,7 +24,7 @@ import numpy as np
 from . import analytic, bootstrap, kernels, measures, mc
 from .errors import ConfigError, SdlabError
 from .events import AllAbove, BoxCrossing, event_from_dict, event_to_dict, lattice_ball
-from .sampler import Grid, plan_circulant, plan_dense, write_snapshot
+from .sampler import MAX_SITES, Grid, plan_circulant, plan_dense, write_snapshot
 
 ENV_OUT = "SDLAB_OUT"
 
@@ -305,6 +305,9 @@ def cmd_negbound(args) -> int:
             and args.u_max >= args.u_step):
         raise ConfigError(f"--u-step must be finite and > 0 and --u-max finite and >= it, "
                           f"got {args.u_step} and {args.u_max}")
+    if (args.u_max + 1e-12 - args.u_step) / args.u_step > MAX_SITES:  # np.arange's row count, before its ceil
+        raise ConfigError(f"--u-max {args.u_max} at --u-step {args.u_step} makes more rows than "
+                          f"MAX_SITES = {MAX_SITES}")
     u = np.arange(args.u_step, args.u_max + 1e-12, args.u_step)
     table = analytic.neg_bound_scan(args.kappa, u)
     text = "u,r,exponent\n" + "".join(f"{uu:.6g},{r:.17g},{ex:.12g}\n" for uu, r, ex in table.rows())
@@ -336,6 +339,10 @@ def _solver_input(args, shifts) -> tuple[np.ndarray, list[list[int]]]:
         return _read_matrix(args.matrix), []
     model = build_model({"family": args.model, "d": args.d})
     ball = lattice_ball((0,) * args.d, args.ball)
+    reach = max((p[0] for p in ball), default=-1)  # the ball spans -reach to reach along axis 0
+    if len(shifts) > 1 and abs(shifts[1] - shifts[0]) <= 2 * reach:
+        raise ConfigError(f"--dist {args.dist} must exceed {2 * reach}, the width of the --ball {args.ball} "
+                          "lattice ball along axis 0: the two shifted balls overlap")
     K = kernels.build_cov_matrix(model, [(p[0] + s, *p[1:]) for s in shifts for p in ball])
     return K, [list(range(k * len(ball), (k + 1) * len(ball))) for k in range(len(shifts))]
 

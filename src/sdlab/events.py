@@ -197,7 +197,6 @@ class CompiledEvent:
     """
 
     def __init__(self, spec: EventSpec, index):
-        self.spec = spec
         support = spec.support
         if len(support) == 0:
             raise SpecError("event has empty support")

@@ -44,6 +44,10 @@ Point = tuple
 PSD_REL_TOL = 1e-10
 # clipped eigenvalue mass above this fraction of the trace means "not PSD"
 PSD_CLIP_LIMIT = 1e-6
+# The most entries n^2 of a matrix build_cov_matrix makes.  It peaks at about 24 bytes an
+# entry (tracemalloc, GFF and Bargmann-Fock balls of 925 to 2,109 points), so 9e7 entries,
+# n = 9,486, is about 2.2 GB, the budget of sampler.MAX_SITES.
+MAX_COV_ENTRIES = 90_000_000
 
 
 @dataclass(frozen=True)
@@ -333,6 +337,9 @@ def build_cov_matrix(model: CovarianceModel, points) -> np.ndarray:
     pts = [_as_point(p) for p in points]
     if not pts:
         raise InputError("point set is empty")
+    if len(pts) ** 2 > MAX_COV_ENTRIES:
+        raise InputError(f"a covariance matrix on {len(pts)} points has {len(pts) ** 2} entries, "
+                         f"more than MAX_COV_ENTRIES = {MAX_COV_ENTRIES}")
     if len(set(pts)) != len(pts):
         raise InputError("points must be distinct")
     if model.family == "explicit":

@@ -320,27 +320,25 @@ def verify_hoeffding(plan, A1, A2, n: int, workers: int = 1) -> InequalityReport
     The integral is taken from the empirical cdfs of the replicates over the
     box [min T1, max T1] x [min T2, max T2], at HOEFFDING_BINS bins per axis.
     The empirical defect F12 - F1 F2 is 0 outside that box, so the box
-    truncates nothing: the bound on |cov - integral| is the change from half
-    the bins, and classify reads the noise.
+    truncates nothing: the bound on |cov - integral| is the change from every
+    other midpoint of the same count table, and classify reads the noise.
     """
     t1, t2 = event_thresholds(plan, (A1, A2), n, workers)
     cov_est = _cov(t1, t2)
-    u_lo, u_hi, v_lo, v_hi = t1.min(), t1.max(), t2.min(), t2.max()
-
-    def box_integral(bins: int) -> float:
-        mu = u_lo + (np.arange(bins) + 0.5) * (u_hi - u_lo) / bins
-        mv = v_lo + (np.arange(bins) + 0.5) * (v_hi - v_lo) / bins
-        eu = np.concatenate(([-np.inf], mu, [np.inf]))
-        ev = np.concatenate(([-np.inf], mv, [np.inf]))
-        counts, _, _ = np.histogram2d(t1, t2, bins=(eu, ev))
-        F = counts.cumsum(axis=0).cumsum(axis=1) / n  # F[i, j]: the share with t1 < mu[i] and t2 < mv[j]
-        integrand = F[:-1, :-1] - np.outer(F[:-1, -1], F[-1, :-1])  # F12 - F1 F2, F1 and F2 the margins
-        du = (u_hi - u_lo) / bins
-        dv = (v_hi - v_lo) / bins
-        return float(integrand.sum() * du * dv)
-
-    integral = box_integral(HOEFFDING_BINS)
-    resolution = abs(integral - box_integral(HOEFFDING_BINS // 2))
+    # k = #{mid <= t}, so mid[k - 1] <= t < mid[k] with -inf and inf past the ends.  One (2, n) array for
+    # both axes: after one per axis glibc's mmap threshold stayed low, and interp ran 40 % slower next.
+    t = np.stack((t1, t2))
+    lo, hi = t.min(axis=1), t.max(axis=1)
+    mid = lo[:, None] + (np.arange(HOEFFDING_BINS) + 0.5) * (hi - lo)[:, None] / HOEFFDING_BINS
+    k1, k2 = (np.searchsorted(m, x, side="right") for m, x in zip(mid, t))
+    du, dv = (hi - lo) / HOEFFDING_BINS
+    size = HOEFFDING_BINS + 1
+    counts = np.bincount(k1 * size + k2, minlength=size * size).reshape(size, size)
+    F = counts.cumsum(axis=0).cumsum(axis=1) / n  # F[i, j]: the share with t1 < mid[0, i] and t2 < mid[1, j]
+    defect = F[:-1, :-1] - np.outer(F[:-1, -1], F[-1, :-1])  # F12 - F1 F2, F1 and F2 the margins
+    integral = float(defect.sum() * du * dv)
+    # the odd midpoints are a grid of spacing 2 du x 2 dv on the same counts
+    resolution = abs(integral - float(defect[1::2, 1::2].sum() * (2 * du) * (2 * dv)))
     side = _upper("cov=integral", abs(cov_est.value - integral), cov_est.se, resolution)
     terms = {"cov": cov_est, "integral": TermEstimate(integral, 0.0, n)}
     consts = {"resolution": resolution, "bins": HOEFFDING_BINS}

@@ -14,7 +14,9 @@ exact torus, bisection over every replicate's
 sorted values instead of a path lower bound and one confirming labelling,
 a torus plan's kernels summed against one noise per torus site instead of
 the cross-spectra of its filters, the bivariate normal cdf's regression form
-in x instead of the fixed rule in theta = asin r.
+in x instead of the fixed rule in theta = asin r, ``np.histogram2d`` over
++-inf-padded midpoint edges and a pairwise comparison with every midpoint
+instead of one ``searchsorted`` count table for the Hoeffding integral.
 """
 
 from __future__ import annotations
@@ -51,6 +53,28 @@ def block_normals(base_seed: int, b: int, width: int) -> np.ndarray:
 def block_row_normals(base_seed: int, replicate: int, width: int) -> np.ndarray:
     """Replicate ``replicate``'s row of ``block_normals``: its first ``width`` factor-draw normals."""
     return block_normals(base_seed, replicate // 256, width)[replicate % 256]
+
+
+def hoeffding_box_integral(t1: np.ndarray, t2: np.ndarray, bins: int) -> float:
+    """The double integral of F12 - F1 F2 over [min t1, max t1] x [min t2, max t2] as a sum at
+    ``bins`` midpoints per axis, each replicate counted by ``np.histogram2d`` between the
+    midpoints, with -inf and inf as the outer edges."""
+    n = len(t1)
+    u_lo, u_hi, v_lo, v_hi = t1.min(), t1.max(), t2.min(), t2.max()
+    mu = u_lo + (np.arange(bins) + 0.5) * (u_hi - u_lo) / bins
+    mv = v_lo + (np.arange(bins) + 0.5) * (v_hi - v_lo) / bins
+    eu = np.concatenate(([-np.inf], mu, [np.inf]))
+    ev = np.concatenate(([-np.inf], mv, [np.inf]))
+    counts, _, _ = np.histogram2d(t1, t2, bins=(eu, ev))
+    F = counts.cumsum(axis=0).cumsum(axis=1) / n  # F[i, j]: the share with t1 < mu[i] and t2 < mv[j]
+    integrand = F[:-1, :-1] - np.outer(F[:-1, -1], F[-1, :-1])
+    return float(integrand.sum() * ((u_hi - u_lo) / bins) * ((v_hi - v_lo) / bins))
+
+
+def hoeffding_bins(t: np.ndarray, bins: int) -> np.ndarray:
+    """Each replicate's count of the ``bins`` midpoints of [min t, max t] at or below it."""
+    mid = t.min() + (np.arange(bins) + 0.5) * (t.max() - t.min()) / bins
+    return (t[:, None] >= mid[None, :]).sum(axis=1)
 
 
 def clipped_fraction(model, torus, spacing: float) -> float:

@@ -361,6 +361,15 @@ def _case(argv, message, key=None):
     _case(["bootstrap", "crossing", "--aspect", "0", "-n", "64"], "box too short", "argv67"),
     _case(["bootstrap", "crossing", "--aspect", "0.01", "-n", "64"], "box too short", "argv68"),
     _case(["bootstrap", "crossing", "--kind", "vcross", "--aspect", "0.01", "-n", "64"], "box too short", "argv69"),
+    # dense matrices and tables past their caps: a typed error before the first allocation
+    _case(["capacity", "--ball", "40"], "267761 points has 71695953121 entries, more than MAX_COV_ENTRIES"),
+    _case(["negbound", "--u-max", "1e12", "--u-step", "1e-3"], "makes more rows than MAX_SITES = 16777216"),
+    _case(["bootstrap", "schedule", "--R0", "10", "--n-max", "1000000000000"], "n_max must be at most 16777216"),
+    _case(["bootstrap", "run-recursion", "--n-steps", "1000000000000"], "n_steps must be at most 16777216"),
+    # two maxcorr balls that share sites, once "points must be distinct"
+    _case(["maxcorr", "--ball", "30"], "--dist 12 must exceed 60, the width of the --ball 30.0"),
+    _case(["maxcorr", "--ball", "6"], "--dist 12 must exceed 12"),
+    _case(["maxcorr", "--ball", "2", "--dist", "-4"], "--dist -4 must exceed 4"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):

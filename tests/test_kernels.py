@@ -150,6 +150,20 @@ def test_build_cov_duplicate_points_rejected():
         kernels.build_cov_matrix(kernels.iid_standard(1), [(0,), (0,)])
 
 
+def test_build_cov_caps_its_entries_before_the_first_matrix(monkeypatch):
+    # n^2 is checked before any n x n array: 9,487 points (9.0003e7 entries) end in an
+    # InputError at once, where they would need about 2.2 GB to build
+    pts = [(i,) for i in range(9_487)]
+    with pytest.raises(InputError, match="9487 points has 90003169 entries, more than MAX_COV_ENTRIES"):
+        kernels.build_cov_matrix(kernels.iid_standard(1), pts)
+    # the cap is on n^2, inclusive, for every family
+    monkeypatch.setattr(kernels, "MAX_COV_ENTRIES", 9)
+    for model in (kernels.gff(3), kernels.explicit(np.eye(4))):
+        assert kernels.build_cov_matrix(model, [(i, 0, 0)[:model.dim] for i in range(3)]).shape == (3, 3)
+        with pytest.raises(InputError, match="4 points has 16 entries"):
+            kernels.build_cov_matrix(model, [(i, 0, 0)[:model.dim] for i in range(4)])
+
+
 def test_build_cov_exactly_symmetric_and_psd():
     m = kernels.bargmann_fock(2)
     pts = [(float(i), float(j)) for i in range(5) for j in range(5)]

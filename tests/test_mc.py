@@ -2,6 +2,7 @@ import math
 import sys
 
 import numpy as np
+import oracles
 import pytest
 from scipy import special
 
@@ -293,6 +294,61 @@ def test_hoeffding_zero_variance_site_is_no_false_fail(level, constant_first):
     assert rep.sides[0].bound == 0.0
     assert rep.terms["integral"].value == 0.0
     assert math.isfinite(rep.sides[0].slack)
+
+
+def _thresholds(kind, n=4_000):
+    rng = np.random.default_rng(11)
+    z1, z2 = rng.standard_normal((2, n))
+    t1, t2 = z1, 0.6 * z1 + 0.8 * z2
+    if kind == "tied":  # integers spanning 0..512: every odd value sits on a midpoint, an edge of two bins
+        t1, t2 = (np.clip(np.round(128 * t + 256), 0, 512) for t in (t1, t2))
+        t1[:2], t2[:2] = (0, 512), (512, 0)
+    elif kind == "constant":
+        t1 = np.full(n, 0.3)
+    elif kind == "scaled":
+        t1, t2 = 1e300 * t1, 1e-300 * t2
+    elif kind == "level":
+        t1, t2 = t1 + 1e6, t2 - 1e6
+    return t1, t2
+
+
+def _hoeffding_on(monkeypatch, t1, t2):
+    """verify_hoeffding's report on the thresholds (t1, t2) in place of its draws."""
+    monkeypatch.setattr(mc, "event_thresholds", lambda plan, specs, n, workers=1: (t1, t2))
+    return mc.verify_hoeffding(pair_plan(), *single_events(), len(t1))
+
+
+@pytest.mark.parametrize("kind", ["normal", "tied", "constant", "scaled", "level"])
+def test_hoeffding_integral_is_the_histogram2d_sum_bit_for_bit(monkeypatch, kind):
+    # one searchsorted bin per threshold and one count table give the integral that
+    # np.histogram2d with +-inf outer edges gave, to the last bit, ties on the edges included
+    t1, t2 = _thresholds(kind)
+    rep = _hoeffding_on(monkeypatch, t1, t2)
+    assert rep.terms["integral"].value == oracles.hoeffding_box_integral(t1, t2, mc.HOEFFDING_BINS)
+    assert rep.verdict != mc.VERDICT_FAIL
+
+
+def _bin_cov(k1, k2) -> float:
+    """Cov_{1/n} of two integer arrays, exactly in integers before its one rounding."""
+    n, s1, s2, s12 = len(k1), int(k1.sum()), int(k2.sum()), int((k1 * k2).sum())
+    return (n * s12 - s1 * s2) / n**2
+
+
+@pytest.mark.parametrize("kind", ["draws", "tied", "level"])
+def test_hoeffding_integrals_are_the_covariance_of_the_bin_indices(monkeypatch, kind):
+    # Hoeffding's formula on the bin indices k = #{midpoints <= t}: the fine sum is
+    # du dv Cov(k1, k2), and the sum at every other (odd) midpoint is 4 du dv Cov(k1 // 2, k2 // 2)
+    if kind == "draws":
+        t1, t2 = mc.event_thresholds(pair_plan(5), single_events(), 100_000)
+    else:
+        t1, t2 = _thresholds(kind)
+    bins = mc.HOEFFDING_BINS
+    k1, k2 = oracles.hoeffding_bins(t1, bins), oracles.hoeffding_bins(t2, bins)
+    du, dv = (t1.max() - t1.min()) / bins, (t2.max() - t2.min()) / bins
+    fine, coarse = du * dv * _bin_cov(k1, k2), 4 * du * dv * _bin_cov(k1 // 2, k2 // 2)
+    rep = _hoeffding_on(monkeypatch, t1, t2)
+    assert rep.terms["integral"].value == pytest.approx(fine, rel=1e-12, abs=1e-12)
+    assert rep.constants["resolution"] == pytest.approx(abs(fine - coarse), rel=1e-9, abs=1e-12)
 
 
 # --- positive association -------------------------------------------------------
@@ -596,7 +652,7 @@ def test_side_helpers_slack_conventions():
 @pytest.mark.parametrize("seed", range(3))
 def test_classify_decides_every_side_of_every_desk_instance(seed):
     # one verdict rule: no side folds the noise into its bound, so hoeffding's bound is the
-    # 256 -> 128-bin change alone and each interp case's bound is the identity's 0
+    # change at every other midpoint alone and each interp case's bound is the identity's 0
     for tid in cli.THEOREM_IDS:
         rep = cli.run_config(cli.default_config(tid, 2_000, seed, 1))
         for side in rep.sides:
