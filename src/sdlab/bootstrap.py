@@ -284,15 +284,19 @@ def sprinkle_schedule(R0: float | None, delta: float, ell_prime: float, n_max: i
         raise ParameterError(f"ell' must be finite, got {ell_prime!r}")
     _check_count("n_max", n_max, MAX_SITES)  # one float per level
     log_R0 = _log_R0(R0, log_R0)
-    p = 1.0 + delta / 2.0
+    half = delta / 2.0  # not (1 + delta/2) - 1, which is 0 for delta <= 2.2e-16
     n = np.arange(1, n_max + 1, dtype=float)
-    steps = (log_R0 + n * LOG5) ** (-p)  # decrement applied after level n
+    steps = (log_R0 + n * LOG5) ** (-1.0 - half)  # decrement applied after level n
     levels = np.empty(n_max)
     levels[0] = ell_prime
     if n_max > 1:
         levels[1:] = ell_prime - np.cumsum(steps[:-1])
-    # convexity: sum_{n >= N} f(n) <= int_{N - 1/2}^inf f, with f(x) = (log R0 + x log 5)^(-p)
-    tail = (log_R0 + (n_max - 0.5) * LOG5) ** (1.0 - p) / ((p - 1.0) * LOG5)
+    # convexity: sum_{n >= N} f(n) <= int_{N - 1/2}^inf f, with f(x) = (log R0 + x log 5)^(-1-delta/2)
+    scale = half * LOG5
+    tail = (log_R0 + (n_max - 0.5) * LOG5) ** -half / scale if scale > 0 else math.inf
+    if not math.isfinite(tail):
+        raise ParameterError(f"delta = {delta!r} is too small: the schedule's tail bound, about 2/(delta log 5), "
+                             "overflows a float")
     return Schedule(levels, float(levels[-1] - tail), float(tail))
 
 

@@ -591,6 +591,9 @@ def main(argv=None) -> int:
     except SdlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # an input under the size caps can still need more memory than the process has
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ a torus plan's kernels summed against one noise per torus site instead of
 the cross-spectra of its filters, the bivariate normal cdf's regression form
 in x instead of the fixed rule in theta = asin r, ``np.histogram2d`` over
 +-inf-padded midpoint edges and a pairwise comparison with every midpoint
-instead of one ``searchsorted`` count table for the Hoeffding integral.
+instead of one ``searchsorted`` count table for the Hoeffding integral,
+the interpolation terms in closed form instead of from draws.
 """
 
 from __future__ import annotations
@@ -75,6 +76,22 @@ def hoeffding_bins(t: np.ndarray, bins: int) -> np.ndarray:
     """Each replicate's count of the ``bins`` midpoints of [min t, max t] at or below it."""
     mid = t.min() + (np.arange(bins) + 0.5) * (t.max() - t.min()) / bins
     return (t[:, None] >= mid[None, :]).sum(axis=1)
+
+
+def interp_terms(K) -> dict[str, float]:
+    """Exact values of ``verify_interp_formula``'s terms on the covariance K.
+
+    Case 0 is Cov[X0, Xj] = K[0, j] with j = min(1, d - 1), case 1 is Var X0 = K[0, 0]; each rhs is
+    that K entry on every replicate.  Case 2, f = max(X0, X1) and g = X2, has by Stein's identity
+    Cov[f, X2] = K02 P[X0 >= X1] + K12 P[X1 > X0], and P[X0 >= X1] = 1/2 when X0 - X1 has positive
+    variance; it is left out when d < 3 or Var(X0 - X1) = 0.
+    """
+    K = np.asarray(K, dtype=float)
+    d = len(K)
+    terms = {"lhs0": K[0, min(1, d - 1)], "rhs0": K[0, min(1, d - 1)], "lhs1": K[0, 0], "rhs1": K[0, 0]}
+    if d >= 3 and K[0, 0] + K[1, 1] - 2.0 * K[0, 1] > 0:
+        terms["lhs2"] = terms["rhs2"] = (K[0, 2] + K[1, 2]) / 2.0
+    return {k: float(v) for k, v in terms.items()}
 
 
 def clipped_fraction(model, torus, spacing: float) -> float:

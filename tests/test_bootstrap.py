@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -154,6 +155,24 @@ def test_schedule_limit_bound_consistency():
 def test_schedule_rejects_nonpositive_delta():
     with pytest.raises(ParameterError, match="diverge"):
         bootstrap.sprinkle_schedule(10.0, 0.0, -1.0, 10)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-12, 0.25])
+def test_schedule_tail_matches_mpmath(delta):
+    # delta/2 was taken as (1 + delta/2) - 1: the tail's relative error was 6e-9 at
+    # delta = 1e-8 and 9e-5 at 1e-12
+    s = bootstrap.sprinkle_schedule(10.0, delta, 0.0, 1000)
+    with mp.workdps(40):
+        half = mp.mpf(delta) / 2
+        exact = (mp.log(10) + mp.mpf(999.5) * mp.log(5)) ** -half / (half * mp.log(5))
+    assert abs(s.tail_bound - exact) <= 1e-14 * exact
+    assert s.ell_inf_lower == s.levels[-1] - s.tail_bound
+
+
+def test_schedule_rejects_a_delta_whose_tail_overflows():
+    with pytest.raises(ParameterError, match="delta = 1e-310 is too small"):
+        bootstrap.sprinkle_schedule(10.0, 1e-310, 0.0, 10)
+    assert math.isfinite(bootstrap.sprinkle_schedule(10.0, 1e-300, 0.0, 10).ell_inf_lower)
 
 
 # --- initial bound -----------------------------------------------------------------------

@@ -370,6 +370,9 @@ def _case(argv, message, key=None):
     _case(["maxcorr", "--ball", "30"], "--dist 12 must exceed 60, the width of the --ball 30.0"),
     _case(["maxcorr", "--ball", "6"], "--dist 12 must exceed 12"),
     _case(["maxcorr", "--ball", "2", "--dist", "-4"], "--dist -4 must exceed 4"),
+    # a subnormal delta: delta/2 * log 5 is so small that the schedule's tail bound overflows
+    _case(["bootstrap", "schedule", "--R0", "10", "--delta", "5e-324"], "delta = 5e-324 is too small",
+          "schedule-subnormal-delta"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_option_values_exit_1(tmp_path, capsys, argv, message):
@@ -506,6 +509,34 @@ def test_bvn_prints_strict_json_without_warnings(argv, capsys):
         assert run(["bvn", *argv]) == 0
     out = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert 0.0 <= out["cdf"] <= 1.0
+
+
+@pytest.mark.parametrize("command", ["schedule", "run-recursion"])
+def test_tiny_delta_sprinkle_schedule_prints_strict_json(command, tmp_path, capsys):
+    # delta/2 was taken as (1 + delta/2) - 1, which is 0 for delta <= 2.2e-16: a ZeroDivisionError
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    argv = ["bootstrap", command, "--delta", "1e-300", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + (["--R0", "10"] if command == "schedule" else [])) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("{")]
+    out = json.loads(line, parse_constant=reject)
+    assert math.isfinite(out["ell_inf_lower"]) and out["ell_inf_lower"] < -1e299
+
+
+@pytest.mark.parametrize("exc", [MemoryError, lambda: np.empty((2**29, 2**29))], ids=["bare", "numpy"])
+def test_out_of_memory_is_one_error_line(exc, monkeypatch, tmp_path, capsys):
+    # an input under the size caps can still need more memory than the process has: capacity
+    # --ball 13 and negbound --u-max 16777216 --u-step 1 ended in a MemoryError traceback
+    def build(*args, **kwargs):
+        raise exc()  # the numpy case raises while it allocates
+
+    monkeypatch.setattr(kernels, "build_cov_matrix", build)
+    assert run(["capacity", "--ball", "2", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_import_and_bvn_load_no_scipy_integrate_optimize_or_sparse():

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import oracles
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from sdlab import cli, events, kernels, mc, sampler
 from sdlab.errors import NumericalError, ParameterError, PreconditionError
@@ -469,9 +469,8 @@ def test_interp_linear_and_max_cases():
 @pytest.mark.parametrize("seed", range(5))
 def test_interp_rhs_is_steins_mean_so_no_quadrature_budget(dim, seed):
     # every built-in case has a linear g = X_j, so the interpolation integrand does not
-    # depend on the node: the 24-node rule returns Stein's mean of K[grad f index, j] up
-    # to rounding, and no quadrature error enters the bound; a case with a
-    # non-linear g would need its own quadrature budget
+    # depend on t and the rhs is Stein's mean of K[grad f index, j], bit for bit, with no
+    # quadrature error to budget; a case with a non-linear g would need its own budget
     A = np.random.default_rng(100 + seed).standard_normal((dim, dim))
     K = A @ A.T + 0.1 * np.eye(dim)
     plan = sampler.plan_dense(K, seed)
@@ -483,10 +482,35 @@ def test_interp_rhs_is_steins_mean_so_no_quadrature_budget(dim, seed):
         cases.append((np.where(X[:, 0] >= X[:, 1], 0, 1), 2))
     assert [s.name.split(":")[0] for s in rep.sides] == [f"case{ci}" for ci in range(len(cases))]
     assert all(s.name.endswith("-linear") for s in rep.sides)
+    assert "t_nodes" not in rep.constants
     for ci, (fidx, j) in enumerate(cases):
-        col = K[fidx, j]
-        stein = float(np.mean(col))
-        assert abs(rep.terms[f"rhs{ci}"].value - stein) <= 64 * np.finfo(float).eps * float(np.mean(np.abs(col)))
+        assert rep.terms[f"rhs{ci}"].value == float(np.mean(K[fidx, j]))
+
+
+# Fixed before any result was read: S seeds of the desk instance at n replicates, and a
+# false-alarm rate for the whole test, split evenly over its mean and variance checks.
+INTERP_Z_SEEDS, INTERP_Z_N, INTERP_Z_FALSE_ALARM = 200, 2_000, 1e-4
+
+
+def test_interp_terms_are_unbiased_with_honest_ses_at_the_exact_oracle():
+    # the desk instance's terms against oracles.interp_terms: rhs0 and rhs1 are a K entry on
+    # every replicate, so they are exact; for lhs0, lhs1, lhs2 and rhs2, z = (estimate - exact)/se
+    # over the seeds must have a mean inside the normal bound and a variance inside the
+    # two-sided chi-square bound, each check at INTERP_Z_FALSE_ALARM / 8
+    reps = [cli.run_config(cli.default_config("interp", INTERP_Z_N, seed, 1)) for seed in range(INTERP_Z_SEEDS)]
+    exact = oracles.interp_terms(cli.default_config("interp", INTERP_Z_N, 0, 1).model["matrix"])
+    assert sorted(exact) == sorted(reps[0].terms)
+    for name in ("rhs0", "rhs1"):
+        assert all(r.terms[name].value == exact[name] and r.terms[name].se == 0.0 for r in reps)
+    names = ("lhs0", "lhs1", "lhs2", "rhs2")
+    alpha = INTERP_Z_FALSE_ALARM / (2 * len(names))
+    S = INTERP_Z_SEEDS
+    mean_bound = stats.norm.isf(alpha / 2) / math.sqrt(S)
+    var_lo, var_hi = stats.chi2.ppf(alpha / 2, S - 1) / (S - 1), stats.chi2.isf(alpha / 2, S - 1) / (S - 1)
+    for name in names:
+        z = np.array([(r.terms[name].value - exact[name]) / r.terms[name].se for r in reps])
+        assert abs(z.mean()) <= mean_bound, (name, z.mean(), mean_bound)
+        assert var_lo <= z.var(ddof=1) <= var_hi, (name, z.var(ddof=1), var_lo, var_hi)
 
 
 # --- finite range ------------------------------------------------------------------
