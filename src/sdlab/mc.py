@@ -131,7 +131,13 @@ def compile_events(plan: SamplerPlan, specs) -> tuple[list, np.ndarray | None]:
 
 def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.ndarray:
     """Threshold matrix of shape (len(specs), n) over replicates 0..n-1; read-only, as the
-    cache hands the same array to every caller."""
+    cache hands the same array to every caller.
+
+    Replicates are drawn and thresholded in chunks of whole draw blocks, BANK_ROWS *
+    max(1, BANK_ROWS // width) of them for ``width`` support columns: at most BANK_ROWS**2
+    support values, or one block when a block is wider.  The draws stay per block and every
+    threshold is a function of its replicate's row alone, so the matrix does not depend on
+    the chunk size or the worker count."""
     _check_replicates(n)
     specs = tuple(specs)
     key = (plan.fingerprint, specs, int(n))
@@ -140,20 +146,21 @@ def event_thresholds(plan: SamplerPlan, specs, n: int, workers: int = 1) -> np.n
         return hit
     compiled, cols = compile_events(plan, specs)
     out = np.empty((len(specs), n))
-    blocks = [(a, min(a + BANK_ROWS, n)) for a in range(0, n, BANK_ROWS)]  # one draw block each
+    step = BANK_ROWS * max(1, BANK_ROWS // len(plan.points if cols is None else cols))
+    chunks = [(a, min(a + step, n)) for a in range(0, n, step)]
 
-    def work(block):
-        a, b = block
+    def work(chunk):
+        a, b = chunk
         draws = plan.draw_batch(range(a, b), cols)
         for k, ce in enumerate(compiled):
             out[k, a:b] = ce.thresholds_batch(draws)
 
     if workers <= 1:
-        for blk in blocks:
-            work(blk)
+        for chunk in chunks:
+            work(chunk)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, blocks))
+            list(pool.map(work, chunks))
     return _CACHE.put(key, out)
 
 

@@ -47,14 +47,16 @@ al., SC '11) in two layouts:
   gives exactly the stream of a fresh generator with that key.  The counter
   word 3 keeps the two layouts' streams disjoint.
 
-Every plan draws a batch by its runs within one block (mc asks for one block
-per draw).  Dense plans read their noise from a per-process bank, so plans that
-share a seed draw each block once: block (base_seed, b) is kept at the widest
-width asked of it so far; a narrower request slices it, a wider one redraws it.
-Slicing rests on the prefix property of the stream: its first k normals do not
-depend on how many are drawn (the ziggurat consumes the stream sequentially,
-its rejection branch included), and the column-major fill makes each row's
-first k normals a prefix of the block's stream.  A torus restriction reads its
+Every plan draws a batch by its runs within one block, so a draw of several
+blocks (mc asks for chunks of whole blocks) is its blocks' draws stacked: each
+factor draw is one stacked gemv per block, each FFT draw transforms one block's
+noise at a time.  Dense plans read their noise from a per-process bank, so
+plans that share a seed draw each block once: block (base_seed, b) is kept at
+the widest width asked of it so far; a narrower request slices it, a wider one
+redraws it.  Slicing rests on the prefix property of the stream: its first k
+normals do not depend on how many are drawn (the ziggurat consumes the stream
+sequentially, its rejection branch included), and the column-major fill makes
+each row's first k normals a prefix of the block's stream.  A torus restriction reads its
 blocks the same way but not through the bank: its wider blocks would stay for
 the life of the process and push out the blocks the dense plans share.  The
 bank, mc's threshold cache and each torus plan's restriction factors are each a
@@ -86,7 +88,7 @@ SPECTRUM_CLIP_LIMIT = 1e-6
 # BANK_ROWS replicates of the whole torus, so no larger
 PADDINGS = (2, 4)
 _UINT64 = 0xFFFFFFFFFFFFFFFF
-BANK_ROWS = 256  # replicates per draw block, in the noise bank and in each draw of mc
+BANK_ROWS = 256  # replicates per draw block, in the noise bank and in every factor draw; mc draws whole blocks
 # 16 MiB holds the `sdlab verify` default n = 1e5 at up to 20 normals per
 # replicate (a pair draw on 10 sites), so every dense plan of one seed re-reads
 # the streams the first one drew; mc's threshold cache has the same bound
@@ -127,12 +129,18 @@ def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
 
 def _runs(reps: range | list[int]):
     """(lo, hi, rows) per run of consecutive positions whose replicates (checked
-    indices) lie in one block: rows holds reps[lo:hi] as offsets in that block."""
+    indices) lie in one block: rows holds reps[lo:hi] as offsets in that block.
+    A step-1 range (how mc asks for its chunks of whole blocks) is cut at the block
+    edges arithmetically, one run per block; other replicate lists are scanned."""
     if not reps:
         return
-    if isinstance(reps, range) and reps.step == 1 and reps[0] // BANK_ROWS == reps[-1] // BANK_ROWS:
-        first = reps[0] % BANK_ROWS  # mc asks for every block this way
-        yield 0, len(reps), np.arange(first, first + len(reps), dtype=np.intp)
+    if isinstance(reps, range) and reps.step == 1:
+        lo = 0
+        while lo < len(reps):
+            first = reps[lo] % BANK_ROWS
+            hi = min(len(reps), lo + BANK_ROWS - first)
+            yield lo, hi, np.arange(first, first + hi - lo, dtype=np.intp)
+            lo = hi
         return
     reps = np.fromiter(reps, dtype=np.uint64, count=len(reps))
     blocks = reps // BANK_ROWS

@@ -41,19 +41,59 @@ Q = lambda x: special.ndtr(-x)  # noqa: E731  upper Gaussian tail
 
 
 def test_threshold_engine_deterministic_across_workers():
+    # 8 support columns make chunks of 8,192 replicates: n = 30,000 is three whole chunks and a
+    # ragged fourth, so the eight workers do split the work
     plan = iid_plan()
     A1, A2 = block_events()
     clear_cache()
-    t1 = mc.event_thresholds(plan, (A1, A2), 3000, workers=1).copy()
+    t1 = mc.event_thresholds(plan, (A1, A2), 30_000, workers=1).copy()
     clear_cache()
-    t8 = mc.event_thresholds(plan, (A1, A2), 3000, workers=8).copy()
+    t8 = mc.event_thresholds(plan, (A1, A2), 30_000, workers=8).copy()
     assert np.array_equal(t1, t8)
+
+
+def _chunk_plan(kind):
+    """A plan and site, box and annulus events on it: a dense plan on a 6 x 6 lattice; an 8 x 8
+    circulant box that the box event covers whole, so its support draw is the FFT draw; a split
+    plan whose support draw is its restriction, a factor draw."""
+    bf = kernels.bargmann_fock(2)
+    if kind == "dense":
+        pts = sampler.Grid((6, 6)).sites()
+        plan = sampler.plan_dense(kernels.build_cov_matrix(bf, pts), 3, pts)
+        box, center = events.BoxCrossing((0, 0), (4, 4), 0, 0.2), (3, 3)
+    elif kind == "circulant":
+        plan = sampler.plan_circulant(bf, sampler.Grid((8, 8), 0.5), 3)
+        box, center = events.BoxCrossing((0, 0), (7, 7), 1, 0.2), (4, 4)
+    else:
+        plan = sampler.plan_decomposed(bf, sampler.Grid((10, 9), 0.5), 1.5, 3)
+        box, center = events.BoxCrossing((1, 1), (5, 5), 0, 0.2), (6, 5)
+    return plan, (events.AllAbove(((0, 0), (2, 3)), -0.5), box, events.AnnulusCrossing(center, 1, 2.5, 0.1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["dense", "circulant", "split"])
+def test_event_thresholds_are_the_thresholds_of_each_draw_block(kind, workers):
+    """Chunks of whole blocks change nothing: the matrix is one thresholds_batch per 256-replicate
+    block, concatenated, at an n of two whole chunks and a ragged third."""
+    plan, specs = _chunk_plan(kind)
+    compiled, cols = mc.compile_events(plan, specs)
+    assert (cols is None) == (kind == "circulant")
+    width = len(plan.points) if cols is None else len(cols)
+    n = 2 * sampler.BANK_ROWS * max(1, sampler.BANK_ROWS // width) + 300
+    assert n > 4 * sampler.BANK_ROWS
+    clear_cache()
+    got = mc.event_thresholds(plan, specs, n, workers)
+    blocks = [plan.draw_batch(range(a, min(a + sampler.BANK_ROWS, n)), cols)
+              for a in range(0, n, sampler.BANK_ROWS)]
+    want = np.stack([np.concatenate([ce.thresholds_batch(x) for x in blocks]) for ce in compiled])
+    assert np.array_equal(got, want)
 
 
 def test_torus_support_draws_are_deterministic_across_workers_sharing_the_kernel_cache():
     # eight threads on two cores race to build and store the plan's one restriction
     bf = kernels.bargmann_fock(2)
     specs = (events.AllAbove(((0, 0), (1, 1)), 0.0), events.BoxCrossing((10, 10), (14, 14), 0))
+    # 27 support columns make chunks of 2,304 replicates: n = 8,000 is three and a ragged fourth
     runs = []
     interval = sys.getswitchinterval()
     try:
@@ -61,7 +101,7 @@ def test_torus_support_draws_are_deterministic_across_workers_sharing_the_kernel
         for workers in (1, 8):
             clear_cache()
             plan = sampler.plan_decomposed(bf, sampler.Grid((24, 24), 0.5), 1.5, 9)
-            runs.append(mc.event_thresholds(plan, specs, 2048, workers=workers))
+            runs.append(mc.event_thresholds(plan, specs, 8000, workers=workers))
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(*runs)
@@ -570,6 +610,18 @@ def test_sdi2_rank1_mc():
     rep = mc.verify_sdi2(pair_plan(), A1, A2, 1.0, 30_000)
     assert rep.constants["rho"] == pytest.approx(1.0, abs=1e-8)
     assert rep.verdict in (mc.VERDICT_PASS, mc.VERDICT_NOISE)
+
+
+def test_sdi2_bound_reads_rho_squared_on_equicorrelated_blocks():
+    # K = (1 - r) I + r 11^T on 8 sites: the top canonical correlation of blocks 0-3 and 4-7 is
+    # that of their sums, 16 r / (4 + 12 r); at 0 < rho < 1 a bound with rho for rho^2 differs
+    r, eps = 0.3, 0.5
+    plan = sampler.plan_dense((1 - r) * np.eye(8) + r * np.ones((8, 8)), 5)
+    rep = mc.verify_sdi2(plan, *block_events(), eps, 2_000)
+    rho = 4 * r / (1 + 3 * r)
+    assert rep.constants["rho"] == pytest.approx(rho, abs=1e-12)
+    assert rep.constants["k_inf"] == 1.0
+    assert rep.constants["bound"] == pytest.approx(math.exp(-(eps**2) / (8 * rho**2)), rel=1e-12)
 
 
 def test_sdi3_kappa_formula():

@@ -143,10 +143,13 @@ def test_block_streams_are_disjoint_from_replicate_streams(base_seed):
 
 
 def test_runs_of_a_range_inside_one_block_match_the_general_path():
+    # a step-1 range is cut at the block edges arithmetically, inside one block or across several
     top = 2**64 - 1
     cases = [range(0, 256), range(10, 20), range(255, 256), range(256, 300), range(250, 262),
              range(top - 255, top + 1), range(top - 4, top + 1), range(top, top + 1), range(0, 600, 3),
-             range(7, 7), [3, 2, 700, 701], [top, 0, top - 1]]
+             range(7, 7), [3, 2, 700, 701], [top, 0, top - 1],
+             range(0, 1024), range(0, 1025), range(100, 1000), range(255, 257), range(256, 768),
+             range(top - 600, top + 1), range(top - 511, top + 1), range(top - 700, top - 3)]
     for reps in cases:
         fast = list(sampler._runs(sampler._replicate_indices(reps)))
         general = list(sampler._runs(list(reps)))
