@@ -50,10 +50,11 @@ al., SC '11) in two layouts:
 Every plan draws a batch by its runs within one block, so a draw of several
 blocks (mc asks for chunks of whole blocks) is its blocks' draws stacked: each
 factor draw is one stacked gemv per block, each FFT draw transforms one block's
-noise at a time.  Dense plans read their noise from a per-process bank, so
-plans that share a seed draw each block once: block (base_seed, b) is kept at
-the widest width asked of it so far; a narrower request slices it, a wider one
-redraws it.  Slicing rests on the prefix property of the stream: its first k
+noise at a time, and each block is cut to ``cols`` as it is drawn, so a draw of
+many blocks holds them at ``cols`` only.  Dense plans read their noise from a
+per-process bank, so plans that share a seed draw each block once: block
+(base_seed, b) is kept at the widest width asked of it so far; a narrower
+request slices it, a wider one redraws it.  Slicing rests on the prefix property of the stream: its first k
 normals do not depend on how many are drawn (the ziggurat consumes the stream
 sequentially, its rejection branch included), and the column-major fill makes
 each row's first k normals a prefix of the block's stream.  A torus restriction reads its
@@ -327,21 +328,22 @@ class DensePlan(SamplerPlan):
         super().__init__(base_seed, points)
         self.fingerprint = self._fingerprint(factor)
 
-    def _draws(self, replicates, copies: int) -> list[np.ndarray]:
+    def _draws(self, replicates, copies: int, cols=None) -> list[np.ndarray]:
         """``copies`` independent draws per replicate: copy c applies the factor to
-        normals c*m .. (c+1)*m - 1 of the replicate's row of its block, read from the bank."""
+        normals c*m .. (c+1)*m - 1 of the replicate's row of its block, read from the bank,
+        at every column, or at columns ``cols`` in that order."""
         m = self.factor.shape[1]
         reps = _replicate_indices(replicates)
-        outs = [np.empty((len(reps), m)) for _ in range(copies)]
+        at = slice(None) if cols is None else _check_columns(cols, m)
+        outs = [np.empty((len(reps), m if cols is None else len(at))) for _ in range(copies)]
         for lo, hi, rows in _runs(reps):
             z = _bank_block(self.base_seed, reps[lo] // BANK_ROWS, copies * m)[rows]
             for c, out in enumerate(outs):
-                out[lo:hi] = _apply(self.factor, z[:, c * m : (c + 1) * m])
+                out[lo:hi] = _apply(self.factor, z[:, c * m : (c + 1) * m])[:, at]
         return outs
 
     def draw_batch(self, replicates, cols=None) -> np.ndarray:
-        x = self._draws(replicates, 1)[0]
-        return x if cols is None else x[:, _check_columns(cols, x.shape[1])]
+        return self._draws(replicates, 1, cols)[0]
 
     def draw_pair_batch(self, replicates) -> tuple[np.ndarray, np.ndarray]:
         """Two independent copies per replicate from one stream (X, X')."""

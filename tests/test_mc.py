@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -87,6 +88,23 @@ def test_event_thresholds_are_the_thresholds_of_each_draw_block(kind, workers):
               for a in range(0, n, sampler.BANK_ROWS)]
     want = np.stack([np.concatenate([ce.thresholds_batch(x) for x in blocks]) for ce in compiled])
     assert np.array_equal(got, want)
+
+
+def test_a_chunk_of_a_wide_dense_plan_holds_its_support_columns_only():
+    """A 1-site event on 200 sites chunks 8,192 replicates as one; the dense draw cuts each block
+    to the support as it goes, so the chunk never holds all 200 columns of its 32 blocks."""
+    m, n = 200, 32 * sampler.BANK_ROWS
+    plan = sampler.plan_dense(np.eye(m), 7)
+    specs = (events.AllAbove(((5,),), 0.0),)
+    clear_cache()
+    plan.draw_batch(range(n))  # the 32 blocks' noise (13 MB) into the bank, out of the measurement
+    tracemalloc.start()
+    try:
+        mc.event_thresholds(plan, specs, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * sampler.BANK_ROWS * m * 8  # a few blocks at every column, not 32
 
 
 def test_torus_support_draws_are_deterministic_across_workers_sharing_the_kernel_cache():

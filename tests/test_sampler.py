@@ -188,6 +188,15 @@ def test_one_replicate_draw_is_its_row_of_the_block_draw(kind):
             assert np.array_equal(np.concatenate(one, axis=1)[0] if kind == "split" else one[0], z)
 
 
+def test_a_dense_draw_at_columns_is_the_full_draw_at_those_columns():
+    # each block is cut to cols as it is drawn: a draw of several blocks, in any column order,
+    # is the draw of every column sliced
+    plan = sampler.plan_dense(_random_cov(10, 3), 9)
+    cols = np.array([7, 0, 4])
+    reps = range(100, 3 * sampler.BANK_ROWS + 40)
+    assert np.array_equal(plan.draw_batch(reps, cols), plan.draw_batch(reps)[:, cols])
+
+
 def test_noise_bank_evicts_least_recently_used_blocks(monkeypatch):
     block_bytes = sampler.BANK_ROWS * 4 * 8
     bank = sampler._Store(3 * block_bytes)
