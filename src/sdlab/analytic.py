@@ -204,7 +204,7 @@ def neg_bound_scan(kappa: float, u_values) -> NegBoundTable:
     """
     if not 0.0 < kappa < 1.0:
         raise DomainError("kappa must lie in (0,1)")
-    u = np.asarray(list(u_values), dtype=float)
+    u = np.asarray(u_values, dtype=float)
     if np.any(u < 0) or np.any(np.diff(u) <= 0):
         raise DomainError("u_values must be nonnegative and increasing")
     a = special.log_ndtr(-u)

@@ -301,30 +301,6 @@ def sprinkle_schedule(R0: float | None, delta: float, ell_prime: float, n_max: i
 
 
 # ---------------------------------------------------------------------------
-# initial Markov bound
-
-
-def covering_constant(d: int) -> float:
-    """c_d with: B(2R) is covered by at most c_d R^d unit balls for R >= 1.
-
-    Unit balls centered on a grid of spacing 2/sqrt(d) cover space; counting
-    grid cells meeting B(2R + 1) gives c_d = v_d (2 + sqrt(d))^d (sqrt(d)/2)^d
-    with v_d the unit-ball volume.
-    """
-    v_d = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-    return v_d * (2.0 + math.sqrt(d)) ** d * (math.sqrt(d) / 2.0) ** d
-
-
-def initial_bound(ell: float, R: float, sup_bound: float, d: int) -> float:
-    """Markov bound c_d R^d sup E[sup_{B(1)} |f|] / |ell| on crossing probabilities."""
-    if ell >= 0:
-        raise DomainError("initial bound needs a negative level")
-    if R <= 0 or sup_bound < 0:
-        raise InputError("R must be positive and sup_bound nonnegative")
-    return covering_constant(d) * R**d * sup_bound / abs(ell)
-
-
-# ---------------------------------------------------------------------------
 # recursion engine
 
 

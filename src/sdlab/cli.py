@@ -10,6 +10,7 @@ import argparse
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import numbers
 import os
@@ -17,7 +18,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -255,12 +256,20 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write(args, name: str, text: str) -> str:
-    """Write ``text`` to the file ``name`` of the output directory; return its path."""
+def _write(args, name: str, text: str | Iterable[str]) -> str:
+    """Write ``text``, or each string it yields in turn, to the file ``name`` of the output
+    directory; return its path."""
     path = os.path.join(_out_dir(args), name)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
     return path
+
+
+def _chunks(lines: Iterable[str], size: int = 4096) -> Iterator[str]:
+    """``lines`` joined ``size`` at a time, so a long table is written without holding its text."""
+    lines = iter(lines)
+    while chunk := "".join(itertools.islice(lines, size)):
+        yield chunk
 
 
 def _numbers(option: str, text: str | None, kind=float) -> list:
@@ -310,11 +319,13 @@ def cmd_negbound(args) -> int:
                           f"MAX_SITES = {MAX_SITES}")
     u = np.arange(args.u_step, args.u_max + 1e-12, args.u_step)
     table = analytic.neg_bound_scan(args.kappa, u)
-    text = "u,r,exponent\n" + "".join(f"{uu:.6g},{r:.17g},{ex:.12g}\n" for uu, r, ex in table.rows())
+    # formatted a chunk at a time as it is written: a table of MAX_SITES rows never holds its whole text
+    text = _chunks(itertools.chain(["u,r,exponent\n"], (f"{uu:.6g},{r:.17g},{ex:.12g}\n"
+                                                         for uu, r, ex in table.rows())))
     if args.file:
         print(f"wrote {_write(args, args.file, text)}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     try:
         fit = analytic.fit_limiting_exponent(table)
         print(f"# fitted limiting exponent: {fit:.6f}", file=sys.stderr)
@@ -363,7 +374,8 @@ def cmd_maxcorr(args) -> int:
     K, balls = _solver_input(args, (0, args.dist))
     i1, i2 = balls or (_numbers("--i1", args.i1, int), _numbers("--i2", args.i2, int))
     res = measures.max_corr(K, i1, i2, None if args.ridge < 0 else args.ridge)
-    print(json.dumps({"rho": res.rho, "ridge": res.ridge}, sort_keys=True))
+    print(json.dumps({"rho": res.rho, "ridge": res.ridge, "sup_cross_cov": measures.sup_cross_cov(K, i1, i2)},
+                     sort_keys=True))
     return 0
 
 

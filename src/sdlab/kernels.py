@@ -26,11 +26,16 @@ own, so G_d(x) depends on x alone; ``gff_green`` is the same path on one row.
 Every covariance matrix that is built here, factored (``sampler.plan_dense``)
 or given to ``measures.capacity`` or ``measures.max_corr`` passes one PSD gate,
 ``repair_psd``: finite, and indefinite only up to roundoff, or a typed error.
+A matrix ``build_cov_matrix`` returns passes the gate once; its factor is
+reused: it is read-only, and the gate's Cholesky factor is kept for it, by
+identity, as long as it lives, so ``plan_dense``, ``capacity`` and
+``max_corr`` do not gate or factor it again.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,16 +290,22 @@ def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
     indefinite, not off by roundoff).  Otherwise clips negative eigenvalues to
     zero and returns the repaired matrix and the clipped mass; the input is
     returned unchanged when the smallest eigenvalue is above -PSD_REL_TOL *
-    largest, and with mass 0.0, before any eigenvalue, when it has a Cholesky
-    factor (then its smallest eigenvalue is above -n * eps * largest).
+    largest, and with mass 0.0, before any eigenvalue, when ``_cholesky`` factors
+    it (then its smallest eigenvalue is above -n * eps * largest).  A matrix of
+    ``build_cov_matrix`` passes the gate once; its factor is reused: the gate
+    keeps that factor for it.
     """
     if not np.isfinite(mat).all():
         raise InputError("covariance matrix must be finite")
     try:
-        np.linalg.cholesky(mat)
-        return mat, 0.0
+        factor = _cholesky(mat)
     except np.linalg.LinAlgError:
         w = np.linalg.eigvalsh(mat)
+    else:
+        entry = _FACTORS.get(id(mat))
+        if entry is not None and entry[0]() is mat:  # a matrix build_cov_matrix is gating
+            _FACTORS[id(mat)] = (entry[0], factor)
+        return mat, 0.0
     wmax = max(w[-1], 0.0)
     # clipped mass and trace in one scale 2^e, so that neither overflows; exact otherwise
     e = _exponent(mat)
@@ -312,6 +323,38 @@ def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
         return mat, clipped
     w, v = np.linalg.eigh(mat)
     return _symmetrized((v * np.clip(w, 0.0, None)) @ v.T), clipped
+
+
+def _cholesky(mat: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of ``mat`` scaled by 2^-e, e the exponent of its largest variance (exact,
+    so the largest variance lies in [1/2, 1)); LinAlgError when there is none.  For an odd e the
+    factor is not 2^(-e/2) times the unscaled one bit for bit: sqrt(2) enters the rounding."""
+    with np.errstate(over="ignore"):  # an entry far above every variance: no factor either way
+        return np.linalg.cholesky(np.ldexp(mat, -_exponent(np.diag(mat))))
+
+
+# build_cov_matrix's matrices by identity: (weak reference, repair_psd's ``_cholesky`` factor or None).
+# An entry goes when its matrix does, so an id is never read for another array.
+_FACTORS: dict[int, tuple[weakref.ref, np.ndarray | None]] = {}
+
+
+def _gate_factor(mat, take: bool = False) -> np.ndarray | None:
+    """The ``_cholesky`` factor the PSD gate kept for ``mat``, a read-only matrix of
+    ``build_cov_matrix`` (so it passed the gate unchanged); None for any other array.
+    ``take`` drops the entry: the caller keeps the matrix but not the factor."""
+    entry = (_FACTORS.pop if take else _FACTORS.get)(id(mat), None)
+    ok = entry is not None and entry[0]() is mat and not mat.flags.writeable
+    return entry[1] if ok else None
+
+
+def _gated(mat: np.ndarray) -> np.ndarray:
+    """``repair_psd`` of a matrix built here, which nothing else holds, returned read-only; the
+    gate keeps its factor (see ``_gate_factor``)."""
+    key = id(mat)
+    _FACTORS[key] = (weakref.ref(mat, lambda _: _FACTORS.pop(key, None)), None)
+    out = repair_psd(mat)[0]
+    out.flags.writeable = False
+    return out
 
 
 def _exponent(x) -> int:
@@ -332,8 +375,9 @@ def _axis_codes(col: np.ndarray) -> np.ndarray:
 
 
 def build_cov_matrix(model: CovarianceModel, points) -> np.ndarray:
-    """Covariance matrix on a finite point set, through the PSD gate ``repair_psd``; a stationary
-    kernel runs once per distinct displacement x_i - x_j (see the module docstring)."""
+    """Read-only covariance matrix on a finite point set; a stationary kernel runs once per
+    distinct displacement x_i - x_j (see the module docstring).  It passes the gate once; its
+    factor is reused: ``repair_psd`` keeps its Cholesky factor for ``capacity`` and ``max_corr``."""
     pts = [_as_point(p) for p in points]
     if not pts:
         raise InputError("point set is empty")
@@ -344,13 +388,10 @@ def build_cov_matrix(model: CovarianceModel, points) -> np.ndarray:
         raise InputError("points must be distinct")
     if model.family == "explicit":
         idx = [int(p[0]) for p in pts]
-        return repair_psd(model.matrix[np.ix_(idx, idx)].astype(float))[0]  # symmetric: explicit() checks it
+        return _gated(model.matrix[np.ix_(idx, idx)].astype(float))  # symmetric: explicit() checks it
     arr = np.asarray(pts, dtype=float)
     rep, inverse = _distinct(_row_keys(_axis_codes(col) for col in arr.T))
     i, j = np.divmod(rep, len(arr))
-    return repair_psd(cov_of_offsets(model, arr[i] - arr[j])[inverse].reshape(len(arr), -1))[0]
-
-
-def export_cov_csv(matrix: np.ndarray, path) -> None:
-    """Row-major full-precision decimal CSV."""
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17g")
+    mat = cov_of_offsets(model, arr[i] - arr[j])[inverse.reshape(len(arr), -1)]
+    del inverse  # n^2 gather indices: freed before the gate copies the matrix
+    return _gated(mat)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import InputError, NumericalError
-from .kernels import _exponent, _symmetrized, repair_psd
+from .kernels import _cholesky, _exponent, _gate_factor, _symmetrized, repair_psd
 
 CAP_INFINITE_ENERGY = 1e-14
 CHAIN_TOL = 1e-9  # roundoff allowance of each bound_chain_report check
@@ -31,6 +31,11 @@ def _checked(K, *index_sets):
         if i.size == 0 or i.min() < 0 or i.max() >= len(K):
             raise InputError(f"index set must be nonempty and lie in [0, {len(K)}), got {i.tolist()}")
     return (K, *idx)
+
+
+def _in_order(idx: np.ndarray, n: int) -> bool:
+    """Whether the index array is every index of an n x n matrix, in order."""
+    return len(idx) == n and bool((idx == np.arange(n)).all())
 
 
 def sup_cross_cov(K: np.ndarray, I1, I2) -> float:
@@ -75,16 +80,22 @@ def capacity(K: np.ndarray, I=None, tol: float = 1e-10) -> CapacityResult:
     2(mu^T A mu - min_i (A mu)_i) is at most tol * max(energy, 1e-300), or at an energy below
     1e-14 * max(1, largest variance): zero up to roundoff, infinite capacity.  A full step that
     fails to lower the energy (roundoff only) ends it with ``converged=False``.
+
+    K on I passes the gate once; its factor is reused: when I is every index of a
+    ``build_cov_matrix`` matrix in order, the gate's Cholesky factor serves the first KKT solve,
+    else capacity factors K on I itself the same way (``kernels._cholesky``), gating it through
+    ``repair_psd`` only when that fails.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be finite and positive, got {tol}")
     K, idx = _checked(K, range(len(K)) if I is None else I)
-    A = K[np.ix_(idx, idx)]
-    A = _symmetrized(A)
-    try:  # the PSD gate passes a matrix with a Cholesky factor; the factor serves the first solve
-        L = np.linalg.cholesky(np.ldexp(A, -_exponent(np.diag(A))))
-    except np.linalg.LinAlgError:
-        L, A = None, repair_psd(A)[0]
+    L = _gate_factor(K) if _in_order(idx, len(K)) else None  # build_cov_matrix's gate factored K
+    A = K if L is not None else _symmetrized(K[np.ix_(idx, idx)])
+    if L is None:
+        try:  # the PSD gate passes a matrix with a Cholesky factor; the factor serves the first solve
+            L = _cholesky(A)
+        except np.linalg.LinAlgError:
+            A = repair_psd(A)[0]
     m, dmax = len(A), float(np.diag(A).max())
     floor, e = CAP_INFINITE_ENERGY * max(1.0, dmax), _exponent(np.diag(A))
     A = np.ldexp(A, -e)  # exact: the largest variance moves into [1/2, 1); L, if set, factors this A
@@ -147,7 +158,9 @@ def max_corr(K: np.ndarray, I1, I2, ridge: float | None = None) -> MaxCorrResult
     an explicit ridge=0.0 on a singular block raises instead.  An explicit
     ridge must be finite and >= 0.  A block whose variances are all zero
     gives rho = 0 with zero directions and no ridge.  The matrix on I1 and I2
-    passes the PSD gate ``repair_psd``: an indefinite one raises ModelError.
+    passes the PSD gate ``repair_psd``: an indefinite one raises ModelError.  When
+    I1 then I2 is every index of a ``build_cov_matrix`` matrix in order, that matrix
+    passed the gate once; its factor is reused, and it is not gated again.
     """
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
         raise InputError(f"ridge must be finite and >= 0, got {ridge}")
@@ -158,11 +171,13 @@ def max_corr(K: np.ndarray, I1, I2, ridge: float | None = None) -> MaxCorrResult
     constant = not (A.diagonal().any() and B.diagonal().any())
     if constant and C.any():  # a block with zero variances is a.s. constant; PSD forces C = 0
         raise InputError("a zero-variance block has nonzero cross covariance: not a covariance")
-    repair_psd(K[np.ix_(np.r_[i, j], np.r_[i, j])])  # the PSD gate: ModelError if indefinite
+    ij = np.r_[i, j]
+    if not (_in_order(ij, len(K)) and _gate_factor(K) is not None):  # build_cov_matrix gated K
+        repair_psd(K[np.ix_(ij, ij)])  # the PSD gate: ModelError if indefinite
     if constant:
         return MaxCorrResult(0.0, np.zeros(len(i)), np.zeros(len(j)), 0.0)
     Ai, ra = _inv_sqrt(A, ridge)
-    Bi, rb = _inv_sqrt(B, ridge)
+    Bi, rb = (Ai, ra) if np.array_equal(A, B) else _inv_sqrt(B, ridge)  # translates of a stationary kernel
     W = Ai @ C @ Bi
     u, s, vt = np.linalg.svd(W)
     rho = float(min(1.0, max(0.0, s[0] if s.size else 0.0)))

@@ -81,7 +81,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import EmbeddingError, InputError, ModelError, ParameterError
-from .kernels import Point, _as_point, _symmetrized, cov_of_offsets, repair_psd
+from .kernels import Point, _as_point, _gate_factor, _symmetrized, cov_of_offsets, repair_psd
 
 DENSE_FACTOR_TOL = 1e-8
 SPECTRUM_CLIP_LIMIT = 1e-6
@@ -369,7 +369,9 @@ def plan_dense(cov: np.ndarray, base_seed: int, points=None) -> DensePlan:
         raise InputError("covariance must be a square matrix")
     if not np.allclose(cov, cov.T, atol=0, rtol=0):
         raise InputError("covariance must be exactly symmetric")
-    rep, _ = repair_psd(cov)
+    # a build_cov_matrix matrix has passed the gate: not gated again, and the Cholesky factor the
+    # gate kept for it is dropped, since eigh's factor serves the draws
+    rep = cov if _gate_factor(cov, take=True) is not None else repair_psd(cov)[0]
     w, v = np.linalg.eigh(rep)
     order = np.argsort(-w, kind="stable")
     w, v = np.clip(w[order], 0.0, None), v[:, order]
@@ -597,10 +599,3 @@ def write_snapshot(path, values: np.ndarray, grid: Grid, seed: int, replicate: i
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-
-
-def read_snapshot(path) -> tuple[dict, np.ndarray]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        values = np.frombuffer(fh.read(), dtype="<f8")
-    return header, values

@@ -17,12 +17,14 @@ the cross-spectra of its filters, the bivariate normal cdf's regression form
 in x instead of the fixed rule in theta = asin r, ``np.histogram2d`` over
 +-inf-padded midpoint edges and a pairwise comparison with every midpoint
 instead of one ``searchsorted`` count table for the Hoeffding integral,
-the interpolation terms in closed form instead of from draws.
+the interpolation terms in closed form instead of from draws, and a field
+snapshot read by the format the README states (sdlab writes snapshots only).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 
 import mpmath as mp
@@ -34,6 +36,15 @@ from sdlab import kernels, measures, sampler
 from sdlab.errors import InputError
 
 mp.mp.dps = 30
+
+
+def read_snapshot(path) -> tuple[dict, np.ndarray]:
+    """A field snapshot, read by the format the README states: one JSON header line, then
+    row-major little-endian float64 values."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode())
+        values = np.frombuffer(fh.read(), dtype="<f8")
+    return header, values
 
 
 def philox_normals(base_seed: int, replicate: int, shape) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdlab import bootstrap, events, kernels
-from sdlab.errors import DomainError, InputError, ParameterError
+from sdlab.errors import InputError, ParameterError
 
 import golden
 
@@ -173,21 +173,6 @@ def test_schedule_rejects_a_delta_whose_tail_overflows():
     with pytest.raises(ParameterError, match="delta = 1e-310 is too small"):
         bootstrap.sprinkle_schedule(10.0, 1e-310, 0.0, 10)
     assert math.isfinite(bootstrap.sprinkle_schedule(10.0, 1e-300, 0.0, 10).ell_inf_lower)
-
-
-# --- initial bound -----------------------------------------------------------------------
-
-
-def test_initial_bound_scalings_exact():
-    b1 = bootstrap.initial_bound(-100.0, 4.0, 2.0, 2)
-    assert bootstrap.initial_bound(-200.0, 4.0, 2.0, 2) == pytest.approx(b1 / 2, rel=1e-12)
-    assert bootstrap.initial_bound(-100.0, 8.0, 2.0, 2) == pytest.approx(4 * b1, rel=1e-12)
-    assert b1 == pytest.approx(bootstrap.covering_constant(2) * 16.0 * 2.0 / 100.0, rel=1e-12)
-
-
-def test_initial_bound_needs_negative_level():
-    with pytest.raises(DomainError):
-        bootstrap.initial_bound(0.5, 4.0, 1.0, 2)
 
 
 # --- recursion ------------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlab import bootstrap, cli, kernels, mc, sampler
+from sdlab import analytic, bootstrap, cli, events, kernels, mc, sampler
 from sdlab.errors import SdlabError
-from sdlab.sampler import read_snapshot
 
 import golden
+import oracles
 
 
 def run(argv):
@@ -572,6 +573,66 @@ def test_negbound_without_file_writes_the_csv_to_stdout(tmp_path, capsys):
     assert not (tmp_path / "stdout").exists()
 
 
+def test_negbound_writes_the_bytes_of_the_whole_table_a_chunk_at_a_time(tmp_path, capsys):
+    # 10,000 rows are three chunks of rows, the last one ragged; the bytes are those of the
+    # table joined as one string, as the CSV was written before
+    argv = ["negbound", "--kappa", "0.3", "--u-max", "40", "--u-step", "0.004"]
+    table = analytic.neg_bound_scan(0.3, np.arange(0.004, 40 + 1e-12, 0.004))
+    want = "u,r,exponent\n" + "".join(f"{u:.6g},{r:.17g},{ex:.12g}\n" for u, r, ex in table.rows())
+    assert len(table.u) == 10_000
+    assert run([*argv, "--file", "nb.csv", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "nb.csv").read_bytes() == want.encode()
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_negbound_memory_is_the_table_not_its_text(tmp_path, capsys):
+    # the CSV text of 1e5 rows (3.1 MB) was held whole, with its rows as strings: the command
+    # peaked 8.6 MB above the scan it prints; written a chunk at a time it adds about 0.1 MB
+    rows = 100_000
+    tracemalloc.start()
+    try:
+        table = analytic.neg_bound_scan(0.293, np.arange(0.001, rows * 0.001 + 1e-12, 0.001))
+        analytic.fit_limiting_exponent(table)
+        del table
+        scan_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert run(["negbound", "--u-max", str(rows * 0.001), "--u-step", "0.001", "--file", "nb.csv",
+                    "--out", str(tmp_path)]) == 0
+        cmd_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "nb.csv").stat().st_size > 3_000_000
+    assert cmd_peak - scan_peak < 1_000_000
+
+
+def test_solver_commands_on_a_ball_equal_them_on_its_matrix_csv(tmp_path, capsys):
+    # --ball reuses the factor of build_cov_matrix's PSD gate; --matrix reads a caller's matrix,
+    # which capacity factors and max_corr gates itself: the same bits either way
+    for argv, shifts in ((["capacity", "--ball", "2"], (0,)), (["maxcorr", "--ball", "2", "--dist", "6"], (0, 6))):
+        assert run(argv) == 0
+        via_ball = capsys.readouterr().out
+        pts = events.lattice_ball((0, 0, 0), 2)
+        K = kernels.build_cov_matrix(kernels.gff(3), [(p[0] + s, *p[1:]) for s in shifts for p in pts])
+        path = tmp_path / "k.csv"
+        np.savetxt(path, K, delimiter=",", fmt="%.17g")
+        sets = [] if len(shifts) == 1 else ["--i1", ",".join(map(str, range(len(pts)))),
+                                           "--i2", ",".join(map(str, range(len(pts), 2 * len(pts))))]
+        assert run([argv[0], "--matrix", str(path), *sets]) == 0
+        assert capsys.readouterr().out == via_ball
+
+
+def test_maxcorr_prints_the_sup_cross_covariance(capsys):
+    # the paper's ||K_{I1,I2}||_inf beside rho: the largest |K(x, y)| over the two balls
+    assert run(["maxcorr", "--ball", "2", "--dist", "6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    pts = list(events.lattice_ball((0, 0, 0), 2))
+    K = kernels.build_cov_matrix(kernels.gff(3), pts + [(p[0] + 6, *p[1:]) for p in pts])
+    assert out["sup_cross_cov"] == np.abs(K[: len(pts), len(pts):]).max() == kernels.gff_green((2, 0, 0))
+    assert set(out) == {"rho", "ridge", "sup_cross_cov"}
+
+
 def test_capacity_subcommand_matrix(tmp_path, capsys):
     m = tmp_path / "k.csv"
     np.savetxt(m, np.eye(4), delimiter=",")
@@ -609,7 +670,7 @@ def test_sample_snapshot(tmp_path, capsys):
     assert run(["sample", "--model", "bf", "--shape", "8,8", "--spacing", "1.0",
                 "--seed", "3", "--replicate", "2", "--file", "f.snap",
                 "--out", str(tmp_path)]) == 0
-    header, vals = read_snapshot(tmp_path / "f.snap")
+    header, vals = oracles.read_snapshot(tmp_path / "f.snap")
     assert header["grid_shape"] == [8, 8]
     assert vals.size == 64
 

@@ -199,14 +199,6 @@ def test_wave_d3_is_sin_r_over_r():
     assert got == pytest.approx(np.sin(r) / r, rel=1e-13, abs=1e-14)
 
 
-def test_export_csv_roundtrip(tmp_path):
-    m = kernels.build_cov_matrix(kernels.bargmann_fock(2), [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)])
-    path = tmp_path / "cov.csv"
-    kernels.export_cov_csv(m, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, m)
-
-
 def test_green_cache_concurrent_reads():
     import concurrent.futures as cf
 
@@ -415,11 +407,54 @@ def test_psd_gate_cholesky_accepts_only_what_the_eigenvalue_rule_keeps(jitter):
         B = rng.standard_normal((30, rank))
         K = B @ B.T + jitter * np.eye(30)
         try:
-            np.linalg.cholesky(K)
+            kernels._cholesky(K)  # the gate's factor, at the scale of the largest variance
         except np.linalg.LinAlgError:
             continue
         w = np.linalg.eigvalsh(K)
         assert w[0] >= -kernels.PSD_REL_TOL * max(w[-1], 1.0)
+
+
+def _slightly_indefinite() -> np.ndarray:
+    """diag(1, 1, -1e-8) in a rotated basis, exactly symmetric: the gate clips it."""
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    K = (q * [1.0, 1.0, -1e-8]) @ q.T
+    return np.triu(K) + np.triu(K, 1).T
+
+
+@pytest.mark.parametrize("model, pts, kept", [
+    (kernels.gff(3), [(0, 0, 0), (1, 0, 0), (0, 2, 0)], True),
+    (kernels.bargmann_fock(2), [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)], True),
+    (kernels.explicit(np.diag([0.0, 1.0])), [(0,), (1,)], False),  # a zero variance: no Cholesky factor
+    (kernels.explicit(_slightly_indefinite()), [(0,), (1,), (2,)], False),  # the gate's repair
+], ids=["gff", "bf", "explicit-zero-variance", "explicit-repaired"])
+def test_build_cov_matrix_returns_a_read_only_matrix(model, pts, kept):
+    K = kernels.build_cov_matrix(model, pts)
+    assert not K.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        K[0, 0] = 0.0
+    assert (kernels._gate_factor(K) is not None) == kept
+
+
+def test_the_gate_factor_lives_as_long_as_its_matrix():
+    before = len(kernels._FACTORS)
+    K = kernels.build_cov_matrix(kernels.gff(3), [(0, 0, 0), (1, 0, 0), (0, 2, 0)])
+    L = kernels._gate_factor(K)
+    assert len(kernels._FACTORS) == before + 1 and np.array_equal(L, kernels._cholesky(np.array(K)))
+    assert kernels._gate_factor(K[:]) is None  # a view is another array: gated as a caller's
+    del K
+    assert len(kernels._FACTORS) == before
+
+
+def test_plan_dense_does_not_gate_a_built_matrix_again(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sampler, "repair_psd", lambda m: calls.append(len(m)) or kernels.repair_psd(m))
+    pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (1.5, 1.5)]
+    K = kernels.build_cov_matrix(kernels.bargmann_fock(2), pts)
+    plan = sampler.plan_dense(K, 3, pts)
+    assert calls == [] and plan.cov is K
+    assert kernels._gate_factor(K) is None  # eigh's factor serves the draws: the gate's is dropped
+    again = sampler.plan_dense(np.array(K), 3, pts)
+    assert calls == [len(K)] and np.array_equal(again.factor, plan.factor)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

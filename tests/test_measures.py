@@ -156,13 +156,90 @@ def test_capacity_gff_ball_settles_in_one_step():
         assert res.iterations == 1 and res.converged
 
 
-def test_capacity_factors_the_full_matrix_once(monkeypatch):
-    # the PSD gate's Cholesky factor serves the first KKT solve
-    K = _gff_ball(4)
+def test_one_cholesky_from_build_cov_matrix_through_capacity(monkeypatch):
+    # build_cov_matrix's PSD gate factors the ball; capacity takes that factor for its first
+    # KKT solve, where it used to factor the matrix a second time
     calls, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a))
+    K = _gff_ball(4)
+    assert calls == [len(K)]
     res = measures.capacity(K, tol=1e-9)
     assert res.iterations == 1 and calls == [len(K)]
+    again = measures.capacity(K, range(len(K)), tol=1e-9)  # every index in order: the same factor
+    assert again.value == res.value and calls == [len(K)]
+    measures.capacity(K, range(len(K) - 1, -1, -1), tol=1e-9)  # another order: capacity factors it
+    assert calls == [len(K)] * 2
+
+
+@pytest.mark.parametrize("scale, e", [(1.0, 1), (2.0, 2), (0.5, 0), (0.25, -1)])
+def test_capacity_with_the_gates_factor_equals_capacity_factoring_itself(scale, e):
+    # the gate factors the matrix at the scale capacity solves in, so for odd and even exponents
+    # e alike the kept factor is capacity's own, bit for bit
+    M = np.array(_gff_ball(3)) * scale
+    K = kernels.build_cov_matrix(kernels.explicit(M), [(i,) for i in range(len(M))])
+    assert kernels._exponent(np.diag(K)) == e and kernels._gate_factor(K) is not None
+    own = np.array(K)  # a writable copy: capacity factors it itself
+    assert kernels._gate_factor(own) is None
+    assert np.array_equal(kernels._gate_factor(K), kernels._cholesky(own))
+    got, want = measures.capacity(K), measures.capacity(own)
+    assert np.array_equal(got.minimizer, want.minimizer)
+    assert (got.value, got.energy, got.gap, got.iterations, got.converged) == \
+        (want.value, want.energy, want.gap, want.iterations, want.converged)
+
+
+def test_the_gate_still_guards_every_matrix_build_cov_matrix_did_not_keep():
+    # a caller's indefinite matrix, a writable copy of a built matrix made indefinite, and the
+    # built matrix itself made writable and changed in place: each is gated, a ModelError
+    K = _gff_ball(2)
+    n = len(K)
+    halves = (list(range(n // 2)), list(range(n // 2, n)))
+    copy = np.array(K)
+    copy[0, 1] = copy[1, 0] = 2 * K[0, 0]
+    K.flags.writeable = True
+    K[0, 1] = K[1, 0] = 2 * K[0, 0]
+    caller = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    for M, (i1, i2) in ((caller, ([0], [1, 2])), (copy, halves), (K, halves)):
+        with pytest.raises(ModelError, match="not PSD"):
+            measures.capacity(M)
+        with pytest.raises(ModelError, match="not PSD"):
+            measures.max_corr(M, i1, i2)
+
+
+def _gff_pair(R, dist):
+    """The GFF matrix on two lattice balls of radius R, dist apart along axis 0, and their index sets."""
+    ball = [(i, j, k) for i in range(-R, R + 1) for j in range(-R, R + 1) for k in range(-R, R + 1)
+            if i * i + j * j + k * k <= R * R]
+    K = kernels.build_cov_matrix(kernels.gff(3), ball + [(x + dist, y, z) for x, y, z in ball])
+    return K, np.arange(len(ball)), np.arange(len(ball), 2 * len(ball))
+
+
+def test_max_corr_gates_only_what_build_cov_matrix_did_not(monkeypatch):
+    calls = []
+    monkeypatch.setattr(measures, "repair_psd", lambda m: calls.append(len(m)) or kernels.repair_psd(m))
+    K, i1, i2 = _gff_pair(2, 6)
+    rho = measures.max_corr(K, i1, i2).rho
+    assert calls == []  # I1 then I2 is every index in order: the gate passed it in build_cov_matrix
+    assert measures.max_corr(K, i2, i1).rho == pytest.approx(rho, rel=1e-12) and calls == [len(K)]
+    assert measures.max_corr(np.array(K), i1, i2).rho == rho and calls == [len(K)] * 2
+    measures.max_corr(K, i1, i2[:-1])
+    assert calls == [len(K)] * 2 + [len(K) - 1]
+
+
+def test_max_corr_on_equal_blocks_is_whitening_twice_bit_for_bit(monkeypatch):
+    # the two balls are translates under a stationary kernel: their blocks are equal, and B is
+    # whitened with A's inverse square root
+    K, i, j = _gff_pair(2, 6)
+    A, B, C = K[np.ix_(i, i)], K[np.ix_(j, j)], K[np.ix_(i, j)]
+    assert np.array_equal(A, B)
+    Ai, ra = measures._inv_sqrt(A, None)
+    Bi, rb = measures._inv_sqrt(B, None)
+    u, s, vt = np.linalg.svd(Ai @ C @ Bi)
+    calls, inv_sqrt = [], measures._inv_sqrt
+    monkeypatch.setattr(measures, "_inv_sqrt", lambda *a: calls.append(1) or inv_sqrt(*a))
+    res = measures.max_corr(K, i, j)
+    assert calls == [1]
+    assert res.rho == min(1.0, max(0.0, s[0])) and res.ridge == max(ra, rb)
+    assert np.array_equal(res.alpha, Ai @ u[:, 0]) and np.array_equal(res.beta, Bi @ vt[0])
 
 
 @pytest.mark.parametrize("K, want", [
