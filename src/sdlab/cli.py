@@ -314,10 +314,13 @@ def cmd_negbound(args) -> int:
             and args.u_max >= args.u_step):
         raise ConfigError(f"--u-step must be finite and > 0 and --u-max finite and >= it, "
                           f"got {args.u_step} and {args.u_max}")
-    if (args.u_max + 1e-12 - args.u_step) / args.u_step > MAX_SITES:  # np.arange's row count, before its ceil
+    # the rounding guard grows with u_max, as a fixed 1e-12 is under half a float spacing of u_max
+    # above about 9,000 and would drop its row; it is never below 1e-12
+    stop = args.u_max + 1e-12 * max(1.0, args.u_max)
+    if (stop - args.u_step) / args.u_step > MAX_SITES:  # np.arange's row count, before its ceil
         raise ConfigError(f"--u-max {args.u_max} at --u-step {args.u_step} makes more rows than "
                           f"MAX_SITES = {MAX_SITES}")
-    u = np.arange(args.u_step, args.u_max + 1e-12, args.u_step)
+    u = np.arange(args.u_step, stop, args.u_step)
     table = analytic.neg_bound_scan(args.kappa, u)
     # formatted a chunk at a time as it is written: a table of MAX_SITES rows never holds its whole text
     text = _chunks(itertools.chain(["u,r,exponent\n"], (f"{uu:.6g},{r:.17g},{ex:.12g}\n"

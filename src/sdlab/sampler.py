@@ -1,10 +1,14 @@
 """Seeded Gaussian sampling: dense factorizations, circulant embedding, moving-average split.
 
 A dense plan multiplies white noise by a covariance factor.  A torus plan
-draws real white noise w on a torus around the box and returns the moving
-average irfftn(rfftn(w) * f) on the box: the circulant plan has one filter,
-the half-spectrum of sqrt_spectrum; the split X = X1 + X2 has two, the near
-and far parts of that moving average, applied to the same w.
+returns moving averages of white noise on a torus around the box, two
+replicates per complex transform: complex white noise eta, taken as Fourier
+coefficients on the N-site torus, times sqrt(N) times a filter's full spectrum
+F, inverted on the box, has real and imaginary parts that are two independent
+moving averages by F's real kernel (sqrt(N) ifftn(eta) is circular complex
+white noise).  The circulant plan has one filter, sqrt_spectrum; the split
+X = X1 + X2 has two, the near and far parts of that moving average, applied to
+the same eta.
 
 Every plan draws through ``draw_batch(replicates, cols=None)``: all of its
 columns, or the columns ``cols`` (mc asks for the union of its events'
@@ -42,16 +46,18 @@ al., SC '11) in two layouts:
   word 3 set to 1, and fills its (BANK_ROWS, width) normals column by column,
   so row i's first k normals are stream positions j * BANK_ROWS + i for j < k,
   whatever the width.  One key serves 256 replicates.
-- An FFT draw reads one stream per replicate, keyed (base_seed, r) with
-  counter 0: a batch re-keys one Philox generator for each replicate, which
-  gives exactly the stream of a fresh generator with that key.  The counter
-  word 3 keeps the two layouts' streams disjoint.
+- An FFT draw reads one stream per pair: replicates 2k and 2k + 1 are the real
+  and imaginary parts of pair k, whose noise is the stream keyed (base_seed, k)
+  with counter 0, its normals the interleaved real and imaginary parts.  A
+  batch re-keys one Philox generator for each pair, which gives exactly the
+  stream of a fresh generator with that key.  The counter word 3 keeps the two
+  layouts' streams disjoint.
 
 Every plan draws a batch by its runs within one block, so a draw of several
 blocks (mc asks for chunks of whole blocks) is its blocks' draws stacked: each
 factor draw is one stacked gemv per block, each FFT draw transforms one block's
-noise at a time, and each block is cut to ``cols`` as it is drawn, so a draw of
-many blocks holds them at ``cols`` only.  Dense plans read their noise from a
+pairs at a time (a block holds whole pairs), and each block is cut to ``cols``
+as it is drawn, so a draw of many blocks holds them at ``cols`` only.  Dense plans read their noise from a
 per-process bank, so plans that share a seed draw each block once: block
 (base_seed, b) is kept at the widest width asked of it so far; a narrower
 request slices it, a wider one redraws it.  Slicing rests on the prefix property of the stream: its first k
@@ -110,22 +116,32 @@ def _replicate_indices(replicates) -> range | list[int]:
     return reps
 
 
-def _noise(base_seed: int, replicates, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normal noise of ``shape`` per replicate, stacked; row k keyed by (base_seed,
-    replicates[k]), counter 0.  The FFT draws' streams: a factor draw reads ``_block_noise``."""
-    reps = _replicate_indices(replicates)
-    out = np.empty((len(reps),) + shape)
+def _pair_noise(base_seed: int, pairs, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex white noise of ``shape`` per pair, stacked: row k's real and imaginary parts are
+    the interleaved standard normals of the Philox stream keyed (base_seed, pairs[k]), counter 0.
+    The FFT draws' streams: a factor draw reads ``_block_noise``."""
+    out = np.empty((len(pairs),) + shape, dtype=complex)
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
     key = [base_seed & _UINT64, 0]
     # the state of Philox(key=key): counter 0, empty buffer
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for k, r in enumerate(reps):
-        key[1] = r
+    for k, p in enumerate(pairs):
+        key[1] = int(p)
         bits.state = state
-        gen.standard_normal(out=out[k])
+        gen.standard_normal(out=out[k].view(float))
     return out
+
+
+def _pair_rows(reps: range | list[int], lo: int, hi: int):
+    """The pairs of a run's replicates reps[lo:hi], in order, and where their parts go: replicate
+    r is part r % 2 of pair r // 2.  Returns (pairs, (dst, src) of the real parts, (dst, src) of
+    the imaginary parts): output row dst[i] takes part src[i] of the pairs' draw."""
+    r = np.fromiter(reps[lo:hi], dtype=np.uint64, count=hi - lo)
+    pairs, inv = np.unique(r // 2, return_inverse=True)
+    odd = (r % 2).astype(bool)
+    return pairs, (lo + np.flatnonzero(~odd), inv[~odd]), (lo + np.flatnonzero(odd), inv[odd])
 
 
 def _runs(reps: range | list[int]):
@@ -273,9 +289,10 @@ def _check_columns(cols, m: int) -> np.ndarray:
     return cols.astype(np.intp)
 
 
-# The restriction draws faster than the FFT pair on every support of at most
-# RESTRICTION_COLUMNS_PER_LOG2 x log2(torus size) columns, and about as fast at 800 columns on
-# 48^2, 72^2 and 16^3 tori (the sweep in BENCH_31.json, one BLAS thread)
+# The restriction draws faster than the FFT draw on every support of at most
+# RESTRICTION_COLUMNS_PER_LOG2 x log2(torus size) columns (447 to 494 on the tori below), and
+# about as fast at 500 columns on a 48^2 torus and at 600 to 700 on 72^2 and 16^3 (the sweep
+# in BENCH_43.json, one BLAS thread, two replicates per complex transform)
 RESTRICTION_COLUMNS_PER_LOG2 = 40
 
 
@@ -397,8 +414,8 @@ def _torus_offsets(grid: Grid, torus_shape, extent=None) -> np.ndarray:
 
 
 class CirculantPlan(SamplerPlan):
-    """Stationary field on a box, embedded in a torus: real white noise on the
-    torus filtered by the half-spectrum of ``sqrt_spectrum``."""
+    """Stationary field on a box, embedded in a torus: white noise on the torus
+    filtered by ``sqrt_spectrum``."""
 
     mode = "circulant"
 
@@ -409,19 +426,28 @@ class CirculantPlan(SamplerPlan):
         self.sqrt_spectrum = sqrt_spectrum
         self.clipped_fraction = float(clipped_fraction)
         super().__init__(base_seed, grid.sites())
-        self._set_filters(sqrt_spectrum[..., : self.torus_shape[-1] // 2 + 1])
+        self._set_filters(*self._kernel_spectra())
 
-    def _set_filters(self, *filters) -> None:
-        """The draw loop's rfftn-domain filters; with seed, points and torus shape they fix the draws."""
-        self._filters = filters
-        self.fingerprint = self._fingerprint(self.torus_shape, *filters)
+    def _kernel_spectra(self) -> tuple[tuple, tuple]:
+        """(half-spectra, full spectra) of the filters' real kernels: here the one filter, sqrt_spectrum."""
+        return (self.sqrt_spectrum[..., : self.torus_shape[-1] // 2 + 1],), (self.sqrt_spectrum,)
+
+    def _set_filters(self, halves, spectra) -> None:
+        """The filters, given twice as the same real kernels' spectra: ``_filters``, the half-spectra,
+        which the restriction reads, and ``_spectra``, sqrt(N) times the full spectra, which the FFT
+        draw reads.  With seed, points and torus shape the half-spectra fix the draws."""
+        self._filters = tuple(halves)
+        self._spectra = tuple(math.sqrt(g.size) * g for g in spectra)
+        self.fingerprint = self._fingerprint(self.torus_shape, *self._filters)
         self._restrictions = _Store(BANK_BYTES)  # factors of support draws, by column list
 
     def _filter_noise(self, replicates, cols=None) -> list[np.ndarray]:
-        """Per filter f, the moving average of white noise by f's real-space kernel, one row per
+        """Per filter, the moving average of white noise by its real-space kernel, one row per
         replicate, at every box site or at the sites of columns ``cols``: from the filters' joint
         law at ``cols``, its ``_restriction`` factor applied to each replicate's block normals, when
-        ``_restriction_wins``; else as irfftn(rfftn(w) * f) on the box for one noise w on the torus."""
+        ``_restriction_wins``; else the FFT draw, Re (r even) or Im (r odd) of ifftn(eta * G) on the
+        box for pair r // 2's complex noise eta and each of ``_spectra``, G = sqrt(N) times the
+        filter's full spectrum.  Each run of replicates in one block draws its pairs once."""
         reps = _replicate_indices(replicates)
         if cols is not None:
             cols = _check_columns(cols, len(self.points))
@@ -433,25 +459,30 @@ class CirculantPlan(SamplerPlan):
                     x[lo:hi] = _apply(factor, z)
                 return np.split(x, len(self._filters), axis=1)
         at = None if cols is None else (slice(None),) + np.unravel_index(cols, self.grid.shape)
-        axes = tuple(range(1, len(self.torus_shape) + 1))
-        outs = [np.empty((len(reps), len(self.points) if at is None else len(cols))) for _ in self._filters]
+        outs = [np.empty((len(reps), len(self.points) if at is None else len(cols))) for _ in self._spectra]
         for lo, hi, _ in _runs(reps):
-            wf = np.fft.rfftn(_noise(self.base_seed, reps[lo:hi], self.torus_shape), axes=axes)
-            for out, f in zip(outs, self._filters):
-                box = self._box_irfftn(wf * f)
-                out[lo:hi] = box.reshape(hi - lo, -1) if at is None else box[at]
+            pairs, re, im = _pair_rows(reps, lo, hi)
+            eta = _pair_noise(self.base_seed, pairs, self.torus_shape)
+            for k, (out, g) in enumerate(zip(outs, self._spectra)):
+                # the last filter multiplies the noise in place
+                z = self._box_ifftn(np.multiply(eta, g, out=eta if k == len(outs) - 1 else None))
+                z = z.reshape(len(pairs), -1) if at is None else z[at]
+                out[re[0]] = z.real[re[1]]
+                out[im[0]] = z.imag[im[1]]
         return outs
 
-    def _box_irfftn(self, a: np.ndarray) -> np.ndarray:
-        """irfftn(a, s=torus_shape, axes=1..d)[box], inverting only the rows the box keeps.
+    def _box_ifftn(self, a: np.ndarray) -> np.ndarray:
+        """ifftn(a, axes=1..d)[box], inverting only the rows the box keeps.
 
-        irfftn runs ifft over the leading axes in order, then irfft over the
-        last; each line transform is independent of the others, so dropping
-        the rows outside the box after each axis leaves the box bit-identical.
+        ifftn runs ifft over the axes from the last to the first; each line
+        transform is independent of the others, so dropping the rows outside
+        the box after each axis leaves the box bit-identical.
         """
-        for ax, s in enumerate(self.grid.shape[:-1], start=1):
-            a = np.fft.ifft(a, axis=ax)[(slice(None),) * ax + (slice(0, s),)]
-        return np.fft.irfft(a, n=self.torus_shape[-1], axis=-1)[..., : self.grid.shape[-1]]
+        for ax in range(len(self.grid.shape), 0, -1):
+            # the last axis is transformed in place: the draw hands over a temporary of its own
+            a = np.fft.ifft(a, axis=ax, out=a if ax == a.ndim - 1 else None)
+            a = a[(slice(None),) * ax + (slice(0, self.grid.shape[ax - 1]),)]
+        return a
 
     def _restriction(self, cols: np.ndarray) -> np.ndarray:
         """The ``plan_dense`` factor of the filters' moving averages at ``cols``, built once per column list.
@@ -554,15 +585,18 @@ class DecomposedPlan(CirculantPlan):
     """
 
     def __init__(self, base: CirculantPlan, radius: float):
-        super().__init__(base.model, base.grid, base.torus_shape, base.sqrt_spectrum,
-                         base.clipped_fraction, base.base_seed)
         self.radius = float(radius)
-        q = np.fft.ifftn(self.sqrt_spectrum).real
-        near = np.sqrt((_torus_offsets(self.grid, self.torus_shape) ** 2).sum(axis=-1)) <= self.radius
+        q = np.fft.ifftn(base.sqrt_spectrum).real
+        near = np.sqrt((_torus_offsets(base.grid, base.torus_shape) ** 2).sum(axis=-1)) <= self.radius
         self.q_near = np.where(near, q, 0.0)
         self.q_far = np.where(near, 0.0, q)
         self.sigma2 = float((self.q_far**2).sum())
-        self._set_filters(np.fft.rfftn(self.q_near), np.fft.rfftn(self.q_far))
+        super().__init__(base.model, base.grid, base.torus_shape, base.sqrt_spectrum,
+                         base.clipped_fraction, base.base_seed)
+
+    def _kernel_spectra(self) -> tuple[tuple, tuple]:
+        qs = (self.q_near, self.q_far)
+        return tuple(np.fft.rfftn(q) for q in qs), tuple(np.fft.fftn(q) for q in qs)
 
     def draw_split_batch(self, replicates, cols=None) -> tuple[np.ndarray, np.ndarray]:
         return tuple(self._filter_noise(replicates, cols))

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: exhaustive path
 enumeration and breadth-first search instead of batched labelling, mpmath
 special functions instead of scipy, grid search and Frank-Wolfe with away
-steps instead of the active-set capacity solve, a fresh Philox generator per replicate instead of one re-keyed generator,
+steps instead of the active-set capacity solve, a fresh Philox generator per pair instead of one
+re-keyed generator and a whole-torus ``ifftn`` instead of the box-only inverse,
 a fresh generator per block read at stream positions j * 256 + i instead of a transposed block,
 row-wise ``np.unique(axis=0)`` and per-row Bessel factors instead of integer
 row keys and one Bessel table, the kernel on all n^2 point pairs instead of
@@ -51,6 +52,31 @@ def philox_normals(base_seed: int, replicate: int, shape) -> np.ndarray:
     """One replicate's standard normal noise of ``shape``, keyed by (base_seed, replicate)."""
     key = np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(replicate)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+
+
+def pair_normals(base_seed: int, pair: int, shape) -> np.ndarray:
+    """Pair ``pair``'s complex FFT-draw noise of ``shape``: entry i's real and imaginary parts
+    are normals 2i and 2i + 1 of a fresh Philox keyed (base_seed, pair), counter 0."""
+    flat = philox_normals(base_seed, pair, 2 * int(np.prod(shape)))
+    eta = np.empty(shape, dtype=complex)
+    eta.real, eta.imag = flat[0::2].reshape(shape), flat[1::2].reshape(shape)
+    return eta
+
+
+def pair_fft_draw(plan, replicate: int) -> list[np.ndarray]:
+    """A torus plan's FFT draw of one replicate, one box field per filter, by the law the sampler
+    states: Re (replicate even) or Im (odd) of ifftn(sqrt(N) * eta * F) on the box, for the noise
+    eta of pair replicate // 2 on the N-site torus and each full-spectrum filter F (a circulant
+    plan's square-root spectrum; a split plan's fftn(q_near) and fftn(q_far)): the whole torus
+    inverted at once, then the box cut out."""
+    if isinstance(plan, sampler.DecomposedPlan):
+        spectra = [np.fft.fftn(plan.q_near), np.fft.fftn(plan.q_far)]
+    else:
+        spectra = [plan.sqrt_spectrum]
+    eta = pair_normals(plan.base_seed, replicate // 2, plan.torus_shape)
+    box = tuple(slice(0, s) for s in plan.grid.shape)
+    parts = [np.fft.ifftn(eta * (np.sqrt(eta.size) * f))[box].ravel() for f in spectra]
+    return [z.imag if replicate % 2 else z.real for z in parts]
 
 
 def block_normals(base_seed: int, b: int, width: int) -> np.ndarray:

@@ -587,6 +587,13 @@ def test_negbound_writes_the_bytes_of_the_whole_table_a_chunk_at_a_time(tmp_path
     assert capsys.readouterr().out == want
 
 
+def test_negbound_ends_at_u_max_where_1e_12_is_under_half_its_float_spacing(capsys):
+    # above about 9,000 a fixed guard of 1e-12 left u_max out: the table ended at 16383
+    assert run(["negbound", "--u-max", "16384", "--u-step", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 16385 and lines[-1].startswith("16384,") and lines[-2].startswith("16383,")
+
+
 def test_negbound_memory_is_the_table_not_its_text(tmp_path, capsys):
     # the CSV text of 1e5 rows (3.1 MB) was held whole, with its rows as strings: the command
     # peaked 8.6 MB above the scan it prints; written a chunk at a time it adds about 0.1 MB

@@ -90,6 +90,20 @@ def test_event_thresholds_are_the_thresholds_of_each_draw_block(kind, workers):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fft_draw_thresholds_at_an_odd_n_are_a_prefix_of_an_even_n(workers):
+    """Replicates 2k and 2k + 1 share pair k's draw: at n = 513 the last chunk is replicate 512
+    alone, the real part of pair 256, and the thresholds are the first 513 of n = 1024.  The
+    32 x 32 box crossing reads the whole box, so its draw is the FFT draw, in chunks of one block."""
+    plan = sampler.plan_circulant(kernels.bargmann_fock(2), sampler.Grid((32, 32), 0.5), 6)
+    specs = (events.BoxCrossing((0, 0), (31, 31), 0), events.AllAbove(((0, 0), (31, 31)), -0.5))
+    assert mc.compile_events(plan, specs)[1] is None
+    clear_cache()
+    odd = mc.event_thresholds(plan, specs, 513, workers)
+    even = mc.event_thresholds(plan, specs, 1024, workers)
+    assert odd.shape == (2, 513) and np.array_equal(odd, even[:, :513])
+
+
 def test_a_chunk_of_a_wide_dense_plan_holds_its_support_columns_only():
     """A 1-site event on 200 sites chunks 8,192 replicates as one; the dense draw cuts each block
     to the support as it goes, so the chunk never holds all 200 columns of its 32 blocks."""

@@ -74,9 +74,10 @@ def test_dense_draws_match_fresh_philox_streams(d, base_seed):
 
 @pytest.mark.parametrize("base_seed", [0, -1, 2**63 + 7])
 def test_torus_noise_matches_fresh_philox_streams(base_seed):
-    w = sampler._noise(base_seed, STREAM_REPLICATES, (64, 64))
-    ref = np.stack([oracles.philox_normals(base_seed, r, (64, 64)) for r in STREAM_REPLICATES])
-    assert np.array_equal(w, ref)
+    # pair indices, so the largest is (2**64 - 1) // 2 and a repeat draws its stream again
+    pairs = [r // 2 for r in STREAM_REPLICATES] + [3]
+    eta = sampler._pair_noise(base_seed, pairs, (64, 64))
+    assert np.array_equal(eta, np.stack([oracles.pair_normals(base_seed, k, (64, 64)) for k in pairs]))
 
 
 def test_philox_normals_prefix_property():
@@ -136,10 +137,12 @@ def test_block_noise_prefix_across_widths():
 
 @pytest.mark.parametrize("base_seed", [0, -1, 2**63 + 7])
 def test_block_streams_are_disjoint_from_replicate_streams(base_seed):
-    """Counter word 3 = 1 keeps block (s, b) off per-replicate stream (s, b), which shares its key."""
+    """Counter word 3 = 1 keeps block (s, b) off the stream of pair (s, b), the FFT draw of
+    replicates 2b and 2b + 1, which shares its key."""
     for b in (0, 1, 2**56 - 1):
         block = sampler._block_noise(base_seed, b, 1)[:, 0]  # the block stream's first 256 normals
-        assert np.intersect1d(block, sampler._noise(base_seed, [b], (256,))[0]).size == 0
+        pair = sampler._pair_noise(base_seed, [b], (128,))[0]  # the pair stream's first 256 normals
+        assert np.intersect1d(block, np.concatenate([pair.real, pair.imag])).size == 0
 
 
 def test_runs_of_a_range_inside_one_block_match_the_general_path():
@@ -533,9 +536,9 @@ def test_decomposed_x1_independence_on_a_torus_smaller_than_the_doubled_one():
 @pytest.mark.parametrize("model", [kernels.bargmann_fock(2), kernels.cauchy(2.0, 2)], ids=["bf", "cauchy2"])
 @pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
 def test_torus_filters_reproduce_cov_block_exactly(model, split):
-    # the draws are irfftn(rfftn(w) * f) summed over the plan's filters, so their covariance
-    # at offset h is irfftn(|sum f|^2)(h mod torus): exactly the kernel wrapped on the torus,
-    # and the kernel itself to the stated limit
+    # the draws are one white noise's moving averages by the kernels irfftn(f), summed over the
+    # plan's filters, so their covariance at offset h is irfftn(|sum f|^2)(h mod torus): exactly
+    # the kernel wrapped on the torus, and the kernel itself to the stated limit
     grid = sampler.Grid((16, 16), 0.5)
     plan = sampler.plan_decomposed(model, grid, 1.5, 0) if split else sampler.plan_circulant(model, grid, 0)
     c = np.fft.irfftn(np.abs(sum(plan._filters)) ** 2, s=plan.torus_shape, axes=(0, 1))
@@ -549,20 +552,44 @@ def test_torus_filters_reproduce_cov_block_exactly(model, split):
 @pytest.mark.parametrize("shape, split", [
     ((7,), False), ((6, 5), False), ((5, 6, 4), False), ((6, 5), True), ((5, 6, 4), True),
 ], ids=["1d", "2d", "3d", "2d-split", "3d-split"])
-def test_box_only_inverse_is_bit_identical_to_irfftn(shape, split):
+def test_fft_draws_are_re_and_im_of_the_pair_inverse(shape, split):
+    """Replicate r of an FFT draw is the real (r even) or imaginary (r odd) part of pair r // 2's
+    whole-torus inverse on the box, bit for bit, whatever else the batch asks: ranges that start
+    even or odd and span the 256-replicate blocks, a stepped range, and an unordered list with a
+    repeat, both parts of one pair out of order and the largest indices."""
     bf = kernels.bargmann_fock(len(shape))
     grid = sampler.Grid(shape, 1.0)
     plan = sampler.plan_decomposed(bf, grid, 1.5, 5) if split else sampler.plan_circulant(bf, grid, 5)
-    reps = range(600)  # crosses the 512-replicate FFT block
-    axes = tuple(range(1, len(shape) + 1))
-    wf = np.fft.rfftn(np.stack([oracles.philox_normals(5, r, plan.torus_shape) for r in reps]), axes=axes)
-    box = (slice(None),) + tuple(slice(0, s) for s in shape)
-    ref = [np.fft.irfftn(wf * f, s=plan.torus_shape, axes=axes)[box].reshape(len(reps), -1)
-           for f in plan._filters]
-    got = plan.draw_split_batch(reps) if split else (plan.draw_batch(reps),)
-    assert len(got) == len(ref) == (2 if split else 1)
-    for g, r in zip(got, ref):
-        assert np.array_equal(g, r)
+    cases = [range(0, 600), range(1, 300), range(255, 258), range(3, 40, 7),
+             [7, 0, 3, 2**40 + 5, 1, 2**64 - 1, 12, 3, 2**64 - 2, 6, 2**40 + 4]]
+    want = {}
+    for reps in cases:
+        got = plan.draw_split_batch(reps) if split else (plan.draw_batch(reps),)
+        assert len(got) == len(plan._spectra) == (2 if split else 1)
+        for k, r in enumerate(reps):
+            if r not in want:
+                want[r] = oracles.pair_fft_draw(plan, r)
+            for g, w in zip(got, want[r], strict=True):
+                assert g.shape == (len(reps), len(plan.points)) and np.array_equal(g[k], w)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["circulant", "split"])
+def test_the_two_fields_of_a_pair_are_independent(split):
+    """sqrt(N) ifftn of complex white noise is circular, so the real and imaginary parts of one
+    pair are independent fields: the cross-covariance of replicates 2k and 2k + 1, filter by
+    filter, between five sites (one site with itself, neighbours, far corners) is zero within
+    4 standard errors over 10,000 pairs."""
+    plan = _torus_plan((8, 8), None, split, seed=17)
+    n = 10_000
+    fields = plan.draw_split_batch(range(2 * n)) if split else (plan.draw_batch(range(2 * n)),)
+    cols = [plan.index[p] for p in [(0, 0), (0, 1), (1, 0), (3, 4), (7, 7)]]
+    x = np.concatenate([f[:, cols] for f in fields], axis=1)  # filter-major, 5 columns per filter
+    prod = x[0::2, :, None] * x[1::2, None, :]  # (pair, real-part column, imaginary-part column)
+    z = prod.mean(axis=0) / (prod.std(axis=0, ddof=1) / np.sqrt(n))
+    assert z.shape == (5 * len(fields),) * 2 and np.abs(z).max() < 4
+    # the same statistic within one part reads the neighbours' covariance (about exp(-1/8))
+    same = x[0::2, 0] * (x[0::2, 1] + x[0::2, 6] if split else x[0::2, 1])
+    assert same.mean() / (same.std(ddof=1) / np.sqrt(n)) > 20
 
 
 def _torus_plan(shape, origin, split, seed=5):
@@ -577,17 +604,20 @@ def _torus_plan(shape, origin, split, seed=5):
 @pytest.mark.parametrize("shape", [(40,), (10, 9), (6, 5, 4)], ids=["1d", "2d", "3d"])
 def test_support_draw_matches_the_fft_draw(shape, origin, split):
     """In law: the support draw is the dense restriction whose factor times its transpose is
-    the FFT draw's covariance at the columns, Q^T Q, and row r applies that factor to the
-    normals of r's row of block (seed, r // 256).  Bargmann-Fock's kernels are even, so a slip of the lag's sign or
-    a dropped conj would not show on them; the plan is also run with random filters."""
+    the covariance at the columns that the filters' half-spectra fix, Q^T Q, and row r applies
+    that factor to the normals of r's row of block (seed, r // 256).  Bargmann-Fock's kernels are
+    even, so a slip of the lag's sign or a dropped conj would not show on them; the plan is also
+    run with the half- and full spectra of random real kernels."""
     plan = _torus_plan(shape, tuple(range(-3, 2 * len(shape) - 3, 2)) if origin else None, split)
     cols = np.random.default_rng(len(shape)).permutation(len(plan.points))[:30]  # any order
     assert sampler._restriction_wins(len(plan._filters) * len(cols), math.prod(plan.torus_shape))
     rng = np.random.default_rng(0)
     reps = [0, 255, 256, 2**64 - 1]
     sampler._BANK.clear()
-    for filters in (plan._filters, [np.fft.rfftn(rng.normal(size=plan.torus_shape)) for _ in plan._filters]):
-        plan._set_filters(*filters)
+    qs = [rng.normal(size=plan.torus_shape) for _ in plan._filters]
+    random = [np.fft.rfftn(q) for q in qs], [np.fft.fftn(q) for q in qs]
+    for halves, spectra in (plan._kernel_spectra(), random):
+        plan._set_filters(halves, spectra)
         ref = oracles.torus_support_cov(plan, cols)
         factor = plan._restriction(cols)
         assert np.abs(factor @ factor.T - ref).max() <= 1e-12 * ref.diagonal().max()
